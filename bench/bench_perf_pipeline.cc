@@ -117,36 +117,25 @@ void BM_ConcurrentTestGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_ConcurrentTestGeneration);
 
-// --- End-to-end engine A/B: streaming vs strict barriers. ---
+// --- End-to-end campaign wall clock. ---
 
-// Full RunSnowboardPipeline wall clock under both campaign engines at several worker
-// counts. The determinism harness proves the serialized results are byte-identical; this
-// measures what streaming buys: profiles fold into PMC identification while the profile
-// tail runs, and exploration overlaps the remaining preparation, so idle-at-the-barrier
-// time turns into useful work. At 1 worker the engines should tie (same work, same order);
-// the gap should appear (and streaming must not lose) at 4 workers.
+// Full RunSnowboardPipeline wall clock at several worker counts: profiles fold into PMC
+// identification while the profile tail runs, and exploration overlaps the remaining
+// preparation.
 void BM_PipelineEndToEnd(benchmark::State& state) {
-  bool streaming = state.range(0) != 0;
-  int workers = static_cast<int>(state.range(1));
+  int workers = static_cast<int>(state.range(0));
   uint64_t trials = 0;
   for (auto _ : state) {
-    PipelineOptions options = bench::CanonicalOptions(Strategy::kSInsPair, 48, workers);
-    options.streaming = streaming;
-    PipelineResult result = RunSnowboardPipeline(options);
+    PipelineResult result =
+        RunSnowboardPipeline(bench::CanonicalOptions(Strategy::kSInsPair, 48, workers));
     trials += result.total_trials;
     benchmark::DoNotOptimize(result);
   }
   state.counters["trials"] =
       benchmark::Counter(static_cast<double>(trials), benchmark::Counter::kAvgIterations);
-  state.SetLabel(std::string(streaming ? "streaming" : "barrier") + " engine, " +
-                 std::to_string(workers) + " worker(s)");
+  state.SetLabel(std::to_string(workers) + " worker(s)");
 }
-BENCHMARK(BM_PipelineEndToEnd)
-    ->Args({0, 1})
-    ->Args({1, 1})
-    ->Args({0, 4})
-    ->Args({1, 4})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PipelineEndToEnd)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 // --- Execution throughput: Snowboard (precise PMC match) vs SKI (instruction match). ---
 

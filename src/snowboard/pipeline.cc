@@ -14,7 +14,6 @@
 #include "src/snowboard/profile.h"
 #include "src/snowboard/serialize.h"
 #include "src/snowboard/stats.h"
-#include "src/util/assert.h"
 #include "src/util/counters.h"
 #include "src/util/fault.h"
 #include "src/util/hash.h"
@@ -124,11 +123,6 @@ std::vector<Finding> ExtractFindings(const ConcurrentTest& test,
   return findings;
 }
 
-// True once an injected crash has fired anywhere: the "process" is dead, so stages stop
-// starting new work and unwind with whatever partial state they hold.
-bool Dead(const PipelineOptions& options) {
-  return options.fault != nullptr && options.fault->crashed();
-}
 
 // Opens the campaign's checkpoint store, or null when checkpointing is off/unavailable.
 // The store is internally synchronized, so one handle may serve every stage and worker.
@@ -148,12 +142,11 @@ std::unique_ptr<CheckpointStore> OpenStore(const PipelineOptions& options) {
   return store;
 }
 
-// Hash of every option that shapes the pipeline's deterministic outputs. num_workers, the
-// streaming/barrier engine choice, checkpointing, and fault injection are deliberately
-// excluded: a campaign may be resumed with a different worker count or under the other
-// engine (the determinism invariant guarantees identical results), but any fingerprint
-// mismatch means the directory's artifacts answer a different question and must be
-// discarded.
+// Hash of every option that shapes the pipeline's deterministic outputs. num_workers,
+// checkpointing, and fault injection are deliberately excluded: a campaign may be resumed
+// with a different worker count (the determinism invariant guarantees identical results),
+// but any fingerprint mismatch means the directory's artifacts answer a different question
+// and must be discarded.
 uint64_t OptionsFingerprint(const PipelineOptions& o) {
   return HashAll(o.seed, o.corpus.seed, o.corpus.max_iterations, o.corpus.target_size,
                  o.corpus.use_seeds, o.pmc.max_keys_per_address, o.pmc.max_pmcs,
@@ -172,7 +165,7 @@ int IdentifyWorkers(const PipelineOptions& options) {
   return options.pmc.num_workers > 0 ? options.pmc.num_workers : options.ResolvedWorkers();
 }
 
-// --- Raw stage computations (shared verbatim by both engines) ---------------------------
+// --- Stage computations -----------------------------------------------------------------
 
 // Corpus construction: admission is a serial fold over the shared coverage map (each admit
 // changes what counts as fresh for every later candidate), so it runs on one VM.
@@ -207,29 +200,17 @@ SerializedTests ComputeTests(const std::vector<Program>& corpus,
 
 // --- Stage definitions (artifact.h) -----------------------------------------------------
 
-StageDef<std::vector<Program>> CorpusStageDef(const PipelineOptions& options) {
+StageDef<std::vector<Program>> CorpusStageDef() {
   StageDef<std::vector<Program>> def;
-  def.span = "stage.corpus";
   def.entry = "corpus";
   def.serialize = [](const std::vector<Program>& corpus) { return SerializeCorpus(corpus); };
   def.deserialize = [](const std::string& text) { return DeserializeCorpus(text); };
-  def.funnel = "funnel.corpus_programs";
-  def.funnel_value = [](const std::vector<Program>& corpus) { return corpus.size(); };
-  def.compute = [&options]() {
-    // One pool worker supplies the VM (reused across stages rather than booted here).
-    std::vector<Program> corpus;
-    WorkerPool::Global().Run(1, [&](PoolWorker& worker) {
-      corpus = ComputeCorpus(PoolWorkerVm(worker), options);
-    });
-    return corpus;
-  };
   return def;
 }
 
 StageDef<std::vector<SequentialProfile>> ProfilesStageDef(
-    const PipelineOptions& options, const std::vector<Program>& corpus) {
+    const std::vector<Program>& corpus) {
   StageDef<std::vector<SequentialProfile>> def;
-  def.span = "stage.profile";
   def.entry = "profiles";
   def.serialize = [](const std::vector<SequentialProfile>& profiles) {
     return SerializeProfiles(profiles);
@@ -239,56 +220,36 @@ StageDef<std::vector<SequentialProfile>> ProfilesStageDef(
   def.validate = [&corpus](const std::vector<SequentialProfile>& profiles) {
     return profiles.size() == corpus.size();
   };
-  def.compute = [&options, &corpus]() {
-    ProfileOptions profile_options;
-    profile_options.num_workers = options.ResolvedWorkers();
-    profile_options.cache = options.profile_cache;
-    return ProfileCorpusParallel(corpus, profile_options);
-  };
   return def;
 }
 
-StageDef<std::vector<Pmc>> PmcsStageDef(const PipelineOptions& options,
-                                        const std::vector<SequentialProfile>& profiles) {
+StageDef<std::vector<Pmc>> PmcsStageDef() {
   StageDef<std::vector<Pmc>> def;
-  def.span = "stage.identify";
   def.entry = "pmcs";
   def.serialize = [](const std::vector<Pmc>& pmcs) { return SerializePmcs(pmcs); };
   def.deserialize = [](const std::string& text) { return DeserializePmcs(text); };
-  def.funnel = "funnel.pmcs_identified";
-  def.funnel_value = [](const std::vector<Pmc>& pmcs) { return pmcs.size(); };
-  def.compute = [&options, &profiles]() {
-    PmcIdentifyOptions pmc_options = options.pmc;
-    pmc_options.num_workers = IdentifyWorkers(options);
-    return IdentifyPmcs(profiles, pmc_options);
-  };
   return def;
 }
 
-StageDef<SerializedTests> TestsStageDef(const PipelineOptions& options,
-                                        const std::vector<Program>& corpus,
-                                        const std::vector<Pmc>& pmcs) {
+StageDef<SerializedTests> TestsStageDef(const PipelineOptions& options) {
   StageDef<SerializedTests> def;
-  def.span = "stage.cluster";
   def.entry = std::string("tests.") + StrategyName(options.strategy);
   def.serialize = [](const SerializedTests& tests) {
     return SerializeConcurrentTests(tests.tests, tests.cluster_count);
   };
   def.deserialize = [](const std::string& text) { return DeserializeConcurrentTests(text); };
-  def.compute = [&options, &corpus, &pmcs]() { return ComputeTests(corpus, pmcs, options); };
   return def;
 }
 
 StageDef<PipelineResult> ResultStageDef(const PipelineOptions& options) {
   StageDef<PipelineResult> def;
-  def.span = "stage.result";
   def.entry = std::string("result.") + StrategyName(options.strategy);
   def.serialize = [](const PipelineResult& result) { return SerializePipelineResult(result); };
   def.deserialize = [](const std::string& text) { return DeserializePipelineResult(text); };
   return def;
 }
 
-// --- Execution helpers (shared by both engines) -----------------------------------------
+// --- Execution helpers ------------------------------------------------------------------
 
 // Pre-parses the execution journal into a by-index replay table. A record whose test index
 // is outside the current test list cannot belong to this campaign's tests (a mismatched
@@ -363,9 +324,8 @@ std::optional<OutcomeRecord> RunOneExploreTest(KernelVm& vm, const ConcurrentTes
 
 // Folds per-test outcome slots into the result in test-index order. FindingsLog::Record
 // keeps the lowest-test-index finding per issue, so this fold lands on the same final
-// state as any merge order — which is what makes the fold byte-identical between the
-// barrier and streaming engines and across worker counts. Empty slots (tests never run
-// because an injected crash fired first) are skipped.
+// state as any merge order — which is what makes the fold byte-identical across worker
+// counts. Empty slots (tests never run because an injected crash fired first) are skipped.
 void FoldExploreOutcomes(const std::vector<std::optional<OutcomeRecord>>& outcomes,
                          const std::vector<uint8_t>& resumed, PipelineResult* result) {
   for (size_t i = 0; i < outcomes.size(); i++) {
@@ -400,49 +360,9 @@ void FoldExploreOutcomes(const std::vector<std::optional<OutcomeRecord>>& outcom
   }
 }
 
-// One explore slot: journal replay or live execution. Writes only slot `index` of
-// `outcomes`/`resumed` (slot-exclusive, so no locking). Returns false when an injected
-// crash consumed the test. `feedback` (optional) receives the test's saturation verdict —
-// journaled replays feed it too, so a resumed campaign rebuilds the same deprioritization
-// state without re-executing anything.
-bool ExploreOneSlot(PoolWorker& worker, const std::vector<ConcurrentTest>& tests,
-                    size_t index, bool use_pmc_hints, const PmcMatcher* matcher,
-                    const PipelineOptions& options, const StageRunner& runner,
-                    const std::string& journal_name,
-                    const std::vector<std::optional<OutcomeRecord>>& journaled,
-                    std::vector<std::optional<OutcomeRecord>>* outcomes,
-                    std::vector<uint8_t>* resumed,
-                    ClusterPriorityTracker* feedback = nullptr) {
-  TRACE_SPAN("explore.test", index);
-  if (journaled[index].has_value()) {
-    // Replayed from the journal: no VM involved (a fully journaled resume therefore
-    // never boots one).
-    (*outcomes)[index] = journaled[index];
-    (*resumed)[index] = 1;
-    ActiveCounters().tests_resumed.fetch_add(1, std::memory_order_relaxed);
-    if (feedback != nullptr) {
-      feedback->RecordOutcome(TestFeedbackGroup(tests[index]),
-                              (*outcomes)[index]->outcome.saturated);
-    }
-    return true;
-  }
-  std::optional<OutcomeRecord> record =
-      RunOneExploreTest(PoolWorkerVm(worker), tests[index], index, use_pmc_hints, matcher,
-                        options, runner, journal_name);
-  if (!record.has_value()) {
-    return false;
-  }
-  (*outcomes)[index] = std::move(*record);
-  if (feedback != nullptr) {
-    feedback->RecordOutcome(TestFeedbackGroup(tests[index]),
-                            (*outcomes)[index]->outcome.saturated);
-  }
-  return true;
-}
+// --- The campaign engine ----------------------------------------------------------------
 
-// --- Streaming engine -------------------------------------------------------------------
-
-// Runs the whole campaign as one pool job over a dependency DAG of work items instead of a
+// Runs a campaign as one pool job over a dependency DAG of work items instead of a
 // sequence of stage barriers:
 //
 //   corpus ──► profile[i] ──► fold (in corpus order) ──► finish ──► scan[p] ──► merge
@@ -456,33 +376,61 @@ bool ExploreOneSlot(PoolWorker& worker, const std::vector<ConcurrentTest>& tests
 // list (and, for PMC strategies, the matcher) resolves — for the pairing baselines and for
 // resumes whose test list is checkpointed, that genuinely overlaps the profile tail.
 //
-// Determinism: every ordered computation is pinned to the same order the barrier engine
-// uses — profiles fold strictly in corpus-index order (single folder at a time, advancing
-// over the completed prefix), partition scans write partition-exclusive slices merged in
-// partition order, and explore outcomes land in per-test slots folded in index order. The
-// scheduling freedom the DAG adds therefore never reaches a deterministic output, which is
-// what the streaming-vs-barrier A/B in pipeline_determinism_test locks in.
+// Three entries share the one DAG: RunSnowboardPipeline runs it from the furthest
+// checkpointed frontier through exploration, PrepareCampaign stops once the PMC table
+// resolves, and ExecuteCampaign starts at the explore frontier with the caller's tests.
+//
+// Determinism comes from pinned fold orders, not from the schedule: profiles fold strictly
+// in corpus-index order (single folder at a time, advancing over the completed prefix),
+// partition scans write partition-exclusive slices merged in partition order, and explore
+// outcomes land in per-test slots folded in index order. The scheduling freedom the DAG
+// adds therefore never reaches a deterministic output, which the checked-in goldens under
+// tests/corpus/ lock in at 1/2/4/8 workers.
 //
 // Fault injection: claiming a pre-explore item passes the "pool.claim" fault point,
-// claiming an explore item passes "execute.claim" (same site as the barrier engine), and
-// explorer trials pass their own sites inside the explorer. An injected crash flips
-// `crashed_`; every worker unwinds at its next claim, exactly as a SIGKILL would.
-class StreamingEngine {
+// executing an explore item passes "execute.claim" (once per executed test, never per
+// claim attempt or deferral), and explorer trials pass their own sites inside the explorer.
+// An injected crash flips `crashed_`; every worker unwinds at its next claim, exactly as a
+// SIGKILL would.
+class CampaignEngine {
  public:
-  StreamingEngine(const PipelineOptions& options, CheckpointStore* store)
+  // How far Run() takes the DAG.
+  enum class Goal {
+    kPmcs,     // Stop once corpus, profiles, and the PMC table have resolved.
+    kExplore,  // Run through exploration.
+  };
+
+  CampaignEngine(const PipelineOptions& options, CheckpointStore* store, Goal goal)
       : options_(options),
         runner_(store, options.fault, options.resume),
+        goal_(goal),
         use_pmc_(StrategyUsesPmcs(options.strategy)),
         journal_name_(std::string("execute.") + StrategyName(options.strategy)),
-        accumulator_(options.pmc) {}
-
-  void Run(PipelineResult* result) {
-    TRACE_SPAN("engine.streaming");
+        accumulator_(options.pmc) {
     t_start_ = std::chrono::steady_clock::now();
     t_corpus_ = t_profiles_ = t_pmcs_ = t_tests_ = t_start_;
     restore_mark_corpus_ = restore_mark_profiles_ = restore_mark_tests_ = RestoreNanos();
+  }
 
-    ResolveFromCheckpoint();
+  // Seeds the DAG at the explore frontier: every pre-explore stage counts as resolved and
+  // `tests` is the test list, explored with `matcher` (may be null) when `use_pmc_hints`.
+  // The journal replay table is built from the store exactly as on resume.
+  void StartAtExplore(const std::vector<ConcurrentTest>& tests, bool use_pmc_hints,
+                      const PmcMatcher* matcher) {
+    std::lock_guard<std::mutex> lock(mu_);
+    start_at_explore_ = true;
+    use_pmc_ = use_pmc_hints;
+    matcher_ = matcher;
+    corpus_done_ = profiles_complete_ = pmcs_done_ = true;
+    TestsResolvedLocked(SerializedTests{tests, 0});
+  }
+
+  void Run() {
+    // perfbench's ledger keys the campaign window on this span name.
+    TRACE_SPAN("engine.streaming");
+    if (!start_at_explore_) {
+      ResolveFromCheckpoint();
+    }
     bool all_done;
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -497,7 +445,55 @@ class StreamingEngine {
     if (runner_.store() != nullptr) {
       runner_.store()->FlushJournals();
     }
-    Fill(result);
+  }
+
+  // The whole campaign's statistics (RunSnowboardPipeline).
+  void Fill(PipelineResult* result) {
+    result->corpus_size = corpus_.size();
+    for (const SequentialProfile& profile : profiles_) {
+      if (profile.ok) {
+        result->profiled_ok++;
+        result->shared_accesses += profile.accesses.size();
+      }
+    }
+    result->pmc_count = pmcs_.size();
+    for (const Pmc& pmc : pmcs_) {
+      result->total_pmc_pairs += pmc.total_pairs;
+    }
+    result->pmc_table_digest = PmcTableDigest(pmcs_);
+    result->cluster_count = cluster_count_;
+    result->tests_generated = tests_.size();
+    // Stage timings are event-window attributions: each stage is charged the wall-clock
+    // between its predecessor's completion event and its own. When stages overlap (explore
+    // running during the profile tail) the windows overlap too, so the per-stage columns
+    // no longer sum to the campaign wall-clock — by design. The same windows attribute the
+    // snapshot-restore counter deltas. None of these fields are serialized.
+    result->corpus_seconds = SecondsBetween(t_start_, t_corpus_);
+    result->profile_seconds = SecondsBetween(t_corpus_, t_profiles_);
+    result->identify_seconds = SecondsBetween(t_profiles_, t_pmcs_);
+    result->cluster_seconds = SecondsBetween(t_pmcs_, t_tests_);
+    result->profile_restore_seconds = ProfileRestoreSeconds();
+    FoldExplore(result);
+  }
+
+  // Execution statistics and findings plus the explore window's timings. Accumulates, so
+  // callers may fold several ExecuteCampaign runs into one result.
+  void FoldExplore(PipelineResult* result) {
+    FoldExploreOutcomes(outcomes_, resumed_, result);
+    result->execute_seconds += SecondsBetween(t_tests_, std::chrono::steady_clock::now());
+    result->execute_restore_seconds +=
+        static_cast<double>(RestoreNanos() - restore_mark_tests_) * 1e-9;
+  }
+
+  // The resolved pre-explore artifacts (PrepareCampaign).
+  void TakePrepared(PreparedCampaign* campaign) {
+    campaign->corpus = std::move(corpus_);
+    campaign->profiles = std::move(profiles_);
+    campaign->pmcs = std::move(pmcs_);
+    campaign->corpus_seconds = SecondsBetween(t_start_, t_corpus_);
+    campaign->profile_seconds = SecondsBetween(t_corpus_, t_profiles_);
+    campaign->profile_restore_seconds = ProfileRestoreSeconds();
+    campaign->identify_seconds = SecondsBetween(t_profiles_, t_pmcs_);
   }
 
  private:
@@ -521,40 +517,41 @@ class StreamingEngine {
     return GlobalPipelineCounters().snapshot_restore_nanos.load(std::memory_order_relaxed);
   }
 
+  double ProfileRestoreSeconds() const {
+    return static_cast<double>(restore_mark_profiles_ - restore_mark_corpus_) * 1e-9;
+  }
+
   // Up-front checkpoint resolution on the caller thread: loads run before any worker
   // starts, so the DAG begins from the furthest checkpointed frontier.
   void ResolveFromCheckpoint() {
     std::lock_guard<std::mutex> lock(mu_);
-    Artifact<std::vector<Program>> corpus;
-    if (runner_.TryLoad(CorpusStageDef(options_), &corpus)) {
-      corpus_ = std::move(corpus.value);
+    if (std::optional<std::vector<Program>> corpus = runner_.TryLoad(CorpusStageDef())) {
+      corpus_ = std::move(*corpus);
       corpus_loaded_ = true;
       CorpusResolvedLocked();
     }
     if (corpus_loaded_) {
       // Profiles are only trusted against a loaded corpus (their staleness gate needs the
       // exact corpus they were computed from).
-      Artifact<std::vector<SequentialProfile>> profiles;
-      if (runner_.TryLoad(ProfilesStageDef(options_, corpus_), &profiles)) {
-        profiles_ = std::move(profiles.value);
+      if (std::optional<std::vector<SequentialProfile>> profiles =
+              runner_.TryLoad(ProfilesStageDef(corpus_))) {
+        profiles_ = std::move(*profiles);
         profiles_loaded_ = true;
         profile_next_ = profiles_.size();
         std::fill(profile_done_.begin(), profile_done_.end(), uint8_t{1});
       }
     }
-    Artifact<std::vector<Pmc>> pmcs;
-    if (runner_.TryLoad(PmcsStageDef(options_, profiles_), &pmcs)) {
-      pmcs_ = std::move(pmcs.value);
-      pmcs_loaded_ = true;
+    if (std::optional<std::vector<Pmc>> pmcs = runner_.TryLoad(PmcsStageDef())) {
+      pmcs_ = std::move(*pmcs);
       // The identified table is settled: profiles (loaded or recomputed) only feed stats,
       // so the fold machinery runs but skips the accumulator.
       fold_into_accumulator_ = false;
       PmcsResolvedLocked();
     }
-    Artifact<SerializedTests> tests;
-    if (runner_.TryLoad(TestsStageDef(options_, corpus_, pmcs_), &tests)) {
-      tests_loaded_ = true;
-      TestsResolvedLocked(std::move(tests.value));
+    if (goal_ == Goal::kExplore) {
+      if (std::optional<SerializedTests> tests = runner_.TryLoad(TestsStageDef(options_))) {
+        TestsResolvedLocked(std::move(*tests));
+      }
     }
   }
 
@@ -577,18 +574,15 @@ class StreamingEngine {
         continue;
       }
       lock.unlock();
-      // Claiming real work is a kill point: "execute.claim" for concurrent tests (the same
-      // site the barrier engine fires), "pool.claim" for the pre-explore stages. The
-      // coordination items (fold / finish / merge) are deliberately NOT fault points: how
-      // many times they are claimed depends on thread timing, and the crash-sweep harness
-      // needs the campaign's total fault-point count to be deterministic. Their crash
-      // coverage comes from the fs.commit points inside the artifacts they persist.
+      // Claiming real pre-explore work is a "pool.claim" kill point. The coordination
+      // items (fold / finish / merge) are deliberately NOT fault points: how many times
+      // they are claimed depends on thread timing, and the crash-sweep harness needs the
+      // campaign's total fault-point count to be deterministic. Their crash coverage comes
+      // from the fs.commit points inside the artifacts they persist.
       FaultInjector* fault = runner_.fault();
       bool countable_claim = item.kind == Kind::kCorpus || item.kind == Kind::kProfile ||
-                             item.kind == Kind::kScan || item.kind == Kind::kGenerate ||
-                             item.kind == Kind::kExplore;
-      if (fault != nullptr && countable_claim &&
-          fault->At(item.kind == Kind::kExplore ? "execute.claim" : "pool.claim")) {
+                             item.kind == Kind::kScan || item.kind == Kind::kGenerate;
+      if (fault != nullptr && countable_claim && fault->At("pool.claim")) {
         CrashOut();
         return;
       }
@@ -610,14 +604,9 @@ class StreamingEngine {
   // Cluster-priority feedback (prune): a claimed test whose feedback group keeps
   // saturating is pushed to the deferred queue instead of executed, so fresher groups get
   // the workers first; the queue drains after the cursor exhausts. Deferral changes only
-  // execution ORDER (every test still runs exactly once, outcomes fold by index), and the
-  // "execute.claim" fault point fires only before an actual execution — never on a
-  // deferral, whose timing-dependent occurrence would otherwise make the campaign's
-  // fault-point count nondeterministic under the crash sweep. Every worker that pushes
-  // later drains until empty, so the queue cannot strand a test.
+  // execution ORDER (every test still runs exactly once, outcomes fold by index). Every
+  // worker that pushes later drains until empty, so the queue cannot strand a test.
   void DrainExplore(PoolWorker& worker) {
-    FaultInjector* fault = runner_.fault();
-    const bool feedback = options_.explorer.prune.enabled;
     for (;;) {
       if (crashed_.load(std::memory_order_acquire)) {
         return;
@@ -626,15 +615,17 @@ class StreamingEngine {
       if (index >= tests_.size()) {
         break;  // Cursor exhausted: fall through to the deferred drain.
       }
-      if (feedback && !journaled_[index].has_value() &&
+      if (options_.explorer.prune.enabled && !journaled_[index].has_value() &&
           feedback_.IsDeprioritized(TestFeedbackGroup(tests_[index]))) {
         std::lock_guard<std::mutex> lock(deferred_mu_);
         deferred_.push_back(index);
         continue;
       }
-      if (!ExploreClaimed(worker, fault, index, feedback)) {
+      if (!ExploreClaimed(worker, index)) {
+        CrashOut();
         return;
       }
+      FlushCounterShard();  // Item boundary, as in the locked loop.
     }
     for (;;) {
       if (crashed_.load(std::memory_order_acquire)) {
@@ -649,30 +640,50 @@ class StreamingEngine {
         index = deferred_.back();
         deferred_.pop_back();
       }
-      if (!ExploreClaimed(worker, fault, index, feedback)) {
+      if (!ExploreClaimed(worker, index)) {
+        CrashOut();
         return;
       }
+      FlushCounterShard();
     }
   }
 
-  // One claimed-for-execution explore test: kill point, slot execution, progress. False
-  // means the worker must unwind (crash raised here or elsewhere).
-  bool ExploreClaimed(PoolWorker& worker, FaultInjector* fault, size_t index,
-                      bool feedback) {
-    // Same kill point the locked claim path fires for explore items.
+  // Executes (or replays from the journal) one claimed explore test into its slot. Writes
+  // only slot `index` of outcomes_/resumed_ (slot-exclusive, so no locking). The
+  // "execute.claim" kill point fires here, before an actual execution — never on a claim
+  // attempt or a deferral, whose timing-dependent occurrence would make the fault-point
+  // count depend on the worker count. False means the worker must unwind (crash raised
+  // here or elsewhere). With prune on, the test's saturation verdict feeds the
+  // cluster-priority tracker — journaled replays feed it too, so a resumed campaign
+  // rebuilds the same deprioritization state without re-executing anything.
+  bool ExploreClaimed(PoolWorker& worker, size_t index) {
+    FaultInjector* fault = runner_.fault();
     if (fault != nullptr && fault->At("execute.claim")) {
-      CrashOut();
       return false;
     }
-    if (!ExploreOneSlot(worker, tests_, index, use_pmc_,
-                        matcher_.has_value() ? &*matcher_ : nullptr, options_, runner_,
-                        journal_name_, journaled_, &outcomes_, &resumed_,
-                        feedback ? &feedback_ : nullptr)) {
-      CrashOut();
-      return false;
+    TRACE_SPAN("explore.test", index);
+    if (journaled_[index].has_value()) {
+      // Replayed from the journal: no VM involved (a fully journaled resume therefore
+      // never boots one).
+      outcomes_[index] = journaled_[index];
+      resumed_[index] = 1;
+      ActiveCounters().tests_resumed.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      std::optional<OutcomeRecord> record =
+          RunOneExploreTest(PoolWorkerVm(worker), tests_[index], index, use_pmc_, matcher_,
+                            options_, runner_, journal_name_);
+      if (!record.has_value()) {
+        return false;
+      }
+      outcomes_[index] = std::move(*record);
     }
+    if (options_.explorer.prune.enabled) {
+      feedback_.RecordOutcome(TestFeedbackGroup(tests_[index]),
+                              outcomes_[index]->outcome.saturated);
+    }
+    // No wake-up needed: explore_only_ (set, with a notify, before the last explore can
+    // finish) keeps every worker out of cv_.wait, and each re-checks AllDone on its own.
     explores_done_.fetch_add(1, std::memory_order_relaxed);
-    FlushCounterShard();  // Item boundary, as in the locked loop.
     return true;
   }
 
@@ -683,8 +694,11 @@ class StreamingEngine {
   }
 
   bool AllDoneLocked() const {
-    return corpus_done_ && profiles_complete_ && pmcs_done_ && tests_ready_ &&
-           explores_done_ == tests_.size();
+    bool prepared = corpus_done_ && profiles_complete_ && pmcs_done_;
+    if (goal_ == Goal::kPmcs) {
+      return prepared;
+    }
+    return prepared && tests_ready_ && explores_done_ == tests_.size();
   }
 
   // Caller holds mu_. Once every pre-explore stage has resolved, ClaimLocked can only ever
@@ -720,7 +734,7 @@ class StreamingEngine {
       merge_claimed_ = true;
       return {Kind::kMergePmcs, 0};
     }
-    if (!tests_resolved_ && !generate_claimed_ && corpus_done_ &&
+    if (goal_ == Goal::kExplore && !tests_resolved_ && !generate_claimed_ && corpus_done_ &&
         (!use_pmc_ || pmcs_done_)) {
       generate_claimed_ = true;
       return {Kind::kGenerate, 0};
@@ -735,6 +749,7 @@ class StreamingEngine {
       // fetch_add (not load-then-store) because lock-free drainers may be bumping the
       // cursor concurrently with this locked path during the handover window. A claim past
       // the end is not an item; the cursor only ever moves forward, so overshoot is safe.
+      // The locked path never defers — deferral lives in DrainExplore only.
       size_t index = explore_next_.fetch_add(1, std::memory_order_relaxed);
       if (index < tests_.size()) {
         return {Kind::kExplore, index};
@@ -760,7 +775,7 @@ class StreamingEngine {
       case Kind::kGenerate:
         return ExecuteGenerate();
       case Kind::kExplore:
-        return ExecuteExplore(worker, item.arg);
+        return ExploreClaimed(worker, item.arg);
       case Kind::kNone:
         break;
     }
@@ -781,7 +796,7 @@ class StreamingEngine {
 
   bool ExecuteCorpus(PoolWorker& worker) {
     std::vector<Program> corpus = ComputeCorpus(PoolWorkerVm(worker), options_);
-    runner_.Persist(CorpusStageDef(options_), corpus);
+    runner_.Persist(CorpusStageDef(), corpus);
     if (runner_.dead()) {
       return false;
     }
@@ -830,7 +845,7 @@ class StreamingEngine {
 
   bool ExecuteFinishProfiles() {
     if (!profiles_loaded_) {
-      runner_.Persist(ProfilesStageDef(options_, corpus_), profiles_);
+      runner_.Persist(ProfilesStageDef(corpus_), profiles_);
       if (runner_.dead()) {
         return false;
       }
@@ -871,7 +886,7 @@ class StreamingEngine {
 
   bool ExecuteMergePmcs() {
     std::vector<Pmc> pmcs = accumulator_.Merge();
-    runner_.Persist(PmcsStageDef(options_, profiles_), pmcs);
+    runner_.Persist(PmcsStageDef(), pmcs);
     if (runner_.dead()) {
       return false;
     }
@@ -889,8 +904,10 @@ class StreamingEngine {
     outcomes_.resize(tests_.size());
     resumed_.assign(tests_.size(), 0);
     journaled_ = BuildJournalTable(runner_, journal_name_, tests_.size());
-    TRACE_COUNTER("funnel.clusters", cluster_count_);
-    TRACE_COUNTER("funnel.tests_generated", tests_.size());
+    if (!start_at_explore_) {
+      TRACE_COUNTER("funnel.clusters", cluster_count_);
+      TRACE_COUNTER("funnel.tests_generated", tests_.size());
+    }
     MaybeTestsReadyLocked();
     UpdateExploreOnlyLocked();
     cv_.notify_all();
@@ -902,8 +919,9 @@ class StreamingEngine {
     if (tests_ready_ || !tests_resolved_ || (use_pmc_ && !pmcs_done_)) {
       return;
     }
-    if (use_pmc_) {
-      matcher_.emplace(&pmcs_);
+    if (use_pmc_ && !start_at_explore_) {
+      own_matcher_.emplace(&pmcs_);
+      matcher_ = &*own_matcher_;
     }
     tests_ready_ = true;
     t_tests_ = std::chrono::steady_clock::now();
@@ -912,7 +930,7 @@ class StreamingEngine {
 
   bool ExecuteGenerate() {
     SerializedTests tests = ComputeTests(corpus_, pmcs_, options_);
-    runner_.Persist(TestsStageDef(options_, corpus_, pmcs_), tests);
+    runner_.Persist(TestsStageDef(options_), tests);
     if (runner_.dead()) {
       return false;
     }
@@ -921,61 +939,12 @@ class StreamingEngine {
     return true;
   }
 
-  bool ExecuteExplore(PoolWorker& worker, size_t index) {
-    // The locked-claim (handover window) path never defers — it only feeds the tracker.
-    bool ok = ExploreOneSlot(worker, tests_, index, use_pmc_,
-                             matcher_.has_value() ? &*matcher_ : nullptr, options_, runner_,
-                             journal_name_, journaled_, &outcomes_, &resumed_,
-                             options_.explorer.prune.enabled ? &feedback_ : nullptr);
-    if (!ok) {
-      return false;
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    explores_done_++;
-    if (AllDoneLocked()) {
-      cv_.notify_all();
-    }
-    return true;
-  }
-
-  void Fill(PipelineResult* result) {
-    auto t_end = std::chrono::steady_clock::now();
-    result->corpus_size = corpus_.size();
-    for (const SequentialProfile& profile : profiles_) {
-      if (profile.ok) {
-        result->profiled_ok++;
-        result->shared_accesses += profile.accesses.size();
-      }
-    }
-    result->pmc_count = pmcs_.size();
-    for (const Pmc& pmc : pmcs_) {
-      result->total_pmc_pairs += pmc.total_pairs;
-    }
-    result->pmc_table_digest = PmcTableDigest(pmcs_);
-    result->cluster_count = cluster_count_;
-    result->tests_generated = tests_.size();
-    FoldExploreOutcomes(outcomes_, resumed_, result);
-    // Stage timings become event-window attributions under streaming: each stage is
-    // charged the wall-clock between its predecessor's completion event and its own. When
-    // stages overlap (explore running during the profile tail) the windows overlap too, so
-    // the per-stage columns no longer sum to the campaign wall-clock — by design. The same
-    // windows attribute the snapshot-restore counter deltas. None of these fields are
-    // serialized or compared across engines.
-    result->corpus_seconds = SecondsBetween(t_start_, t_corpus_);
-    result->profile_seconds = SecondsBetween(t_corpus_, t_profiles_);
-    result->identify_seconds = SecondsBetween(t_profiles_, t_pmcs_);
-    result->cluster_seconds = SecondsBetween(t_pmcs_, t_tests_);
-    result->execute_seconds = SecondsBetween(t_tests_, t_end);
-    result->profile_restore_seconds =
-        static_cast<double>(restore_mark_profiles_ - restore_mark_corpus_) * 1e-9;
-    result->execute_restore_seconds =
-        static_cast<double>(RestoreNanos() - restore_mark_tests_) * 1e-9;
-  }
-
   const PipelineOptions& options_;
   StageRunner runner_;
-  const bool use_pmc_;
+  const Goal goal_;
+  bool use_pmc_;
   const std::string journal_name_;
+  bool start_at_explore_ = false;
 
   std::mutex mu_;
   std::condition_variable cv_;
@@ -1008,25 +977,26 @@ class StreamingEngine {
   size_t scan_next_ = 0;
   size_t scans_done_ = 0;
   bool merge_claimed_ = false;
-  bool pmcs_loaded_ = false;
   bool pmcs_done_ = false;
   std::vector<Pmc> pmcs_;
 
   // Tests.
   bool generate_claimed_ = false;
-  bool tests_loaded_ = false;
   bool tests_resolved_ = false;
   bool tests_ready_ = false;
   size_t cluster_count_ = 0;
   std::vector<ConcurrentTest> tests_;
-  std::optional<PmcMatcher> matcher_;
+  // The explore scheduler's matcher: built over pmcs_ for a PMC-strategy campaign, or the
+  // caller's under StartAtExplore.
+  std::optional<PmcMatcher> own_matcher_;
+  const PmcMatcher* matcher_ = nullptr;
   std::vector<std::optional<OutcomeRecord>> journaled_;
 
   // Explore. The claim cursor and done count are atomics so that the steady-state explore
   // loop — the campaign's hot path once every pre-explore stage has resolved — hands out
   // work with one uncontended fetch_add instead of a mutex round trip (see DrainExplore).
-  // Slot outputs stay lock-free as before: each claimed index owns its outcomes_/resumed_
-  // slot exclusively, and the final fold reads them only after the pool job joins.
+  // Each claimed index owns its outcomes_/resumed_ slot exclusively, and the final fold
+  // reads them only after the pool job joins.
   std::atomic<size_t> explore_next_{0};
   std::atomic<size_t> explores_done_{0};
   // True once corpus, profiles, PMCs, and the test list have all resolved: from then on
@@ -1051,29 +1021,11 @@ class StreamingEngine {
 }  // namespace
 
 PreparedCampaign PrepareCampaign(const PipelineOptions& options) {
-  PreparedCampaign campaign;
   std::unique_ptr<CheckpointStore> store = OpenStore(options);
-  StageRunner runner(store.get(), options.fault, options.resume);
-
-  Artifact<std::vector<Program>> corpus = runner.Run(CorpusStageDef(options));
-  campaign.corpus = std::move(corpus.value);
-  campaign.corpus_seconds = corpus.seconds;
-  if (runner.dead()) {
-    return campaign;
-  }
-
-  Artifact<std::vector<SequentialProfile>> profiles =
-      runner.Run(ProfilesStageDef(options, campaign.corpus));
-  campaign.profiles = std::move(profiles.value);
-  campaign.profile_seconds = profiles.seconds;
-  campaign.profile_restore_seconds = profiles.restore_seconds;
-  if (runner.dead()) {
-    return campaign;
-  }
-
-  Artifact<std::vector<Pmc>> pmcs = runner.Run(PmcsStageDef(options, campaign.profiles));
-  campaign.pmcs = std::move(pmcs.value);
-  campaign.identify_seconds = pmcs.seconds;
+  CampaignEngine engine(options, store.get(), CampaignEngine::Goal::kPmcs);
+  engine.Run();
+  PreparedCampaign campaign;
+  engine.TakePrepared(&campaign);
   return campaign;
 }
 
@@ -1082,206 +1034,77 @@ std::vector<ConcurrentTest> GenerateTestsForStrategy(const PreparedCampaign& cam
                                                      size_t* cluster_count_out) {
   std::unique_ptr<CheckpointStore> store = OpenStore(options);
   StageRunner runner(store.get(), options.fault, options.resume);
-  Artifact<SerializedTests> tests =
-      runner.Run(TestsStageDef(options, campaign.corpus, campaign.pmcs));
-  if (cluster_count_out != nullptr) {
-    *cluster_count_out = tests.value.cluster_count;
+  const StageDef<SerializedTests> def = TestsStageDef(options);
+  std::optional<SerializedTests> tests = runner.TryLoad(def);
+  if (!tests.has_value()) {
+    tests = ComputeTests(campaign.corpus, campaign.pmcs, options);
+    runner.Persist(def, *tests);
   }
-  return std::move(tests.value.tests);
+  if (cluster_count_out != nullptr) {
+    *cluster_count_out = tests->cluster_count;
+  }
+  return std::move(tests->tests);
 }
 
 void ExecuteCampaign(const std::vector<ConcurrentTest>& tests, bool use_pmc_hints,
                      const PmcMatcher* matcher, const PipelineOptions& options,
                      PipelineResult* result) {
-  TRACE_SPAN("stage.execute", tests.size());
-  StageTimer timer;
   std::unique_ptr<CheckpointStore> store = OpenStore(options);
-  StageRunner runner(store.get(), options.fault, options.resume);
-  const std::string journal_name = std::string("execute.") + StrategyName(options.strategy);
-  std::vector<std::optional<OutcomeRecord>> journaled =
-      BuildJournalTable(runner, journal_name, tests.size());
-
-  // Per-test outcome slots, claimed dynamically, folded in index order below. Workers come
-  // from the shared pool and reuse their parked VMs; a fully journaled resume replays
-  // without touching one.
-  std::vector<std::optional<OutcomeRecord>> outcomes(tests.size());
-  std::vector<uint8_t> resumed(tests.size(), 0);
-  IndexClaim claim(tests.size());
-  const bool feedback_enabled = options.explorer.prune.enabled;
-  ClusterPriorityTracker feedback;
-  std::mutex deferred_mu;
-  std::vector<size_t> deferred;
-  WorkerPool::Global().Run(options.ResolvedWorkers(), [&](PoolWorker& worker) {
-    if (!feedback_enabled) {
-      for (;;) {
-        // The worker-kill point: a crash injected here (or anywhere else) makes every
-        // worker abandon its claim loop, exactly as a SIGKILL would.
-        if (runner.fault() != nullptr && runner.fault()->At("execute.claim")) {
-          return;
-        }
-        size_t index = 0;
-        if (!claim.Next(&index)) {
-          return;
-        }
-        if (!ExploreOneSlot(worker, tests, index, use_pmc_hints, matcher, options, runner,
-                            journal_name, journaled, &outcomes, &resumed)) {
-          return;
-        }
-      }
-    }
-    // Feedback path: tests of chronically saturating groups are deferred behind the rest.
-    // The kill point here fires only before an actual execution, never on a deferral —
-    // deferrals are timing-dependent, and the crash-sweep harness needs the campaign's
-    // fault-point count deterministic. Every pusher drains after the cursor exhausts, so
-    // the deferred queue always empties.
-    for (;;) {
-      size_t index = 0;
-      if (!claim.Next(&index)) {
-        break;  // Cursor exhausted: fall through to the deferred drain.
-      }
-      if (!journaled[index].has_value() &&
-          feedback.IsDeprioritized(TestFeedbackGroup(tests[index]))) {
-        std::lock_guard<std::mutex> lock(deferred_mu);
-        deferred.push_back(index);
-        continue;
-      }
-      if (runner.fault() != nullptr && runner.fault()->At("execute.claim")) {
-        return;
-      }
-      if (!ExploreOneSlot(worker, tests, index, use_pmc_hints, matcher, options, runner,
-                          journal_name, journaled, &outcomes, &resumed, &feedback)) {
-        return;
-      }
-    }
-    for (;;) {
-      size_t index = 0;
-      {
-        std::lock_guard<std::mutex> lock(deferred_mu);
-        if (deferred.empty()) {
-          return;
-        }
-        index = deferred.back();
-        deferred.pop_back();
-      }
-      if (runner.fault() != nullptr && runner.fault()->At("execute.claim")) {
-        return;
-      }
-      if (!ExploreOneSlot(worker, tests, index, use_pmc_hints, matcher, options, runner,
-                          journal_name, journaled, &outcomes, &resumed, &feedback)) {
-        return;
-      }
-    }
-  });
-  // Claim boundary: group-commit whatever outcome records are still buffered before the
-  // stage's results are folded (and the result entry persisted).
-  if (runner.store() != nullptr) {
-    runner.store()->FlushJournals();
-  }
-  FoldExploreOutcomes(outcomes, resumed, result);
-  result->execute_seconds += timer.Seconds();
-  result->execute_restore_seconds += timer.RestoreSeconds();
+  CampaignEngine engine(options, store.get(), CampaignEngine::Goal::kExplore);
+  engine.StartAtExplore(tests, use_pmc_hints, matcher);
+  engine.Run();
+  engine.FoldExplore(result);
 }
 
 PipelineResult RunSnowboardPipeline(const PipelineOptions& options) {
   TRACE_SPAN("pipeline.campaign");
   PipelineResult result;
   const StageDef<PipelineResult> result_def = ResultStageDef(options);
+  std::unique_ptr<CheckpointStore> store = OpenStore(options);
+  StageRunner runner(store.get(), options.fault, options.resume);
 
   // Checkpoint-directory admission: the guard entry pins the options fingerprint. A fresh
   // run, or a directory written under different options, is reset before any stage can
   // load a stale artifact. A resumed run whose final result already committed skips every
   // stage outright.
-  if (!options.checkpoint_dir.empty()) {
-    std::unique_ptr<CheckpointStore> store = OpenStore(options);
-    if (store != nullptr) {
-      const std::string guard =
-          StrPrintf("snowboard-campaign-v1\nfingerprint %016llx\n",
-                    static_cast<unsigned long long>(OptionsFingerprint(options)));
-      std::optional<std::string> existing = store->Get("campaign");
-      if (!options.resume || !existing.has_value() || *existing != guard) {
-        if (options.resume && existing.has_value()) {
-          SB_LOG(kWarn) << "checkpoint: directory " << options.checkpoint_dir
-                        << " belongs to a different campaign configuration; resetting";
-        }
-        store->Reset();
-        store->Put("campaign", guard);
-      } else {
-        StageRunner runner(store.get(), options.fault, options.resume);
-        Artifact<PipelineResult> done;
-        if (runner.TryLoad(result_def, &done)) {
-          done.value.tests_resumed = done.value.tests_executed;
-          GlobalPipelineCounters().tests_resumed.fetch_add(done.value.tests_executed,
-                                                           std::memory_order_relaxed);
-          SB_LOG(kInfo) << StrategyName(options.strategy)
-                        << ": resumed from completed checkpoint ("
-                        << done.value.tests_executed << " tests)";
-          return done.value;
-        }
+  if (store != nullptr) {
+    const std::string guard =
+        StrPrintf("snowboard-campaign-v1\nfingerprint %016llx\n",
+                  static_cast<unsigned long long>(OptionsFingerprint(options)));
+    std::optional<std::string> existing = store->Get("campaign");
+    if (!options.resume || !existing.has_value() || *existing != guard) {
+      if (options.resume && existing.has_value()) {
+        SB_LOG(kWarn) << "checkpoint: directory " << options.checkpoint_dir
+                      << " belongs to a different campaign configuration; resetting";
       }
-    }
-    if (Dead(options)) {
-      return result;
+      store->Reset();
+      store->Put("campaign", guard);
+    } else if (std::optional<PipelineResult> done = runner.TryLoad(result_def)) {
+      done->tests_resumed = done->tests_executed;
+      GlobalPipelineCounters().tests_resumed.fetch_add(done->tests_executed,
+                                                       std::memory_order_relaxed);
+      SB_LOG(kInfo) << StrategyName(options.strategy)
+                    << ": resumed from completed checkpoint (" << done->tests_executed
+                    << " tests)";
+      return *done;
     }
   }
+  if (runner.dead()) {
+    return result;
+  }
 
-  if (options.streaming) {
-    std::unique_ptr<CheckpointStore> store = OpenStore(options);
-    StreamingEngine engine(options, store.get());
-    engine.Run(&result);
-    if (Dead(options)) {
-      return result;
-    }
-  } else {
-    PreparedCampaign campaign = PrepareCampaign(options);
-    if (Dead(options)) {
-      return result;
-    }
-
-    result.corpus_size = campaign.corpus.size();
-    for (const SequentialProfile& profile : campaign.profiles) {
-      if (profile.ok) {
-        result.profiled_ok++;
-        result.shared_accesses += profile.accesses.size();
-      }
-    }
-    result.pmc_count = campaign.pmcs.size();
-    for (const Pmc& pmc : campaign.pmcs) {
-      result.total_pmc_pairs += pmc.total_pairs;
-    }
-    result.pmc_table_digest = PmcTableDigest(campaign.pmcs);
-    result.corpus_seconds = campaign.corpus_seconds;
-    result.profile_seconds = campaign.profile_seconds;
-    result.profile_restore_seconds = campaign.profile_restore_seconds;
-    result.identify_seconds = campaign.identify_seconds;
-
-    StageTimer cluster_timer;
-    std::vector<ConcurrentTest> tests =
-        GenerateTestsForStrategy(campaign, options, &result.cluster_count);
-    result.cluster_seconds = cluster_timer.Seconds();
-    result.tests_generated = tests.size();
-    TRACE_COUNTER("funnel.clusters", result.cluster_count);
-    TRACE_COUNTER("funnel.tests_generated", tests.size());
-    if (Dead(options)) {
-      return result;
-    }
-
-    bool use_pmc = StrategyUsesPmcs(options.strategy);
-    PmcMatcher matcher(&campaign.pmcs);
-    ExecuteCampaign(tests, use_pmc, use_pmc ? &matcher : nullptr, options, &result);
-    if (Dead(options)) {
-      return result;
-    }
+  CampaignEngine engine(options, store.get(), CampaignEngine::Goal::kExplore);
+  engine.Run();
+  engine.Fill(&result);
+  if (runner.dead()) {
+    return result;
   }
   TRACE_COUNTER("funnel.tests_with_findings", result.tests_with_bug);
   TRACE_COUNTER("funnel.findings_total", result.findings.total_findings());
 
-  if (!options.checkpoint_dir.empty()) {
-    std::unique_ptr<CheckpointStore> store = OpenStore(options);
-    StageRunner runner(store.get(), options.fault, options.resume);
-    runner.Persist(result_def, result);
-    if (Dead(options)) {
-      return result;
-    }
+  runner.Persist(result_def, result);
+  if (runner.dead()) {
+    return result;
   }
 
   SB_LOG(kInfo) << StrategyName(options.strategy) << ": " << result.tests_executed

@@ -1,23 +1,20 @@
 // End-to-end pipeline — Figure 2: sequential test generation & profiling → PMC
 // identification → PMC selection (clustering + prioritization) → concurrent test execution.
 //
-// Every stage draws its threads from the process-lifetime WorkerPool (util/workpool.h),
-// whose workers carry lazily-booted KernelVms reused from the corpus stage through
-// profiling into concurrent-test execution — the in-process analog of the paper's
-// Redis-queue-plus-GCP-VMs deployment (§4.4.1), where a fixed fleet streams through all
-// campaign work. Two engines drive the stages:
-//   * streaming (default): one pool job runs the whole campaign as a dependency DAG —
-//     completed profiles fold into PMC identification while the profile tail executes, and
-//     concurrent tests start exploring as soon as the test list resolves.
-//   * barrier (`streaming = false`, CLI --no-stream): stages run to completion in sequence,
-//     each as its own pool job — the reference structure the streaming engine is A/B-tested
-//     against.
+// One campaign engine drives the stages: a single pool job runs the campaign as a
+// dependency DAG — completed profiles fold into PMC identification while the profile tail
+// executes, and concurrent tests start exploring as soon as the test list resolves. Its
+// threads come from the process-lifetime WorkerPool (util/workpool.h), whose workers carry
+// lazily-booted KernelVms reused from the corpus stage through profiling into
+// concurrent-test execution — the in-process analog of the paper's Redis-queue-plus-GCP-VMs
+// deployment (§4.4.1), where a fixed fleet streams through all campaign work. The staged
+// API below enters the same engine partway: PrepareCampaign stops once the PMC table
+// resolves, and ExecuteCampaign starts at the explore frontier.
 // Budgets are expressed in test counts rather than wall-clock, shard merges are canonically
 // ordered (profile folds and outcome folds happen in index order regardless of completion
 // order), and per-test exploration seeds derive from the test index, so the pipeline's
 // deterministic outputs (stats, PMC tables, findings) are byte-identical for a fixed seed
-// at ANY worker count, under EITHER engine — the invariant the determinism test harness
-// locks in.
+// at ANY worker count — the invariant the checked-in goldens under tests/corpus/ lock in.
 #ifndef SRC_SNOWBOARD_PIPELINE_H_
 #define SRC_SNOWBOARD_PIPELINE_H_
 
@@ -45,11 +42,6 @@ struct PipelineOptions {
   // clustering, and execution alike. All deterministic outputs are invariant under it.
   // <= 0 means "unset" and resolves to 1 (ResolvedWorkers).
   int num_workers = 1;
-  // Cross-stage streaming (the default engine): profiles fold into PMC identification as
-  // they complete and exploration starts as soon as tests resolve, instead of a full
-  // barrier between stages. Deterministic outputs are invariant under this flag (and it is
-  // excluded from the checkpoint fingerprint, so campaigns may be resumed across engines).
-  bool streaming = true;
   // Optional cross-run profile memo: multi-strategy campaigns (Table 3) share one cache so
   // each distinct program is profiled on a VM only once.
   ProfileCache* profile_cache = nullptr;
@@ -125,7 +117,9 @@ struct PipelineResult {
 // which skip profiling-derived hints and run under the random-preemption scheduler).
 PipelineResult RunSnowboardPipeline(const PipelineOptions& options);
 
-// --- Individual stages, exposed for benches that need intermediate artifacts. ---
+// --- Individual stages, exposed for benches and the CLI `run` command that need
+// intermediate artifacts. Each enters the same campaign engine RunSnowboardPipeline runs,
+// so checkpointing, journaling, fault points, and outputs follow one rule. ---
 
 struct PreparedCampaign {
   std::vector<Program> corpus;
@@ -137,7 +131,8 @@ struct PreparedCampaign {
   double identify_seconds = 0;
 };
 
-// Stages 1-2 (corpus, profiling, identification); shared across strategies in benches.
+// Stages 1-2 (corpus, profiling, identification); shared across strategies in benches. Runs
+// the engine until the PMC table resolves.
 PreparedCampaign PrepareCampaign(const PipelineOptions& options);
 
 // Stage 3: clustering + selection for one strategy (returns generated concurrent tests).
@@ -145,8 +140,9 @@ std::vector<ConcurrentTest> GenerateTestsForStrategy(const PreparedCampaign& cam
                                                      const PipelineOptions& options,
                                                      size_t* cluster_count_out);
 
-// Stage 4: parallel execution of `tests`, filling execution stats + findings into `result`.
-// `use_pmc_hints` selects the Algorithm 2 scheduler vs the baseline random scheduler.
+// Stage 4: parallel execution of `tests`, folding execution stats + findings into `result`.
+// Runs the engine from the explore frontier. `use_pmc_hints` selects the Algorithm 2
+// scheduler (with `matcher`, which may be null) vs the baseline random scheduler.
 void ExecuteCampaign(const std::vector<ConcurrentTest>& tests, bool use_pmc_hints,
                      const PmcMatcher* matcher, const PipelineOptions& options,
                      PipelineResult* result);

@@ -72,8 +72,8 @@ struct PmcIdentifyOptions {
   // cap in memory). Identification stops adding past this.
   size_t max_pmcs = 50'000'000;
   // Worker threads for the overlap scan. 0 = unset: direct IdentifyPmcs callers get a
-  // sequential scan, PrepareCampaign substitutes its pipeline num_workers. The identified
-  // table is invariant under this value.
+  // sequential scan, the campaign engine substitutes its pipeline num_workers. The
+  // identified table is invariant under this value.
   int num_workers = 0;
 };
 
@@ -82,7 +82,7 @@ struct PmcIdentifyOptions {
 std::vector<Pmc> IdentifyPmcs(const std::vector<SequentialProfile>& profiles,
                               const PmcIdentifyOptions& options = PmcIdentifyOptions{});
 
-// Incremental PMC identification, decomposed so the streaming campaign engine can fold
+// Incremental PMC identification, decomposed so the campaign engine (pipeline.cc) can fold
 // profiles into the access index WHILE the profile tail is still executing and fan the
 // overlap scan out over the shared worker pool afterwards. The protocol (single-consumer
 // fold, multi-worker scan):

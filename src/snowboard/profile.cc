@@ -163,24 +163,4 @@ std::vector<SequentialProfile> ProfileCorpus(KernelVm& vm, const std::vector<Pro
   return profiles;
 }
 
-std::vector<SequentialProfile> ProfileCorpusParallel(const std::vector<Program>& corpus,
-                                                     const ProfileOptions& options) {
-  int num_workers = options.num_workers > 0 ? options.num_workers : 1;
-
-  // Dynamic index claiming balances load (test lengths vary); slot `i` of the result is
-  // written only by the worker that claimed index i, so no profile-level synchronization is
-  // needed and the output order is the corpus order regardless of scheduling. Workers come
-  // from the shared pool and reuse their parked VMs — no boots after warm-up.
-  std::vector<SequentialProfile> profiles(corpus.size());
-  IndexClaim claim(corpus.size());
-  WorkerPool::Global().Run(num_workers, [&](PoolWorker& worker) {
-    KernelVm& vm = PoolWorkerVm(worker);
-    size_t i = 0;
-    while (claim.Next(&i)) {
-      profiles[i] = ProfileTestCached(vm, corpus[i], static_cast<int>(i), options);
-    }
-  });
-  return profiles;
-}
-
 }  // namespace snowboard

@@ -66,9 +66,6 @@ class ProfileCache {
 
 struct ProfileOptions {
   uint64_t max_instructions = 1'000'000;
-  // Shared-nothing profiling VMs for ProfileCorpusParallel (the paper profiles its corpus
-  // across a fleet, §4.4.1). Results are invariant under this value.
-  int num_workers = 1;
   ProfileCache* cache = nullptr;  // Optional cross-run memo; nullptr = always execute.
 };
 
@@ -76,9 +73,9 @@ struct ProfileOptions {
 SequentialProfile ProfileTest(KernelVm& vm, const Program& program, int test_id,
                               const ProfileOptions& options = ProfileOptions{});
 
-// Cache-aware single-test step shared by the serial walk, the pooled parallel walk, and
-// the streaming campaign engine (which schedules corpus indices itself): consults
-// `options.cache`, executes on a miss, inserts the result.
+// Cache-aware single-test step shared by the serial walk and the campaign engine (which
+// schedules corpus indices itself): consults `options.cache`, executes on a miss, inserts
+// the result.
 SequentialProfile ProfileTestCached(KernelVm& vm, const Program& program, int test_id,
                                     const ProfileOptions& options);
 
@@ -91,13 +88,6 @@ KernelVm& PoolWorkerVm(PoolWorker& worker);
 // consulting `options.cache` if set.
 std::vector<SequentialProfile> ProfileCorpus(KernelVm& vm, const std::vector<Program>& corpus,
                                              const ProfileOptions& options = ProfileOptions{});
-
-// Shards the corpus over `options.num_workers` worker threads, each owning a freshly booted
-// KernelVm, and returns profiles in corpus order. Work is pulled dynamically (index-claimed),
-// but each profile is a pure function of its program, so the result — including every access
-// list and df_leader flag — is byte-identical for any worker count.
-std::vector<SequentialProfile> ProfileCorpusParallel(
-    const std::vector<Program>& corpus, const ProfileOptions& options = ProfileOptions{});
 
 // Shared-access extraction from a raw trace (exposed for tests and incidental-PMC search):
 // keeps kAccess events of `vcpu` that are outside the stack range implied by their ESP.

@@ -15,7 +15,10 @@ namespace snowboard {
 
 namespace {
 
-constexpr const char* kSpecHeader = "snowboard-campaign-spec-v1";
+constexpr const char* kSpecHeader = "snowboard-campaign-spec-v2";
+// v1 specs carried a `streaming 0|1` engine switch. They stay readable so a fleet root
+// written before v2 re-adopts its campaigns; the key is accepted there and dropped.
+constexpr const char* kSpecHeaderV1 = "snowboard-campaign-spec-v1";
 
 // Minimal JSON string escaping for status documents (ids and error strings are the only
 // free-form values; everything else is numeric or boolean).
@@ -86,7 +89,6 @@ std::string SerializeCampaignSpec(const CampaignSpec& spec) {
   StrAppendf(&out, "workers %d\n", spec.workers);
   StrAppendf(&out, "priority %d\n", spec.priority);
   StrAppendf(&out, "detectors %s\n", FormatDetectorMask(spec.detectors).c_str());
-  StrAppendf(&out, "streaming %d\n", spec.streaming ? 1 : 0);
   StrAppendf(&out, "prune %d\n", spec.prune ? 1 : 0);
   StrAppendf(&out, "prune-saturation %d\n", spec.prune_saturation);
   return out;
@@ -95,6 +97,7 @@ std::string SerializeCampaignSpec(const CampaignSpec& spec) {
 std::optional<CampaignSpec> ParseCampaignSpec(const std::string& text) {
   CampaignSpec spec;
   bool saw_header = false;
+  bool v1 = false;
   bool saw_name = false;
   size_t start = 0;
   while (start < text.size()) {
@@ -109,7 +112,8 @@ std::optional<CampaignSpec> ParseCampaignSpec(const std::string& text) {
       continue;
     }
     if (!saw_header) {
-      if (line != kSpecHeader) {
+      v1 = line == kSpecHeaderV1;
+      if (line != kSpecHeader && !v1) {
         return std::nullopt;
       }
       saw_header = true;
@@ -144,8 +148,9 @@ std::optional<CampaignSpec> ParseCampaignSpec(const std::string& text) {
       spec.priority = i32;
     } else if (key == "detectors" && ParseDetectorMask(value, &spec.detectors)) {
       // Parsed in the condition.
-    } else if (key == "streaming" && ParseInt(value, &i32) && (i32 == 0 || i32 == 1)) {
-      spec.streaming = i32 == 1;
+    } else if (v1 && key == "streaming" && ParseInt(value, &i32) &&
+               (i32 == 0 || i32 == 1)) {
+      // Dropped: there is one campaign engine.
     } else if (key == "prune" && ParseInt(value, &i32) && (i32 == 0 || i32 == 1)) {
       spec.prune = i32 == 1;
     } else if (key == "prune-saturation" && ParseInt(value, &i32) && i32 >= 1) {
@@ -175,7 +180,6 @@ PipelineOptions CampaignPipelineOptions(const CampaignSpec& spec,
   options.explorer.prune.enabled = spec.prune;
   options.explorer.prune.saturation_window = spec.prune_saturation;
   options.num_workers = granted_workers;
-  options.streaming = spec.streaming;
   options.checkpoint_dir = checkpoint_dir;
   options.journal_flush_records = journal_flush_records;
   return options;

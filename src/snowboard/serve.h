@@ -56,7 +56,6 @@ struct CampaignSpec {
   int workers = 4;               // requested worker quota (a ceiling, not a guarantee).
   int priority = 0;              // higher starts first; ties by submission order.
   uint32_t detectors = kDetectorAll;
-  bool streaming = true;
   // Schedule-equivalence pruning (equiv.h). ON by default for campaigns — unlike the raw
   // library default — because duplicate-interleaving trials are pure waste at fleet scale;
   // `prune 0` (CLI --no-prune) restores the unpruned trial loop bit-for-bit.
@@ -64,10 +63,11 @@ struct CampaignSpec {
   int prune_saturation = 1;  // Consecutive duplicate trials before a test saturates.
 };
 
-// Versioned text round-trip ("snowboard-campaign-spec-v1": one key per line) — the
+// Versioned text round-trip ("snowboard-campaign-spec-v2": one key per line) — the
 // submission body of POST /campaigns and the on-disk spec.txt a restart re-adopts.
 // The parser rejects (nullopt) unknown headers, malformed lines, unknown keys or
-// strategies, and invalid names; serve must never run a spec it could not re-read.
+// strategies, and invalid names; serve must never run a spec it could not re-read. It
+// still reads v1 bodies, whose `streaming 0|1` key it accepts and drops.
 std::string SerializeCampaignSpec(const CampaignSpec& spec);
 std::optional<CampaignSpec> ParseCampaignSpec(const std::string& text);
 

@@ -32,7 +32,7 @@ constexpr RouteInfo kRoutes[] = {
     {"GET", "/healthz", "liveness probe: 200 once the daemon accepts requests"},
     {"GET", "/fleet", "fleet-wide status: worker budget, campaign counts, liveness"},
     {"GET", "/campaigns", "list every campaign's status, in submission order"},
-    {"POST", "/campaigns", "submit a campaign spec (body: snowboard-campaign-spec-v1)"},
+    {"POST", "/campaigns", "submit a campaign spec (body: snowboard-campaign-spec-v2)"},
     {"GET", "/campaigns/<id>", "one campaign's status"},
     {"GET", "/campaigns/<id>/spec", "the campaign's durable spec.txt"},
     {"GET", "/campaigns/<id>/report", "the campaign's committed report.json"},
@@ -158,7 +158,7 @@ HttpResponse DispatchFleetRequest(FleetServer& server, const std::string& method
     if (method == "POST") {
       std::optional<CampaignSpec> spec = ParseCampaignSpec(body);
       if (!spec.has_value()) {
-        return Error(400, "body is not a snowboard-campaign-spec-v1 document");
+        return Error(400, "body is not a snowboard-campaign-spec-v2 document");
       }
       std::string error;
       FleetRc rc = server.Submit(*spec, &error);

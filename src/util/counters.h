@@ -100,7 +100,7 @@ class CounterShardScope {
   CounterShardScope& operator=(const CounterShardScope&) = delete;
 
   // Drains the shard's accumulated deltas into the global block mid-scope (zeroing the
-  // shard). The streaming engine calls this at work-item boundaries so cross-stage
+  // shard). The campaign engine calls this at work-item boundaries so cross-stage
   // diagnostics that read the global block mid-job (restore-time stage attribution) stay
   // item-accurate.
   void Flush();

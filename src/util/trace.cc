@@ -10,8 +10,8 @@ std::atomic<bool> Tracer::active_{false};
 namespace {
 
 // Thread-local registration state: the buffer is owned by the Tracer (it must outlive the
-// thread — worker threads die at stage barriers, their records are drained later); the
-// session stamp invalidates the cached pointer across Start calls.
+// thread — an emitting thread may exit before its records are drained); the session stamp
+// invalidates the cached pointer across Start calls.
 struct ThreadSlot {
   TraceBuffer* buffer = nullptr;
   uint64_t session = 0;

@@ -19,7 +19,7 @@
 // Determinism: records carry per-thread logical sequence numbers (begin_seq/end_seq) that
 // define span nesting and the emitted event order. Wall-clock lives ONLY in the dedicated
 // "ts"/"dur" fields, so golden-file tests mask those two keys and compare the rest
-// byte-for-byte. Buffers are drained only at quiescent points (stage barriers / campaign
+// byte-for-byte. Buffers are drained only at quiescent points (pool-job joins / campaign
 // end) — the owning threads must not be emitting during WriteChromeTrace.
 #ifndef SRC_UTIL_TRACE_H_
 #define SRC_UTIL_TRACE_H_
@@ -113,7 +113,7 @@ class Tracer {
   // Renders every record collected so far as Chrome trace_event JSON: one event per line,
   // events ordered by (tid, end_seq) — spans are pushed at close, so emission order is the
   // logical close order — a deterministic function of the records, never of drain timing.
-  // Caller must ensure emitting threads are quiescent (stage barrier or campaign end).
+  // Caller must ensure emitting threads are quiescent (pool-job join or campaign end).
   std::string ChromeTraceJson() const;
   bool WriteChromeTrace(const std::string& path) const;  // Atomic write via util/fs.
 

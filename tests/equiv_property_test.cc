@@ -21,6 +21,7 @@
 #include "src/util/counters.h"
 #include "src/util/rng.h"
 #include "src/util/strings.h"
+#include "tests/golden.h"
 
 namespace snowboard {
 namespace {
@@ -290,15 +291,7 @@ TEST(TestFeedbackGroupTest, GroupsByHintedWriteSiteOrWriterProgram) {
 // --- Prune-on vs prune-off A/B over the reference campaign. ---
 
 PipelineOptions ReferenceOptions(bool prune, int num_workers = 2) {
-  PipelineOptions options;
-  options.seed = 7;
-  options.corpus.seed = 42;
-  options.corpus.max_iterations = 40;
-  options.corpus.target_size = 32;
-  options.strategy = Strategy::kSInsPair;
-  options.max_concurrent_tests = 24;
-  options.explorer.num_trials = 8;
-  options.num_workers = num_workers;
+  PipelineOptions options = ReferenceCampaignOptions(num_workers);
   options.explorer.prune.enabled = prune;
   return options;
 }
@@ -332,21 +325,22 @@ TEST(PruneAbTest, PruneFindsSameIssuesWithFewerTrials) {
 }
 
 // Pruning must not cost the determinism bar: the masked report of a prune-on campaign is
-// byte-identical across worker counts and engines (cluster-priority deferral reorders
-// execution, never outputs).
-TEST(PruneAbTest, PruneOnMaskedReportInvariantAcrossWorkersAndEngines) {
-  auto masked_report = [](int workers, bool streaming) {
+// byte-identical across worker counts (cluster-priority deferral reorders execution, never
+// outputs). Compared against the 1-worker run, not a golden, so the prune lane stays
+// independent of the checkout path.
+TEST(PruneAbTest, PruneOnMaskedReportInvariantAcrossWorkers) {
+  auto masked_report = [](int workers) {
     ResetPipelineCounters();
     PipelineOptions options = ReferenceOptions(true, workers);
-    options.streaming = streaming;
     PipelineResult result = RunSnowboardPipeline(options);
     CampaignReport report = BuildCampaignReport(options, result);
     return MaskReportVolatile(RenderReportJson(report));
   };
-  std::string base = masked_report(1, true);
+  std::string base = masked_report(1);
   ASSERT_FALSE(base.empty());
-  EXPECT_EQ(masked_report(4, true), base);
-  EXPECT_EQ(masked_report(2, false), base);
+  for (int workers : {2, 4, 8}) {
+    EXPECT_EQ(masked_report(workers), base) << "workers=" << workers;
+  }
   // The funnel carries the prune rows.
   EXPECT_NE(base.find("\"stage\": \"trials_pruned\""), std::string::npos);
   EXPECT_NE(base.find("\"stage\": \"tests_saturated\""), std::string::npos);

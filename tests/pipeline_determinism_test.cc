@@ -6,32 +6,19 @@
 // al.; O'Callahan et al.), applied to our §4.4.1 fleet analog.
 #include <gtest/gtest.h>
 
-#include <initializer_list>
 #include <string>
 
 #include "src/fuzz/generator.h"
-#include "src/kernel/fs/vfs.h"
-#include "src/kernel/ipc/port.h"
 #include "src/snowboard/pipeline.h"
 #include "src/snowboard/report_html.h"
 #include "src/snowboard/serialize.h"
 #include "src/snowboard/stats.h"
+#include "src/util/counters.h"
+#include "src/util/fault.h"
+#include "tests/golden.h"
 
 namespace snowboard {
 namespace {
-
-PipelineOptions BaseOptions(int num_workers) {
-  PipelineOptions options;
-  options.seed = 7;
-  options.corpus.seed = 42;
-  options.corpus.max_iterations = 40;
-  options.corpus.target_size = 32;
-  options.strategy = Strategy::kSInsPair;
-  options.max_concurrent_tests = 24;
-  options.explorer.num_trials = 8;
-  options.num_workers = num_workers;
-  return options;
-}
 
 void ExpectSameProfiles(const std::vector<SequentialProfile>& a,
                         const std::vector<SequentialProfile>& b) {
@@ -59,12 +46,12 @@ void ExpectSamePmcs(const std::vector<Pmc>& a, const std::vector<Pmc>& b) {
 }
 
 TEST(PipelineDeterminismTest, PreparedCampaignInvariantAcrossWorkerCounts) {
-  PreparedCampaign base = PrepareCampaign(BaseOptions(1));
+  PreparedCampaign base = PrepareCampaign(ReferenceCampaignOptions(1));
   ASSERT_GT(base.corpus.size(), 10u);
   ASSERT_GT(base.pmcs.size(), 50u);
   for (int workers : {2, 4}) {
     SCOPED_TRACE(testing::Message() << "num_workers=" << workers);
-    PreparedCampaign campaign = PrepareCampaign(BaseOptions(workers));
+    PreparedCampaign campaign = PrepareCampaign(ReferenceCampaignOptions(workers));
     ASSERT_EQ(campaign.corpus.size(), base.corpus.size());
     for (size_t i = 0; i < base.corpus.size(); i++) {
       EXPECT_EQ(campaign.corpus[i], base.corpus[i]) << "corpus " << i;
@@ -75,7 +62,7 @@ TEST(PipelineDeterminismTest, PreparedCampaignInvariantAcrossWorkerCounts) {
 }
 
 TEST(PipelineDeterminismTest, ClusterTablesInvariantAcrossWorkerCounts) {
-  PreparedCampaign campaign = PrepareCampaign(BaseOptions(2));
+  PreparedCampaign campaign = PrepareCampaign(ReferenceCampaignOptions(2));
   ASSERT_GT(campaign.pmcs.size(), 0u);
   for (Strategy strategy : kAllClusteringStrategies) {
     SCOPED_TRACE(StrategyName(strategy));
@@ -112,12 +99,12 @@ void ExpectSameResults(const PipelineResult& result, const PipelineResult& base)
 // invariance across worker counts must hold in either mode.
 TEST(PipelineDeterminismTest, DeltaRestoreOnOffProducesIdenticalResults) {
   ASSERT_TRUE(KernelVm::DeltaRestoreEnabled()) << "delta restore should default on";
-  PipelineResult with_delta = RunSnowboardPipeline(BaseOptions(1));
+  PipelineResult with_delta = RunSnowboardPipeline(ReferenceCampaignOptions(1));
   ASSERT_GT(with_delta.tests_executed, 0u);
 
   KernelVm::SetDeltaRestoreEnabled(false);
-  PipelineResult without_delta = RunSnowboardPipeline(BaseOptions(1));
-  PipelineResult without_delta_mt = RunSnowboardPipeline(BaseOptions(4));
+  PipelineResult without_delta = RunSnowboardPipeline(ReferenceCampaignOptions(1));
+  PipelineResult without_delta_mt = RunSnowboardPipeline(ReferenceCampaignOptions(4));
   KernelVm::SetDeltaRestoreEnabled(true);
 
   {
@@ -131,52 +118,56 @@ TEST(PipelineDeterminismTest, DeltaRestoreOnOffProducesIdenticalResults) {
   // And with delta back on, multi-worker runs still match the single-worker baseline.
   {
     SCOPED_TRACE("delta on, 2 workers vs 1 worker");
-    PipelineResult with_delta_mt = RunSnowboardPipeline(BaseOptions(2));
+    PipelineResult with_delta_mt = RunSnowboardPipeline(ReferenceCampaignOptions(2));
     ExpectSameResults(with_delta_mt, with_delta);
   }
 }
 
-// The streaming engine overlaps stages (profiles fold into identification while the
-// profile tail runs; exploration starts as soon as tests resolve) but pins every ordered
-// computation to the barrier engine's order — so the serialized result must be
-// byte-identical across engines AND worker counts. This is the A/B the unified campaign
-// engine is held to.
-TEST(PipelineDeterminismTest, StreamingAndBarrierEnginesByteIdentical) {
-  PipelineOptions golden_options = BaseOptions(1);
-  golden_options.streaming = false;
-  const std::string golden = SerializePipelineResult(RunSnowboardPipeline(golden_options));
-  ASSERT_FALSE(golden.empty());
-  for (bool streaming : {false, true}) {
-    for (int workers : {1, 2, 4, 8}) {
-      if (!streaming && workers == 1) {
-        continue;  // The golden itself.
-      }
-      SCOPED_TRACE(testing::Message()
-                   << (streaming ? "streaming" : "barrier") << " workers=" << workers);
-      PipelineOptions options = BaseOptions(workers);
-      options.streaming = streaming;
-      EXPECT_EQ(SerializePipelineResult(RunSnowboardPipeline(options)), golden);
-    }
+// The serialized result of the reference campaign is pinned to a checked-in golden at
+// every worker count. The engine overlaps stages (profiles fold into identification while
+// the profile tail runs; exploration starts as soon as tests resolve) but pins every
+// ordered computation, so no scheduling freedom may reach these bytes.
+TEST(PipelineDeterminismTest, ReferenceResultMatchesGolden) {
+  for (int workers : {1, 2, 4, 8}) {
+    SCOPED_TRACE(testing::Message() << "workers=" << workers);
+    ExpectMatchesGolden("reference-result.golden",
+                        SerializePipelineResult(RunSnowboardPipeline(
+                            ReferenceCampaignOptions(workers))));
+  }
+}
+
+// The same golden bar over a pairing baseline, where exploration genuinely overlaps the
+// profile tail (tests depend only on the corpus).
+TEST(PipelineDeterminismTest, PairingBaselineResultMatchesGolden) {
+  for (int workers : {1, 2, 4, 8}) {
+    SCOPED_TRACE(testing::Message() << "workers=" << workers);
+    PipelineOptions options = ReferenceCampaignOptions(workers);
+    options.strategy = Strategy::kRandomPairing;
+    ExpectMatchesGolden("pairing-result.golden",
+                        SerializePipelineResult(RunSnowboardPipeline(options)));
   }
 }
 
 // Sharded-merge determinism: per-worker counter shards drain into the global block with
 // commutative additions, so work-proportional counter TOTALS — profiles executed,
 // concurrent tests run, snapshot restores performed — must be exactly equal at any worker
-// count under either engine, and the masked report.json (whose deterministic portion
-// embeds the funnel those counters feed) must stay byte-identical. Only totals invariant
-// under scheduling are compared: the full/delta restore SPLIT varies with worker count
-// (each worker VM's first restore is a full one), so the sum is asserted, not the parts.
+// count, and the masked report.json (whose deterministic portion embeds the funnel those
+// counters feed) must match its golden. Only totals invariant under scheduling are
+// compared: the full/delta restore SPLIT varies with worker count (each worker VM's first
+// restore is a full one), so the sum is asserted, not the parts.
 TEST(PipelineDeterminismTest, ShardedCounterTotalsAndMaskedReportInvariant) {
   struct Totals {
     uint64_t profile_runs = 0;
     uint64_t tests_run = 0;
     uint64_t restores = 0;
   };
-  auto run = [](const PipelineOptions& options, std::string* masked_report) {
+  auto run = [](int workers) {
     ResetPipelineCounters();
+    PipelineOptions options = ReferenceCampaignOptions(workers);
     PipelineResult result = RunSnowboardPipeline(options);
-    *masked_report = MaskReportVolatile(RenderReportJson(BuildCampaignReport(options, result)));
+    std::string masked =
+        MaskReportVolatile(RenderReportJson(BuildCampaignReport(options, result)));
+    ExpectMatchesGolden("reference-report.golden", masked);
     const PipelineCounters& counters = GlobalPipelineCounters();
     Totals totals;
     totals.profile_runs = counters.vm_profile_runs.load();
@@ -186,135 +177,86 @@ TEST(PipelineDeterminismTest, ShardedCounterTotalsAndMaskedReportInvariant) {
     return totals;
   };
 
-  PipelineOptions golden_options = BaseOptions(1);
-  golden_options.streaming = false;
-  std::string golden_report;
-  Totals golden = run(golden_options, &golden_report);
-  ASSERT_GT(golden.tests_run, 0u);
-  ASSERT_GT(golden.profile_runs, 0u);
-  ASSERT_GT(golden.restores, golden.tests_run);  // At least one restore per trial.
-
-  for (bool streaming : {false, true}) {
-    for (int workers : {1, 2, 4, 8}) {
-      if (!streaming && workers == 1) {
-        continue;  // The golden itself.
-      }
-      SCOPED_TRACE(testing::Message()
-                   << (streaming ? "streaming" : "barrier") << " workers=" << workers);
-      PipelineOptions options = BaseOptions(workers);
-      options.streaming = streaming;
-      std::string masked_report;
-      Totals totals = run(options, &masked_report);
-      EXPECT_EQ(masked_report, golden_report);
-      EXPECT_EQ(totals.profile_runs, golden.profile_runs);
-      EXPECT_EQ(totals.tests_run, golden.tests_run);
-      EXPECT_EQ(totals.restores, golden.restores);
-    }
+  Totals base = run(1);
+  ASSERT_GT(base.tests_run, 0u);
+  ASSERT_GT(base.profile_runs, 0u);
+  ASSERT_GT(base.restores, base.tests_run);  // At least one restore per trial.
+  for (int workers : {2, 4, 8}) {
+    SCOPED_TRACE(testing::Message() << "workers=" << workers);
+    Totals totals = run(workers);
+    EXPECT_EQ(totals.profile_runs, base.profile_runs);
+    EXPECT_EQ(totals.tests_run, base.tests_run);
+    EXPECT_EQ(totals.restores, base.restores);
   }
 }
 
-// Masked-report byte-identity with every detector firing: the handcrafted detector-prey
-// suite (#18-#22) plus the Figure 1 l2tp pair produce a report whose findings span race,
+// Masked-report golden with every detector firing: the handcrafted detector-prey suite
+// (#18-#22) plus the Figure 1 l2tp pair produce a report whose findings span race,
 // console/panic, deadlock, lost-wakeup, AND livelock kinds. The masked report.json —
-// including the new per-finding "kind" column and the detector witnesses in the evidence —
-// must be byte-identical at 1/2/4 workers under both engines, the same bar the
-// race/console-era report is held to.
+// including the per-finding "kind" column and the detector witnesses in the evidence —
+// must match its golden at every worker count, the same bar the race/console-era report
+// is held to.
 TEST(PipelineDeterminismTest, MaskedReportWithAllDetectorKindsInvariant) {
-  auto call = [](uint32_t nr, std::initializer_list<int64_t> args) {
-    Call c;
-    c.nr = nr;
-    int i = 0;
-    for (int64_t a : args) {
-      c.args[i++] = Arg::Const(a);
-    }
-    return c;
-  };
-  auto program = [](std::initializer_list<Call> calls) {
-    Program p;
-    p.calls = calls;
-    return p;
-  };
-  auto pair = [](Program writer, Program reader, int base_id) {
-    ConcurrentTest test;
-    test.writer = std::move(writer);
-    test.reader = std::move(reader);
-    test.write_test = base_id;
-    test.read_test = base_id + 1;
-    return test;
-  };
   std::vector<Program> seeds = SeedPrograms();
-  std::vector<ConcurrentTest> tests;
-  tests.push_back(pair(seeds[0], seeds[1], 0));  // Figure 1 l2tp pair: races + panics.
-  tests.push_back(pair(program({call(kSysPortRecv, {0, kPortRecvWait})}),
-                       program({call(kSysPortSend, {0})}), 100));
-  tests.push_back(pair(program({call(kSysMount, {}), call(kSysMount, {}),
-                                call(kSysMount, {})}),
-                       program({call(kSysUmount, {0}), call(kSysUmount, {0}),
-                                call(kSysUmount, {0})}),
-                       102));
-  Program mount_umount_wait = program({call(kSysMount, {}), call(kSysUmount, {kUmountWait})});
-  tests.push_back(pair(mount_umount_wait, mount_umount_wait, 104));
-  tests.push_back(pair(program({call(kSysPortTransfer, {0, 1}), call(kSysPortTransfer, {0, 1})}),
-                       program({call(kSysPortTransfer, {1, 0}), call(kSysPortTransfer, {1, 0})}),
-                       106));
+  std::vector<ConcurrentTest> tests = DetectorPreyTests();
+  tests.insert(tests.begin(), HandcraftedPair(seeds[0], seeds[1], 0));  // l2tp: races.
 
-  auto run = [&tests](int workers, bool streaming) {
-    PipelineOptions options;
-    options.seed = 7;
-    options.strategy = Strategy::kRandomPairing;
-    options.num_workers = workers;
-    options.streaming = streaming;
-    options.explorer.seed = 2021;
-    options.explorer.num_trials = 256;
-    options.explorer.max_instructions = 60'000;
+  for (int workers : {1, 2, 4, 8}) {
+    SCOPED_TRACE(testing::Message() << "workers=" << workers);
+    PipelineOptions options = DetectorPreyOptions(workers);
     EXPECT_EQ(options.explorer.detectors, kDetectorAll);  // All five detectors enabled.
     ResetPipelineCounters();
     PipelineResult result;
     ExecuteCampaign(tests, /*use_pmc_hints=*/false, nullptr, options, &result);
-    CampaignReport report = BuildCampaignReport(options, result);
-    return MaskReportVolatile(RenderReportJson(report));
-  };
-
-  const std::string golden = run(1, /*streaming=*/false);
-  // The report must actually carry every finding kind, or the invariance is vacuous.
-  for (const char* kind : {"\"race\"", "\"deadlock\"", "\"lost-wakeup\"", "\"livelock\""}) {
-    EXPECT_NE(golden.find(kind), std::string::npos) << "report lacks a " << kind
-                                                    << " finding:\n" << golden;
+    std::string masked =
+        MaskReportVolatile(RenderReportJson(BuildCampaignReport(options, result)));
+    // The report must actually carry every finding kind, or the golden is vacuous.
+    for (const char* kind :
+         {"\"race\"", "\"deadlock\"", "\"lost-wakeup\"", "\"livelock\""}) {
+      EXPECT_NE(masked.find(kind), std::string::npos) << "report lacks a " << kind
+                                                      << " finding:\n" << masked;
+    }
+    ExpectMatchesGolden("detector-prey-report.golden", masked);
   }
-  for (bool streaming : {false, true}) {
-    for (int workers : {1, 2, 4}) {
-      if (!streaming && workers == 1) {
-        continue;  // The golden itself.
-      }
-      SCOPED_TRACE(testing::Message()
-                   << (streaming ? "streaming" : "barrier") << " workers=" << workers);
-      EXPECT_EQ(run(workers, streaming), golden);
+}
+
+// One fault-point rule: ExecuteCampaign passes one "execute.claim" point per executed
+// test plus the points inside each test — never one per claim attempt or deferral — so an
+// armed-but-silent injector counts the same total at every worker count, with and without
+// cluster-priority deferral.
+TEST(PipelineDeterminismTest, FaultPointTotalInvariantAcrossWorkerCounts) {
+  PipelineOptions options = ReferenceCampaignOptions(1);
+  PreparedCampaign campaign = PrepareCampaign(options);
+  std::vector<ConcurrentTest> tests = GenerateTestsForStrategy(campaign, options, nullptr);
+  ASSERT_EQ(tests.size(), options.max_concurrent_tests);
+  PmcMatcher matcher(&campaign.pmcs);
+  for (bool prune : {false, true}) {
+    SCOPED_TRACE(testing::Message() << "prune=" << prune);
+    auto points_seen = [&](int workers) {
+      FaultInjector fault{FaultInjector::Plan{}};
+      PipelineOptions run = ReferenceCampaignOptions(workers);
+      run.explorer.prune.enabled = prune;
+      run.fault = &fault;
+      PipelineResult result;
+      ExecuteCampaign(tests, /*use_pmc_hints=*/true, &matcher, run, &result);
+      EXPECT_FALSE(fault.crashed());
+      EXPECT_EQ(result.tests_executed, tests.size());
+      return fault.points_seen();
+    };
+    const uint64_t base = points_seen(1);
+    EXPECT_GT(base, tests.size());
+    for (int workers : {2, 4, 8}) {
+      EXPECT_EQ(points_seen(workers), base) << "workers=" << workers;
     }
   }
 }
 
-// Same A/B over a pairing baseline, where the streaming engine genuinely overlaps
-// exploration with the profile tail (tests depend only on the corpus).
-TEST(PipelineDeterminismTest, StreamingMatchesBarrierForPairingBaseline) {
-  PipelineOptions barrier = BaseOptions(1);
-  barrier.strategy = Strategy::kRandomPairing;
-  barrier.streaming = false;
-  const std::string golden = SerializePipelineResult(RunSnowboardPipeline(barrier));
-  for (int workers : {1, 4}) {
-    SCOPED_TRACE(testing::Message() << "workers=" << workers);
-    PipelineOptions streaming = BaseOptions(workers);
-    streaming.strategy = Strategy::kRandomPairing;
-    streaming.streaming = true;
-    EXPECT_EQ(SerializePipelineResult(RunSnowboardPipeline(streaming)), golden);
-  }
-}
-
 TEST(PipelineDeterminismTest, FullPipelineStatsAndFindingsInvariant) {
-  PipelineResult base = RunSnowboardPipeline(BaseOptions(1));
+  PipelineResult base = RunSnowboardPipeline(ReferenceCampaignOptions(1));
   ASSERT_GT(base.tests_executed, 0u);
   for (int workers : {2, 4}) {
     SCOPED_TRACE(testing::Message() << "num_workers=" << workers);
-    PipelineResult result = RunSnowboardPipeline(BaseOptions(workers));
+    PipelineResult result = RunSnowboardPipeline(ReferenceCampaignOptions(workers));
     EXPECT_EQ(result.corpus_size, base.corpus_size);
     EXPECT_EQ(result.profiled_ok, base.profiled_ok);
     EXPECT_EQ(result.shared_accesses, base.shared_accesses);

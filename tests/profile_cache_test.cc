@@ -77,9 +77,8 @@ TEST(ProfileCacheTest, TwoStrategiesProfileTheCorpusExactlyOnce) {
 
   // Cache hits are equal to the profiles a fresh VM run produces.
   ExpectSameProfiles(second.profiles, first.profiles);
-  ProfileOptions fresh_options;  // No cache: always executes.
-  std::vector<SequentialProfile> fresh =
-      ProfileCorpusParallel(second.corpus, fresh_options);
+  KernelVm vm;
+  std::vector<SequentialProfile> fresh = ProfileCorpus(vm, second.corpus);  // No cache.
   ExpectSameProfiles(second.profiles, fresh);
 }
 

@@ -4,8 +4,8 @@
 //   1. Every corpus token still parses and replays to its exact recorded detector
 //      fingerprint — on a fresh VM, with delta restore on or off.
 //   2. Re-running the reference campaign reproduces the corpus tokens BYTE-identically,
-//      at 1/2/4 workers, under both the barrier and streaming engines. A token is part
-//      of the deterministic output surface, exactly like the serialized result.
+//      at 1/2/4/8 workers. A token is part of the deterministic output surface, exactly
+//      like the serialized result.
 //   3. The deliberately-divergent token (valid checksum, flipped fingerprint) parses but
 //      fails fingerprint verification — the divergence path the CLI turns into exit 3.
 //
@@ -14,50 +14,23 @@
 // and commit the rewritten tests/corpus/*.token files.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
-#include <initializer_list>
 #include <map>
 #include <set>
 #include <string>
 
-#include "src/kernel/fs/vfs.h"
-#include "src/kernel/ipc/port.h"
 #include "src/snowboard/pipeline.h"
 #include "src/snowboard/replay.h"
 #include "src/snowboard/serialize.h"
 #include "src/util/fs.h"
+#include "tests/golden.h"
 
 namespace snowboard {
 namespace {
 
-std::string CorpusDir() { return SB_TEST_CORPUS_DIR; }
-
-bool UpdateMode() {
-  const char* env = std::getenv("SB_UPDATE_CORPUS");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
-
-// The reference campaign: identical to report_golden_test's BaseOptions, so the corpus
-// reproduces the same findings the report golden exercises.
-PipelineOptions BaseOptions(int num_workers) {
-  PipelineOptions options;
-  options.seed = 7;
-  options.corpus.seed = 42;
-  options.corpus.max_iterations = 40;
-  options.corpus.target_size = 32;
-  options.strategy = Strategy::kSInsPair;
-  options.max_concurrent_tests = 24;
-  options.explorer.num_trials = 8;
-  options.num_workers = num_workers;
-  return options;
-}
-
 // Runs the reference campaign and returns issue id -> replay token text.
-std::map<int, std::string> CampaignTokens(int num_workers, bool streaming) {
-  PipelineOptions options = BaseOptions(num_workers);
-  options.streaming = streaming;
-  PipelineResult result = RunSnowboardPipeline(options);
+std::map<int, std::string> CampaignTokens(int num_workers) {
+  PipelineResult result = RunSnowboardPipeline(ReferenceCampaignOptions(num_workers));
   std::map<int, std::string> tokens;
   for (const auto& [id, finding] : result.findings.first_findings()) {
     EXPECT_FALSE(finding.replay_token.empty())
@@ -112,89 +85,16 @@ void UpdateCorpus(const std::map<int, std::string>& tokens) {
                                 FormatReplayToken(*first) + "\n"));
 }
 
-// --- Detector-prey reference suite (#18-#22). ---
+// --- Detector-prey reference suite (#18-#22, tests/golden.h). ---
 //
-// The fuzzer's vocabulary is frozen at the original 24 syscalls, so the generated
-// reference campaign can never reach the seeded deadlock/lost-wakeup/livelock prey. The
-// corpus tokens for those issues come from this fixed handcrafted test set, executed
-// through the SAME campaign engine (ExecuteCampaign: shared worker pool, journaling,
-// token assembly) — which also makes the new detectors subject to the worker-count and
-// engine determinism bars above.
-
-Program HandcraftedProgram(std::initializer_list<Call> calls) {
-  Program p;
-  p.calls = calls;
-  return p;
-}
-
-Call HandcraftedCall(uint32_t nr, std::initializer_list<int64_t> args) {
-  Call call;
-  call.nr = nr;
-  int i = 0;
-  for (int64_t a : args) {
-    call.args[i++] = Arg::Const(a);
-  }
-  return call;
-}
-
-std::vector<ConcurrentTest> DetectorPreyTests() {
-  auto pair = [](Program writer, Program reader, int base_id) {
-    ConcurrentTest test;
-    test.writer = std::move(writer);
-    test.reader = std::move(reader);
-    test.write_test = base_id;
-    test.read_test = base_id + 1;
-    return test;
-  };
-  std::vector<ConcurrentTest> tests;
-  // #18: blocking recv vs send (generation re-sampled after the empty check). The
-  // receiver runs on vCPU 0 so a single preemption inside the seeded window lets the
-  // sender's count++/wake land before the stale generation sample — one switch, not two.
-  tests.push_back(pair(
-      HandcraftedProgram({HandcraftedCall(kSysPortRecv, {0, kPortRecvWait})}),
-      HandcraftedProgram({HandcraftedCall(kSysPortSend, {0})}), 100));
-  // #19: mount vs umount lock-order inversion.
-  tests.push_back(pair(HandcraftedProgram({HandcraftedCall(kSysMount, {}),
-                                           HandcraftedCall(kSysMount, {}),
-                                           HandcraftedCall(kSysMount, {})}),
-                       HandcraftedProgram({HandcraftedCall(kSysUmount, {0}),
-                                           HandcraftedCall(kSysUmount, {0}),
-                                           HandcraftedCall(kSysUmount, {0})}),
-                       102));
-  // #20: racing umounts leak a superblock ref; the waiter spins forever.
-  Program mount_umount_wait = HandcraftedProgram(
-      {HandcraftedCall(kSysMount, {}), HandcraftedCall(kSysUmount, {kUmountWait})});
-  tests.push_back(pair(mount_umount_wait, mount_umount_wait, 104));
-  // #21: port pair transferred in opposite argument orders (AB/BA).
-  tests.push_back(pair(HandcraftedProgram({HandcraftedCall(kSysPortTransfer, {0, 1}),
-                                           HandcraftedCall(kSysPortTransfer, {0, 1})}),
-                       HandcraftedProgram({HandcraftedCall(kSysPortTransfer, {1, 0}),
-                                           HandcraftedCall(kSysPortTransfer, {1, 0})}),
-                       106));
-  // #22: blocking recv vs close (the shutdown wake lands in the seeded window).
-  tests.push_back(pair(
-      HandcraftedProgram({HandcraftedCall(kSysPortRecv, {0, kPortRecvWait})}),
-      HandcraftedProgram({HandcraftedCall(kSysPortClose, {0})}), 108));
-  return tests;
-}
-
-PipelineOptions DetectorOptions(int num_workers, bool streaming) {
-  PipelineOptions options;
-  options.seed = 7;
-  options.strategy = Strategy::kRandomPairing;
-  options.num_workers = num_workers;
-  options.streaming = streaming;
-  options.explorer.seed = 2021;
-  options.explorer.num_trials = 256;
-  // Livelocked trials spin until the budget trips; the detectors only need the tail
-  // window, so a small budget keeps the suite fast without masking any finding.
-  options.explorer.max_instructions = 60'000;
-  return options;
-}
+// The corpus tokens for the detector prey come from the fixed handcrafted test set,
+// executed through the SAME campaign engine (ExecuteCampaign: shared worker pool,
+// journaling, token assembly) — which also holds the detectors to the worker-count
+// determinism bar above.
 
 // Runs the handcrafted suite through the campaign execute stage; issue id -> token.
-std::map<int, std::string> DetectorCampaignTokens(int num_workers, bool streaming) {
-  PipelineOptions options = DetectorOptions(num_workers, streaming);
+std::map<int, std::string> DetectorCampaignTokens(int num_workers) {
+  PipelineOptions options = DetectorPreyOptions(num_workers);
   PipelineResult result;
   ExecuteCampaign(DetectorPreyTests(), /*use_pmc_hints=*/false, nullptr, options, &result);
   std::map<int, std::string> tokens;
@@ -207,9 +107,8 @@ std::map<int, std::string> DetectorCampaignTokens(int num_workers, bool streamin
   return tokens;
 }
 
-TEST(ReplayCorpusTest, DetectorCampaignTokensMatchCorpusAcrossWorkersAndEngines) {
-  std::map<int, std::string> base = DetectorCampaignTokens(/*num_workers=*/1,
-                                                          /*streaming=*/true);
+TEST(ReplayCorpusTest, DetectorCampaignTokensMatchCorpusAcrossWorkers) {
+  std::map<int, std::string> base = DetectorCampaignTokens(/*num_workers=*/1);
   // Every seeded detector issue must be exposed and tokenized.
   std::set<int> ids;
   for (const auto& [id, token] : base) {
@@ -233,21 +132,15 @@ TEST(ReplayCorpusTest, DetectorCampaignTokensMatchCorpusAcrossWorkersAndEngines)
   }
 
   // Same determinism bar as the fuzzed campaign: byte-identical tokens at any worker
-  // count, under both the barrier and streaming engines.
-  for (bool streaming : {false, true}) {
-    for (int workers : {1, 2, 4}) {
-      if (streaming && workers == 1) {
-        continue;  // The base itself.
-      }
-      SCOPED_TRACE(testing::Message()
-                   << (streaming ? "streaming" : "barrier") << " workers=" << workers);
-      EXPECT_EQ(DetectorCampaignTokens(workers, streaming), base);
-    }
+  // count.
+  for (int workers : {2, 4, 8}) {
+    SCOPED_TRACE(testing::Message() << "workers=" << workers);
+    EXPECT_EQ(DetectorCampaignTokens(workers), base);
   }
 }
 
-TEST(ReplayCorpusTest, CampaignTokensMatchCorpusAcrossWorkersAndEngines) {
-  std::map<int, std::string> base = CampaignTokens(/*num_workers=*/1, /*streaming=*/true);
+TEST(ReplayCorpusTest, CampaignTokensMatchCorpusAcrossWorkers) {
+  std::map<int, std::string> base = CampaignTokens(/*num_workers=*/1);
   ASSERT_FALSE(base.empty()) << "the reference campaign surfaced no findings";
   if (UpdateMode()) {
     UpdateCorpus(base);
@@ -261,16 +154,10 @@ TEST(ReplayCorpusTest, CampaignTokensMatchCorpusAcrossWorkersAndEngines) {
                              "regenerate with SB_UPDATE_CORPUS=1 if intentional";
 
   // The token is part of the deterministic output surface: byte-identical at any worker
-  // count, under either engine.
-  for (bool streaming : {false, true}) {
-    for (int workers : {1, 2, 4}) {
-      if (streaming && workers == 1) {
-        continue;  // The base itself.
-      }
-      SCOPED_TRACE(testing::Message()
-                   << (streaming ? "streaming" : "barrier") << " workers=" << workers);
-      EXPECT_EQ(CampaignTokens(workers, streaming), base);
-    }
+  // count.
+  for (int workers : {2, 4, 8}) {
+    SCOPED_TRACE(testing::Message() << "workers=" << workers);
+    EXPECT_EQ(CampaignTokens(workers), base);
   }
 }
 

@@ -134,7 +134,6 @@ TEST(ServeFleetTest, SpecSerializationRoundTripsAndRejectsGarbage) {
   CampaignSpec spec = TinySpec("round-trip", 99, Strategy::kSCh, /*workers=*/3,
                                /*priority=*/-2);
   spec.detectors = kDetectorConsole | kDetectorRace;
-  spec.streaming = false;
   std::optional<CampaignSpec> parsed = ParseCampaignSpec(SerializeCampaignSpec(spec));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(SerializeCampaignSpec(*parsed), SerializeCampaignSpec(spec));
@@ -142,7 +141,22 @@ TEST(ServeFleetTest, SpecSerializationRoundTripsAndRejectsGarbage) {
   EXPECT_EQ(parsed->strategy, Strategy::kSCh);
   EXPECT_EQ(parsed->priority, -2);
   EXPECT_EQ(parsed->detectors, spec.detectors);
-  EXPECT_FALSE(parsed->streaming);
+
+  // Versioning: v2 is written and has no engine switch, so `streaming` is an unknown key
+  // there; a v1 body (written before there was one engine) still parses, dropping
+  // `streaming 0|1` and re-serializing as the equivalent v2 spec.
+  std::string v2 = SerializeCampaignSpec(spec);
+  ASSERT_EQ(v2.rfind("snowboard-campaign-spec-v2\n", 0), 0u) << v2;
+  EXPECT_EQ(v2.find("streaming"), std::string::npos);
+  EXPECT_FALSE(ParseCampaignSpec(v2 + "streaming 1\n").has_value());
+  std::string v1 = "snowboard-campaign-spec-v1" + v2.substr(v2.find('\n'));
+  for (const char* engine : {"streaming 0\n", "streaming 1\n"}) {
+    SCOPED_TRACE(engine);
+    std::optional<CampaignSpec> from_v1 = ParseCampaignSpec(v1 + engine);
+    ASSERT_TRUE(from_v1.has_value());
+    EXPECT_EQ(SerializeCampaignSpec(*from_v1), v2);
+  }
+  EXPECT_FALSE(ParseCampaignSpec(v1 + "streaming 2\n").has_value());
 
   // CRLF submissions parse identically (curl --data-binary from foreign line endings).
   std::string crlf = SerializeCampaignSpec(spec);
@@ -360,6 +374,32 @@ TEST(ServeFleetTest, DrainedFleetIsReAdoptedAndCompletes) {
               queued_golden.masked_report);
     EXPECT_GE(GlobalPipelineCounters().tests_resumed.load(), journaled)
         << "the drained campaign's journal must replay, not re-execute";
+    server.Drain();
+  }
+  std::filesystem::remove_all(options.root);
+}
+
+// Upgrade path: a fleet root whose spec.txt predates v2 (header v1, `streaming 0`) is
+// re-adopted on restart and runs to the standalone masked report, not marked failed.
+TEST(ServeFleetTest, V1SpecIsReAdoptedAndCompletes) {
+  CampaignSpec spec = TinySpec("legacy-v1", 7, Strategy::kSInsPair);
+  Golden golden = StandaloneGolden(spec, /*workers=*/2);
+
+  FleetOptions options;
+  options.root = FreshDir("v1");
+  std::string v2 = SerializeCampaignSpec(spec);
+  std::string v1 =
+      "snowboard-campaign-spec-v1" + v2.substr(v2.find('\n')) + "streaming 0\n";
+  ASSERT_TRUE(EnsureDirectory(options.root + "/" + spec.name));
+  ASSERT_TRUE(AtomicWriteFile(options.root + "/" + spec.name + "/spec.txt", v1));
+  {
+    FleetServer server(options);
+    ASSERT_TRUE(server.ok());
+    server.WaitIdle();
+    std::optional<CampaignStatus> status = server.Status(spec.name);
+    ASSERT_TRUE(status.has_value());
+    EXPECT_EQ(status->state, CampaignState::kDone) << status->error;
+    EXPECT_EQ(MaskedFleetReport(options.root, spec.name), golden.masked_report);
     server.Drain();
   }
   std::filesystem::remove_all(options.root);

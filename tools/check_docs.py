@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Doc-drift gate: fails when the code and the documentation disagree.
 
-Checks, each a one-way inclusion the fast CI lane enforces:
+Checks the fast CI lane enforces:
   1. Every --flag defined in tools/snowboard_cli.cc appears somewhere in README.md.
   2. Every tests/*_test.cc file is registered in tests/CMakeLists.txt (a test file that
      exists but never builds is silently dead coverage).
@@ -19,13 +19,17 @@ Checks, each a one-way inclusion the fast CI lane enforces:
   7. Every --flag defined in tools/snowboard_serve.cc appears in README.md AND in
      docs/OPERATIONS.md (the daemon is operated from the guide, not the README).
   8. Every docs/*.md file is referenced from README.md (an unlinked guide is dead docs).
-  9. Every campaign-spec key emitted by SerializeCampaignSpec (src/snowboard/serve.cc)
-     appears backtick-quoted in docs/OPERATIONS.md — operators author spec.txt bodies
-     from the guide, so an undocumented key is an unusable knob.
+  9. The "Every key" list in docs/OPERATIONS.md names exactly the campaign-spec keys
+     SerializeCampaignSpec (src/snowboard/serve.cc) emits — operators author spec.txt
+     bodies from the guide, so an undocumented key is an unusable knob and a listed key
+     the serializer no longer writes is a dead one.
+ 10. Every pattern in a tests/CMakeLists.txt label filter (SB_*_TEST_FILTER) matches at
+     least one TEST in tests/*.cc — a stale pattern silently empties or shrinks a lane.
 
 Usage: check_docs.py [repo_root]   (default: parent of this script's directory)
 """
 
+import fnmatch
 import pathlib
 import re
 import sys
@@ -77,6 +81,29 @@ def campaign_spec_keys(serve_source: str) -> list:
                       serve_source, re.DOTALL)
     return re.findall(r'StrAppendf\(&out, "([a-z][a-z0-9-]*) ',
                       match.group(1) if match else "")
+
+
+def documented_spec_keys(operations: str) -> list:
+    """The backtick-quoted keys of OPERATIONS.md's "Every key, for grepping:" paragraph."""
+    match = re.search(r"Every key, for grepping:(.*?)\n\n", operations, re.DOTALL)
+    return re.findall(r"`([a-z][a-z0-9-]*)`", match.group(1) if match else "")
+
+
+def label_filter_patterns(tests_cmake: str) -> dict:
+    """Lane variable -> its gtest filter patterns, from set(SB_<LANE>_TEST_FILTER "...")."""
+    return {name: value.split(":") for name, value in
+            re.findall(r'set\((SB_\w+_TEST_FILTER)\s+"([^"]*)"\)', tests_cmake)}
+
+
+def gtest_names(test_sources: list) -> list:
+    """Full names as gtest prints them: Suite.Name, or Prefix/Suite.Name/0 for TEST_P."""
+    names = []
+    for source in test_sources:
+        for macro, suite, name in re.findall(r"^(TEST(?:_F|_P)?)\((\w+),\s*(\w+)\)",
+                                             source, re.MULTILINE):
+            names.append(f"Prefix/{suite}.{name}/0" if macro == "TEST_P" else
+                         f"{suite}.{name}")
+    return names
 
 
 def detector_kind_names(detectors_source: str) -> list:
@@ -157,10 +184,23 @@ def main() -> int:
     spec_keys = campaign_spec_keys(serve_core)
     if not spec_keys:
         errors.append("could not parse any SerializeCampaignSpec keys from serve.cc")
-    for key in spec_keys:
-        if f"`{key}`" not in operations:
-            errors.append(f"docs/OPERATIONS.md does not document campaign-spec key "
-                          f"`{key}`")
+    documented_keys = documented_spec_keys(operations)
+    for key in sorted(set(spec_keys) - set(documented_keys)):
+        errors.append(f"docs/OPERATIONS.md's key list does not document campaign-spec key "
+                      f"`{key}`")
+    for key in sorted(set(documented_keys) - set(spec_keys)):
+        errors.append(f"docs/OPERATIONS.md's key list names `{key}`, which "
+                      f"SerializeCampaignSpec does not write")
+
+    lanes = label_filter_patterns(tests_cmake)
+    if not lanes:
+        errors.append("could not parse any SB_*_TEST_FILTER from tests/CMakeLists.txt")
+    tests = gtest_names([f.read_text() for f in sorted((root / "tests").glob("*.cc"))])
+    for lane, patterns in sorted(lanes.items()):
+        for pattern in patterns:
+            if not any(fnmatch.fnmatchcase(test, pattern) for test in tests):
+                errors.append(f"tests/CMakeLists.txt {lane} pattern {pattern!r} matches "
+                              f"no TEST in tests/*.cc")
 
     for doc_file in sorted((root / "docs").glob("*.md")):
         if f"docs/{doc_file.name}" not in readme:
@@ -173,7 +213,7 @@ def main() -> int:
         return 1
     print("check_docs: CLI and serve flags documented, test and bench files registered, "
           "issues repro-covered, detector kinds documented, fleet endpoints and "
-          "campaign-spec keys covered; no drift")
+          "campaign-spec keys covered, lane filters live; no drift")
     return 0
 
 

@@ -116,7 +116,7 @@ if [ -n "$SERVE" ] && [ -x "$SERVE" ]; then
 
     # Submit a tiny campaign and watch it finish.
     cat > "$work/spec.txt" <<'SPEC'
-snowboard-campaign-spec-v1
+snowboard-campaign-spec-v2
 name smoke-a
 seed 7
 corpus-size 8

@@ -86,7 +86,6 @@ constexpr FlagInfo kCampaignFlags[] = {
     {"budget", "N", "max concurrent tests to generate (default 300)"},
     {"trials", "N", "trials per concurrent test (default 24)"},
     {"workers", "N", "worker threads for every parallel stage (default 4)"},
-    {"no-stream", nullptr, "run stages as strict barriers instead of streaming"},
     {"no-prune", nullptr, "disable schedule-equivalence pruning (on by default)"},
     {"prune-saturation", "K", "consecutive duplicate trials before a test saturates "
                               "(default 1)"},
@@ -442,7 +441,6 @@ int CmdCampaign(const Args& args) {
   spec.budget = static_cast<size_t>(args.GetInt("budget", 300));
   spec.trials = static_cast<int>(args.GetInt("trials", 24));
   spec.workers = static_cast<int>(args.GetInt("workers", 4));
-  spec.streaming = !args.Has("no-stream");
   spec.prune = !args.Has("no-prune");
   spec.prune_saturation = static_cast<int>(args.GetInt("prune-saturation", 1));
   if (spec.prune_saturation < 1) {
