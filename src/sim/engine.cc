@@ -1,13 +1,30 @@
 #include "src/sim/engine.h"
 
-#include <optional>
+#include <sys/mman.h>
 
 #include "src/sim/site.h"
 #include "src/util/assert.h"
 #include "src/util/strings.h"
 #include "src/util/trace.h"
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/common_interface_defs.h>
+#endif
+#if defined(__SANITIZE_THREAD__)
+#include <sanitizer/tsan_interface.h>
+#endif
+
 namespace snowboard {
+
+namespace {
+
+// Every vCPU stack, and the PROT_NONE guard page mapped below it. Guest code and scheduler
+// hooks peak at about 8 KiB of stack across the test suite; pages never touched cost no
+// memory.
+constexpr size_t kFiberStackBytes = 256 * 1024;
+constexpr size_t kGuardBytes = 4096;
+
+}  // namespace
 
 // --------------------------------------------------------------------------------------------
 // Ctx: guest-side access API.
@@ -129,31 +146,12 @@ void Ctx::Panic(const std::string& message) {
 Engine::Engine(uint32_t mem_size) : memory_(mem_size) {}
 
 Engine::~Engine() {
-  {
-    std::lock_guard<std::mutex> lock(token_mutex_);
-    shutdown_ = true;
-    token_cv_.notify_all();
-  }
-  for (std::thread& t : pool_) {
-    t.join();
-  }
-}
-
-void Engine::PoolWorkerMain(VcpuId vcpu) {
-  uint64_t seen_generation = 0;
-  std::unique_lock<std::mutex> lock(token_mutex_);
-  for (;;) {
-    token_cv_.wait(lock, [&] {
-      return shutdown_ || (run_generation_ != seen_generation && vcpu < run_vcpus_);
-    });
-    if (shutdown_) {
-      return;
-    }
-    seen_generation = run_generation_;
-    const GuestFn& fn = (*run_fns_)[static_cast<size_t>(vcpu)];
-    lock.unlock();
-    GuestThreadMain(vcpu, fn);
-    lock.lock();
+  for (Fiber& fiber : fibers_) {
+    munmap(static_cast<char*>(const_cast<void*>(fiber.stack)) - kGuardBytes,
+           kGuardBytes + kFiberStackBytes);
+#if defined(__SANITIZE_THREAD__)
+    __tsan_destroy_fiber(fiber.tsan_fiber);
+#endif
   }
 }
 
@@ -184,35 +182,25 @@ void Engine::RunInto(const std::vector<GuestFn>& vcpu_fns, const RunOptions& opt
   trace_.clear();
   seq_ = 0;
   instructions_ = 0;
+  abort_ = false;
   panicked_ = false;
   hang_ = false;
   panic_message_.clear();
   console_.Clear();
+  run_fns_ = &vcpu_fns;
+  MakeVcpuContexts(n);
+#if defined(__SANITIZE_THREAD__)
+  caller_.tsan_fiber = __tsan_get_current_fiber();
+#endif
 
-  // Grow the persistent pool to cover this run's vCPU count (first-run warm-up only).
-  while (pool_.size() < static_cast<size_t>(n)) {
-    VcpuId vcpu = static_cast<VcpuId>(pool_.size());
-    pool_.emplace_back([this, vcpu] { PoolWorkerMain(vcpu); });
+  // Each vCPU comes back here once, when it has returned or unwound; resume its successor
+  // until none is left.
+  scheduler_->OnTrialStart(n);
+  active_vcpu_ = 0;
+  while (active_vcpu_ != kInvalidVcpu) {
+    SwitchFiber(&caller_, &fibers_[static_cast<size_t>(active_vcpu_)]);
   }
-
-  {
-    std::unique_lock<std::mutex> lock(token_mutex_);
-    // Workers from the previous run have all left the finish protocol (the previous wait
-    // saw unfinished_ == 0 under this mutex), so per-run state is safe to republish.
-    abort_ = false;
-    unfinished_ = n;
-    run_fns_ = &vcpu_fns;
-    run_vcpus_ = n;
-    run_generation_++;
-    scheduler_->OnTrialStart(n);
-    active_vcpu_ = 0;
-    token_cv_.notify_all();
-    token_cv_.wait(lock, [this] { return unfinished_ == 0; });
-    active_vcpu_ = kInvalidVcpu;
-    run_fns_ = nullptr;
-    run_vcpus_ = 0;
-  }
-
+  run_fns_ = nullptr;
   scheduler_->OnTrialEnd();
 
   result->completed = !abort_;
@@ -231,29 +219,73 @@ Engine::RunResult Engine::RunSequential(const GuestFn& fn, uint64_t max_instruct
   return Run({fn}, opts);
 }
 
-void Engine::GuestThreadMain(VcpuId vcpu, const GuestFn& fn) {
-  try {
-    WaitForToken(vcpu);
-    fn(ctxs_[static_cast<size_t>(vcpu)]);
-  } catch (const TrialAbort&) {
-    // Unwound guest code; fall through to the finish protocol.
+void Engine::MakeVcpuContexts(int n) {
+  while (fibers_.size() < static_cast<size_t>(n)) {
+    void* mapping = mmap(nullptr, kGuardBytes + kFiberStackBytes, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    SB_CHECK(mapping != MAP_FAILED);
+    SB_CHECK(mprotect(mapping, kGuardBytes, PROT_NONE) == 0);
+    Fiber& fiber = fibers_.emplace_back();
+    fiber.stack = static_cast<char*>(mapping) + kGuardBytes;
+    fiber.stack_size = kFiberStackBytes;
+#if defined(__SANITIZE_THREAD__)
+    fiber.tsan_fiber = __tsan_create_fiber(0);
+#endif
   }
-  std::lock_guard<std::mutex> lock(token_mutex_);
-  vcpus_[static_cast<size_t>(vcpu)].finished = true;
-  unfinished_--;
-  if (active_vcpu_ == vcpu) {
-    // Pass the token onward; kInvalidVcpu when this was the last runner.
-    active_vcpu_ = NextLiveVcpu(vcpu);
+  const uintptr_t self = reinterpret_cast<uintptr_t>(this);
+  for (int v = 0; v < n; v++) {
+    Fiber& fiber = fibers_[static_cast<size_t>(v)];
+    SB_CHECK(getcontext(&fiber.context) == 0);
+    fiber.context.uc_stack.ss_sp = const_cast<void*>(fiber.stack);
+    fiber.context.uc_stack.ss_size = fiber.stack_size;
+    fiber.context.uc_link = nullptr;
+    // makecontext passes int-sized words, so the Engine's address travels in two halves.
+    makecontext(&fiber.context, reinterpret_cast<void (*)()>(&Engine::FiberMain), 2,
+                static_cast<uint32_t>(self >> 32), static_cast<uint32_t>(self));
   }
-  token_cv_.notify_all();
 }
 
-void Engine::WaitForToken(VcpuId vcpu) {
-  std::unique_lock<std::mutex> lock(token_mutex_);
-  token_cv_.wait(lock, [this, vcpu] { return abort_ || active_vcpu_ == vcpu; });
-  if (abort_) {
-    throw TrialAbort{};
+void Engine::FiberMain(uint32_t engine_hi, uint32_t engine_lo) {
+  reinterpret_cast<Engine*>((uintptr_t{engine_hi} << 32) | engine_lo)->RunActiveVcpu();
+}
+
+void Engine::RunActiveVcpu() {
+  const VcpuId vcpu = active_vcpu_;
+#if defined(__SANITIZE_ADDRESS__)
+  // vCPU 0 is always entered from RunInto: learn the caller's stack to switch back to.
+  __sanitizer_finish_switch_fiber(nullptr, vcpu == 0 ? &caller_.stack : nullptr,
+                                  vcpu == 0 ? &caller_.stack_size : nullptr);
+#endif
+  try {
+    // A vCPU first entered after the trial aborted never starts its guest function.
+    if (!abort_) {
+      (*run_fns_)[static_cast<size_t>(vcpu)](ctxs_[static_cast<size_t>(vcpu)]);
+    }
+  } catch (const TrialAbort&) {
+    // Unwound guest code.
   }
+  vcpus_[static_cast<size_t>(vcpu)].finished = true;
+  active_vcpu_ = NextLiveVcpu(vcpu);
+  SwitchFiber(nullptr, &caller_);
+  __builtin_unreachable();
+}
+
+void Engine::SwitchFiber(Fiber* from, Fiber* to) {
+#if defined(__SANITIZE_THREAD__)
+  __tsan_switch_to_fiber(to->tsan_fiber, 0);
+#endif
+#if defined(__SANITIZE_ADDRESS__)
+  __sanitizer_start_switch_fiber(from != nullptr ? &from->asan_fake_stack : nullptr,
+                                 to->stack, to->stack_size);
+#endif
+  if (from == nullptr) {
+    setcontext(&to->context);
+    SB_CHECK(false && "setcontext returned");
+  }
+  SB_CHECK(swapcontext(&from->context, &to->context) == 0);
+#if defined(__SANITIZE_ADDRESS__)
+  __sanitizer_finish_switch_fiber(from->asan_fake_stack, nullptr, nullptr);
+#endif
 }
 
 VcpuId Engine::NextLiveVcpu(VcpuId from) const {
@@ -268,10 +300,6 @@ VcpuId Engine::NextLiveVcpu(VcpuId from) const {
 }
 
 void Engine::Yield(VcpuId from, bool record_event) {
-  std::unique_lock<std::mutex> lock(token_mutex_);
-  if (abort_) {
-    throw TrialAbort{};
-  }
   VcpuId next = NextLiveVcpu(from);
   if (next == kInvalidVcpu) {
     return;  // No one to switch to; keep running.
@@ -284,8 +312,8 @@ void Engine::Yield(VcpuId from, bool record_event) {
     trace_.push_back(event);
   }
   active_vcpu_ = next;
-  token_cv_.notify_all();
-  token_cv_.wait(lock, [this, from] { return abort_ || active_vcpu_ == from; });
+  SwitchFiber(&fibers_[static_cast<size_t>(from)], &fibers_[static_cast<size_t>(next)]);
+  // Resumed by a peer's Yield, or by RunInto after the trial aborted elsewhere.
   if (abort_) {
     throw TrialAbort{};
   }
@@ -302,16 +330,12 @@ void Engine::RecordEvent(Event event) {
 }
 
 void Engine::AbortTrial(VcpuId vcpu, bool panic, const std::string& message) {
-  {
-    std::lock_guard<std::mutex> lock(token_mutex_);
-    abort_ = true;
-    if (panic) {
-      panicked_ = true;
-      panic_message_ = message;
-    } else {
-      hang_ = true;
-    }
-    token_cv_.notify_all();
+  abort_ = true;
+  if (panic) {
+    panicked_ = true;
+    panic_message_ = message;
+  } else {
+    hang_ = true;
   }
   throw TrialAbort{};
 }

@@ -6,19 +6,19 @@
 //   * "The hypervisor performs tracing of every kernel memory access instruction."
 //   * Provides the yield primitive, the is_live heuristic, and guest console capture.
 //
-// Each vCPU is a host thread running guest (mini-kernel) code against the shared Memory
-// arena, but a token-passing handshake guarantees exactly one vCPU executes at any instant;
-// every vCPU switch happens at a memory-access boundary chosen by the installed Scheduler.
-// The result is fully deterministic given (guest code, scheduler decisions).
+// Each vCPU is a fiber on the calling thread running guest (mini-kernel) code against the
+// shared Memory arena, so exactly one vCPU executes at any instant by construction; every
+// vCPU switch is a direct context switch at a memory-access boundary chosen by the installed
+// Scheduler. The result is fully deterministic given (guest code, scheduler decisions).
 #ifndef SRC_SIM_ENGINE_H_
 #define SRC_SIM_ENGINE_H_
 
-#include <condition_variable>
+#include <ucontext.h>
+
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/sim/access.h"
@@ -130,11 +130,12 @@ class Engine {
   Console& console() { return console_; }
 
   // Runs one guest function per vCPU, serialized under `opts.scheduler`, until all complete
-  // or the trial aborts. vCPU 0 receives the token first. Reentrant across Engine instances
-  // (each worker in the distributed queue owns its own Engine); not reentrant per instance.
+  // or the trial aborts. vCPU 0 runs first. Reentrant across Engine instances (each worker
+  // in the distributed queue owns its own Engine); not reentrant per instance.
   //
-  // vCPU host threads are pooled: the first run with N vCPUs spawns N persistent workers,
-  // and every later run re-dispatches onto them — no thread create/join in the trial loop.
+  // Every vCPU runs as a fiber on the calling thread. A vCPU's stack is mapped by the first
+  // run that needs it and reused by every later run, so the trial loop maps nothing. Every
+  // guest stack has unwound when this returns.
   RunResult Run(const std::vector<GuestFn>& vcpu_fns, const RunOptions& opts);
 
   // Allocation-free variant for the trial hot loop: recycles `result`'s buffers (trace
@@ -156,7 +157,18 @@ class Engine {
     bool pending_switch = false;
   };
 
-  // --- Guest-side services (called with the token held by `vcpu`). ---
+  // An execution context: a vCPU, or the thread that called RunInto.
+  struct Fiber {
+    ucontext_t context{};
+    // The stack: mapped for a vCPU (a PROT_NONE guard page sits below `stack`); for the
+    // caller, learned under ASan only.
+    const void* stack = nullptr;
+    size_t stack_size = 0;
+    void* tsan_fiber = nullptr;       // TSan's handle for this context.
+    void* asan_fake_stack = nullptr;  // ASan's fake stack, saved while switched out.
+  };
+
+  // --- Guest-side services (called on the running vCPU's fiber). ---
   void OnAccess(Ctx& ctx, Access& access);        // Schedule, perform, trace.
   // Atomic RMW: one scheduling point; the write executes iff do_write_if(read value).
   void OnRmw(Ctx& ctx, Access& read, const std::function<bool(uint64_t)>& do_write_if,
@@ -168,14 +180,18 @@ class Engine {
   void PerformAccess(Access& access);             // Raw memory op + fault check.
   void FaultCheck(Ctx& ctx, const Access& access);
 
-  // --- Token machinery. ---
-  void GuestThreadMain(VcpuId vcpu, const GuestFn& fn);
-  void WaitForToken(VcpuId vcpu);                 // Throws TrialAbort if the trial died.
+  // --- Fibers. ---
+  // Maps stacks up to `n` vCPUs and points each vCPU's context at a fresh FiberMain.
+  void MakeVcpuContexts(int n);
+  // Entry of every vCPU fiber; `engine_hi`:`engine_lo` is the Engine's address.
+  static void FiberMain(uint32_t engine_hi, uint32_t engine_lo);
+  // Runs the active vCPU's guest function, marks it finished, names its live successor in
+  // active_vcpu_ and switches back to the caller for good.
+  [[noreturn]] void RunActiveVcpu();
+  // Switches to `to`; returns when something switches back to `from`. A null `from` leaves
+  // the running fiber for good.
+  void SwitchFiber(Fiber* from, Fiber* to);
   VcpuId NextLiveVcpu(VcpuId from) const;         // kInvalidVcpu if none.
-
-  // Persistent pool worker: parks between runs, executes vCPU `vcpu`'s guest function for
-  // every run whose vCPU count covers it.
-  void PoolWorkerMain(VcpuId vcpu);
 
   Memory memory_;
   Console console_;
@@ -194,18 +210,11 @@ class Engine {
   bool panicked_ = false;
   bool hang_ = false;
   std::string panic_message_;
-
-  std::mutex token_mutex_;
-  std::condition_variable token_cv_;
   VcpuId active_vcpu_ = kInvalidVcpu;
-  int unfinished_ = 0;
-
-  // --- vCPU thread pool (guarded by token_mutex_ unless noted). ---
-  std::vector<std::thread> pool_;        // Grown to the high-water vCPU count, never shrunk.
   const std::vector<GuestFn>* run_fns_ = nullptr;  // Valid while a run is in flight.
-  uint64_t run_generation_ = 0;          // Bumped per run; wakes parked workers.
-  int run_vcpus_ = 0;                    // vCPU count of the current run.
-  bool shutdown_ = false;
+
+  Fiber caller_;
+  std::vector<Fiber> fibers_;  // Grown to the high-water vCPU count, never shrunk.
 };
 
 }  // namespace snowboard

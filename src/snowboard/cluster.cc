@@ -1,7 +1,5 @@
 #include "src/snowboard/cluster.h"
 
-#include <algorithm>
-#include <thread>
 #include <unordered_map>
 
 #include "src/util/assert.h"
@@ -110,82 +108,27 @@ uint64_t StrategyKey(Strategy strategy, const PmcKey& key, int which) {
   return 0;
 }
 
-namespace {
-
-// Clusters the PMC index range [begin, end) into `clusters`, keyed through `index`.
-// Cluster order = first appearance of each key; members ascend with the PMC index.
-void ClusterRange(const std::vector<Pmc>& pmcs, Strategy strategy, uint32_t begin,
-                  uint32_t end, std::unordered_map<uint64_t, size_t>* index,
-                  std::vector<PmcCluster>* clusters) {
+std::vector<PmcCluster> ClusterPmcs(const std::vector<Pmc>& pmcs, Strategy strategy) {
+  SB_CHECK(StrategyUsesPmcs(strategy));
+  std::unordered_map<uint64_t, size_t> index;  // Key -> position in `clusters`.
+  std::vector<PmcCluster> clusters;
   auto add = [&](uint64_t key, uint32_t member) {
-    auto [it, inserted] = index->try_emplace(key, clusters->size());
+    auto [it, inserted] = index.try_emplace(key, clusters.size());
     if (inserted) {
-      clusters->push_back(PmcCluster{key, {member}});
+      clusters.push_back(PmcCluster{key, {member}});
     } else {
-      (*clusters)[it->second].members.push_back(member);
+      clusters[it->second].members.push_back(member);
     }
   };
 
-  for (uint32_t i = begin; i < end; i++) {
+  for (uint32_t i = 0; i < pmcs.size(); i++) {
     const PmcKey& key = pmcs[i].key;
     if (!StrategyFilter(strategy, key)) {
       continue;
     }
+    add(StrategyKey(strategy, key, 0), i);
     if (strategy == Strategy::kSIns) {
-      add(StrategyKey(strategy, key, 0), i);
       add(StrategyKey(strategy, key, 1), i);
-    } else {
-      add(StrategyKey(strategy, key, 0), i);
-    }
-  }
-}
-
-}  // namespace
-
-std::vector<PmcCluster> ClusterPmcs(const std::vector<Pmc>& pmcs, Strategy strategy,
-                                    int num_workers) {
-  SB_CHECK(StrategyUsesPmcs(strategy));
-  std::unordered_map<uint64_t, size_t> index;
-  std::vector<PmcCluster> clusters;
-
-  size_t partitions = num_workers > 1
-                          ? std::min(pmcs.size(), static_cast<size_t>(num_workers))
-                          : 1;
-  if (partitions <= 1) {
-    ClusterRange(pmcs, strategy, 0, static_cast<uint32_t>(pmcs.size()), &index, &clusters);
-    return clusters;
-  }
-
-  // Shard: cluster disjoint contiguous PMC ranges in parallel, then fold the partial tables
-  // left-to-right. The fold visits keys in (partition, local first-appearance) order, which
-  // equals global first-appearance order; appending each local cluster's ascending members
-  // after all lower partitions' members keeps the global member lists ascending — both
-  // invariants make the merged table equal the sequential one element-for-element.
-  std::vector<std::unordered_map<uint64_t, size_t>> part_index(partitions);
-  std::vector<std::vector<PmcCluster>> part_clusters(partitions);
-  std::vector<std::thread> workers;
-  workers.reserve(partitions);
-  for (size_t p = 0; p < partitions; p++) {
-    uint32_t begin = static_cast<uint32_t>(pmcs.size() * p / partitions);
-    uint32_t end = static_cast<uint32_t>(pmcs.size() * (p + 1) / partitions);
-    workers.emplace_back([&, p, begin, end]() {
-      ClusterRange(pmcs, strategy, begin, end, &part_index[p], &part_clusters[p]);
-    });
-  }
-  for (std::thread& worker : workers) {
-    worker.join();
-  }
-
-  for (const std::vector<PmcCluster>& partial : part_clusters) {
-    for (const PmcCluster& cluster : partial) {
-      auto [it, inserted] = index.try_emplace(cluster.key, clusters.size());
-      if (inserted) {
-        clusters.push_back(cluster);
-      } else {
-        PmcCluster& target = clusters[it->second];
-        target.members.insert(target.members.end(), cluster.members.begin(),
-                              cluster.members.end());
-      }
     }
   }
   return clusters;

@@ -67,14 +67,9 @@ struct PmcCluster {
 
 // Applies the strategy's filter and groups surviving PMCs by the clustering key. For kSIns,
 // each PMC lands in TWO clusters (its write-instruction cluster and its read-instruction
-// cluster), per Table 1's "strategy pair".
-//
-// With num_workers > 1 the PMC table is partitioned into contiguous index ranges, each
-// clustered independently, and the partial tables are merged in partition order. Clusters
-// keep their canonical order (first appearance of the key over the PMC index) and members
-// stay ascending, so the result is byte-identical for any worker count.
-std::vector<PmcCluster> ClusterPmcs(const std::vector<Pmc>& pmcs, Strategy strategy,
-                                    int num_workers = 1);
+// cluster), per Table 1's "strategy pair". Clusters come in the order their keys first
+// appear over the PMC index, and each cluster's members ascend.
+std::vector<PmcCluster> ClusterPmcs(const std::vector<Pmc>& pmcs, Strategy strategy);
 
 // The Table 1 filter predicate, exposed for tests.
 bool StrategyFilter(Strategy strategy, const PmcKey& key);

@@ -187,8 +187,7 @@ SerializedTests ComputeTests(const std::vector<Program>& corpus,
                                              options.seed);
     return out;
   }
-  std::vector<PmcCluster> clusters =
-      ClusterPmcs(pmcs, options.strategy, options.ResolvedWorkers());
+  std::vector<PmcCluster> clusters = ClusterPmcs(pmcs, options.strategy);
   out.cluster_count = clusters.size();
   SelectOptions select;
   select.seed = options.seed * 0x9e3779b9ull + 17;

@@ -38,8 +38,8 @@ struct PipelineOptions {
   Strategy strategy = Strategy::kSInsPair;
   size_t max_concurrent_tests = 300;  // The per-strategy test budget (Table 3's time box).
   ExplorerOptions explorer;
-  // Shared-nothing workers (machine fleet analog) used by profiling, identification,
-  // clustering, and execution alike. All deterministic outputs are invariant under it.
+  // Shared-nothing workers (machine fleet analog) used by profiling, identification, and
+  // execution alike; each is one thread. All deterministic outputs are invariant under it.
   // <= 0 means "unset" and resolves to 1 (ResolvedWorkers).
   int num_workers = 1;
   // Optional cross-run profile memo: multi-strategy campaigns (Table 3) share one cache so
@@ -66,7 +66,7 @@ struct PipelineOptions {
   int journal_flush_records = 8;
 
   // The single interpretation of num_workers, shared by every stage (profiling, the
-  // identify "inherit" case, clustering, execution): non-positive means 1.
+  // identify "inherit" case, execution): non-positive means 1.
   int ResolvedWorkers() const { return num_workers > 0 ? num_workers : 1; }
 };
 

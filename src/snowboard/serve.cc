@@ -275,7 +275,8 @@ void FleetServer::AdoptExisting() {
         }
         if (result.has_value()) {
           campaign->state = CampaignState::kDone;
-          campaign->result = *result;
+          campaign->tests_executed = result->tests_executed;
+          campaign->findings = result->findings.first_findings().size();
         } else {
           // Queued, or mid-flight when the previous daemon died: either way the
           // checkpoint directory holds everything durable and the campaign re-runs with
@@ -343,6 +344,15 @@ void FleetServer::MaybeStartLocked() {
     best->state = CampaignState::kRunning;
     best->start_sequence = ++next_start_sequence_;
     best->stopper.SetParent(options_.fault);
+    // Join finished runners before adding one: an exited, unjoined thread keeps its stack
+    // until Drain. A settled runner never takes the lock again; the calling runner waits
+    // for the next start, and nothing joins here once Drain has begun.
+    for (std::unique_ptr<Campaign>& campaign : campaigns_) {
+      if (campaign->state != CampaignState::kRunning && campaign->runner.joinable() &&
+          campaign->runner.get_id() != std::this_thread::get_id()) {
+        campaign->runner.join();
+      }
+    }
     best->runner = std::thread([this, best]() { RunnerMain(best); });
   }
 }
@@ -356,13 +366,12 @@ void FleetServer::RunnerMain(Campaign* campaign) {
   // code path, no first-run special case.
   run_options.resume = true;
   run_options.fault = &campaign->stopper;
-  PipelineResult result = RunSnowboardPipeline(run_options);
-  OnCampaignFinished(campaign, run_options, std::move(result));
+  OnCampaignFinished(campaign, run_options, RunSnowboardPipeline(run_options));
 }
 
 void FleetServer::OnCampaignFinished(Campaign* campaign,
                                      const PipelineOptions& run_options,
-                                     PipelineResult result) {
+                                     const PipelineResult& result) {
   std::lock_guard<std::mutex> lock(mutex_);
   granted_total_ -= campaign->granted;
   running_count_--;
@@ -378,7 +387,8 @@ void FleetServer::OnCampaignFinished(Campaign* campaign,
         AtomicWriteFile(dir + "/report.html", RenderReportHtml(report), options_.fault) &&
         AtomicWriteFile(dir + "/done", SerializePipelineResult(result), options_.fault);
     if (committed) {
-      campaign->result = std::move(result);
+      campaign->tests_executed = result.tests_executed;
+      campaign->findings = result.findings.first_findings().size();
       campaign->state = CampaignState::kDone;
     } else if (CheckDeadLocked()) {
       campaign->state = CampaignState::kQueued;  // The next daemon re-adopts and re-runs.
@@ -507,8 +517,8 @@ CampaignStatus FleetServer::StatusLocked(const Campaign& campaign) const {
   status.start_sequence = campaign.start_sequence;
   status.error = campaign.error;
   if (campaign.state == CampaignState::kDone) {
-    status.tests_executed = campaign.result.tests_executed;
-    status.findings = campaign.result.findings.first_findings().size();
+    status.tests_executed = campaign.tests_executed;
+    status.findings = campaign.findings;
   }
   status.report_ready = PathExists(DirFor(campaign.spec.name) + "/report.json");
   // Durable progress: what the journal holds right now (readable concurrently with the

@@ -194,7 +194,10 @@ class FleetServer {
     // daemon injector; Kill()ed for cancel/drain/daemon-death.
     FaultInjector stopper;
     std::thread runner;
-    PipelineResult result;  // Valid when state == kDone.
+    // The completed result's totals (valid when state == kDone); the result itself lives
+    // on disk, in the done marker.
+    size_t tests_executed = 0;
+    size_t findings = 0;  // Distinct issues.
     std::string error;
   };
 
@@ -208,7 +211,7 @@ class FleetServer {
   // Campaign completion: report + done-marker commits (daemon fault points) or
   // cancel/drain/death bookkeeping. Runs on the runner thread.
   void OnCampaignFinished(Campaign* campaign, const PipelineOptions& run_options,
-                          PipelineResult result);
+                          const PipelineResult& result);
   // Marks the daemon dead after a serve-layer injected crash: kills every stopper so all
   // campaigns unwind. Caller holds mutex_.
   void DeclareDeadLocked();

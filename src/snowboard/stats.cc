@@ -22,18 +22,6 @@ uint64_t PmcTableDigest(const std::vector<Pmc>& pmcs) {
   return h;
 }
 
-uint64_t ClusterTableDigest(const std::vector<PmcCluster>& clusters) {
-  uint64_t h = HashAll(uint64_t{0xc105}, clusters.size());
-  for (const PmcCluster& cluster : clusters) {
-    h = HashCombine(h, cluster.key);
-    h = HashCombine(h, cluster.members.size());
-    for (uint32_t member : cluster.members) {
-      h = HashCombine(h, member);
-    }
-  }
-  return h;
-}
-
 uint64_t FindingsDigest(const FindingsLog& findings) {
   uint64_t h = HashAll(uint64_t{0xf1d5}, findings.total_findings());
   for (const auto& [id, finding] : findings.first_findings()) {

@@ -25,7 +25,6 @@ class FindingsLog;
 // Order-sensitive digests of stage artifacts. Two artifact vectors digest equal iff they are
 // element-wise identical (up to 64-bit collision), including multiplicities and exemplars.
 uint64_t PmcTableDigest(const std::vector<Pmc>& pmcs);
-uint64_t ClusterTableDigest(const std::vector<PmcCluster>& clusters);
 uint64_t FindingsDigest(const FindingsLog& findings);
 
 struct DistributionSummary {

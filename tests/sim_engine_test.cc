@@ -1,6 +1,9 @@
 // Engine tests: serialized execution, tracing, scheduling hooks, faults, RMWs, copies.
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "src/sim/engine.h"
 #include "src/sim/site.h"
 
@@ -90,9 +93,16 @@ TEST(EngineTest, TwoVcpusBothRunSerialized) {
   GuestAddr a = Alloc(engine, 8);
   GuestAddr b = Alloc(engine, 8);
   Engine::RunOptions opts;
+  std::vector<std::thread::id> ran_on;
   Engine::RunResult result = engine.Run(
-      {[&](Ctx& ctx) { ctx.Store32(a, 1, SB_SITE()); },
-       [&](Ctx& ctx) { ctx.Store32(b, 2, SB_SITE()); }},
+      {[&](Ctx& ctx) {
+         ran_on.push_back(std::this_thread::get_id());
+         ctx.Store32(a, 1, SB_SITE());
+       },
+       [&](Ctx& ctx) {
+         ran_on.push_back(std::this_thread::get_id());
+         ctx.Store32(b, 2, SB_SITE());
+       }},
       opts);
   EXPECT_TRUE(result.completed);
   EXPECT_EQ(engine.mem().ReadRaw(a, 4), 1u);
@@ -101,6 +111,11 @@ TEST(EngineTest, TwoVcpusBothRunSerialized) {
   ASSERT_EQ(result.trace.size(), 2u);
   EXPECT_EQ(result.trace[0].vcpu, 0);
   EXPECT_EQ(result.trace[1].vcpu, 1);
+  // Both vCPUs are fibers on the caller's thread.
+  ASSERT_EQ(ran_on.size(), 2u);
+  for (std::thread::id id : ran_on) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
 }
 
 // A scheduler that switches after every access: verifies alternation and determinism.
@@ -244,13 +259,21 @@ TEST(EngineTest, PanicOnOneVcpuAbortsOther) {
   AlternatingScheduler scheduler;
   Engine::RunOptions opts;
   opts.scheduler = &scheduler;
+  // Counts its destructions; vCPU 1 holds one while it is switched out.
+  struct Probe {
+    int* destroyed;
+    ~Probe() { (*destroyed)++; }
+  };
+  int probes_destroyed = 0;
   bool second_finished = false;
   Engine::RunResult result = engine.Run(
       {[&](Ctx& ctx) {
          ctx.Store32(cell, 1, SB_SITE());
+         ctx.Store32(cell, 3, SB_SITE());  // Switches first: vCPU 1 starts, then yields back.
          ctx.Panic("BUG: vcpu0 dies");
        },
        [&](Ctx& ctx) {
+         Probe probe{&probes_destroyed};
          for (int i = 0; i < 100; i++) {
            ctx.Store32(cell, 2, SB_SITE());
          }
@@ -259,6 +282,10 @@ TEST(EngineTest, PanicOnOneVcpuAbortsOther) {
       opts);
   EXPECT_TRUE(result.panicked);
   EXPECT_FALSE(second_finished);  // Aborted mid-flight.
+  // vCPU 1's stack unwound before Run returned, and the engine runs again.
+  EXPECT_EQ(probes_destroyed, 1);
+  EXPECT_TRUE(engine.RunSequential([&](Ctx& ctx) { ctx.Store32(cell, 4, SB_SITE()); })
+                  .completed);
 }
 
 TEST(EngineTest, ConsoleCapturedPerRun) {

@@ -2,6 +2,9 @@
 // race detection, and three-threaded PMC exploration (fan-out and chain hints).
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "src/fuzz/generator.h"
 #include "src/kernel/net/netdev.h"
 #include "src/kernel/task.h"
@@ -22,8 +25,10 @@ TEST(ThreeThreadEngineTest, ThreeVcpusRunSerialized) {
   AlternatingScheduler scheduler;
   Engine::RunOptions opts;
   opts.scheduler = &scheduler;
+  std::vector<std::thread::id> ran_on;
   auto writer = [&](int index) {
     return [&, index](Ctx& ctx) {
+      ran_on.push_back(std::this_thread::get_id());
       for (int i = 0; i < 3; i++) {
         ctx.Store32(cells + 4 * static_cast<uint32_t>(index), static_cast<uint32_t>(i),
                     SB_SITE());
@@ -44,6 +49,11 @@ TEST(ThreeThreadEngineTest, ThreeVcpusRunSerialized) {
   EXPECT_EQ(order[1], 1);
   EXPECT_EQ(order[2], 2);
   EXPECT_EQ(order[3], 0);
+  // All three vCPUs are fibers on the caller's thread.
+  ASSERT_EQ(ran_on.size(), 3u);
+  for (std::thread::id id : ran_on) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
 }
 
 TEST(ThreeThreadEngineTest, BootHasThreeTasks) {
