@@ -5,14 +5,8 @@
 #define BENCH_BENCH_COMMON_H_
 
 #include <cstdio>
-#include <cstdlib>
-#include <string>
-#include <thread>
-
-#include <benchmark/benchmark.h>
 
 #include "src/snowboard/pipeline.h"
-#include "src/util/fs.h"
 
 namespace snowboard {
 namespace bench {
@@ -52,41 +46,6 @@ inline void PrintHeader(const char* title) {
               "%s\n"
               "================================================================\n",
               title);
-}
-
-// Bench hygiene: tags every benchmark JSON with the library's actual build type, the
-// host's CPU budget, and the load average at launch, and warns loudly on stderr when the
-// run is not trustworthy as a tracked number (debug build, or an already-loaded host).
-// Checked-in BENCH_*.json files must say sb_build_type=release; earlier baselines were
-// silently recorded from debug builds, which this context field makes impossible to miss.
-// Call AFTER benchmark::Initialize (AddCustomContext is ignored before it).
-inline void ReportEnvironment() {
-#ifdef NDEBUG
-  const char* build_type = "release";
-#else
-  const char* build_type = "debug";
-#endif
-  benchmark::AddCustomContext("sb_build_type", build_type);
-  benchmark::AddCustomContext(
-      "sb_hardware_concurrency", std::to_string(std::thread::hardware_concurrency()));
-  double load1 = -1;
-  if (std::optional<std::string> loadavg = ReadFileContents("/proc/loadavg")) {
-    load1 = std::atof(loadavg->c_str());
-    benchmark::AddCustomContext("sb_load_avg_1min", std::to_string(load1));
-  }
-  if (std::string("release") != build_type) {
-    std::fprintf(stderr,
-                 "\nWARNING: benchmarking a %s build of the snowboard library — numbers "
-                 "are NOT comparable to tracked BENCH_*.json baselines. Reconfigure with "
-                 "-DCMAKE_BUILD_TYPE=Release.\n\n",
-                 build_type);
-  }
-  if (load1 > 1.5) {
-    std::fprintf(stderr,
-                 "\nWARNING: 1-minute load average is %.2f — a busy host skews timings; "
-                 "results are tagged but should not be checked in.\n\n",
-                 load1);
-  }
 }
 
 }  // namespace bench

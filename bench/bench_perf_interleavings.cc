@@ -9,21 +9,13 @@
 // This bench regenerates the experiment: it takes the bug-triggering concurrent tests found
 // by a campaign, re-runs each to exposure of ITS issue under (a) Algorithm 2 with the PMC
 // hint and (b) SKI PCT-style unguided exploration, and reports per-test and average
-// interleaving counts plus the ratio.
-// Invoked with no arguments, the binary runs that experiment. Invoked with any
-// google-benchmark flag (e.g. --benchmark_filter=BM_), it instead runs the registered
-// microbenchmarks below, which quantify the dirty-page delta snapshot restore and the
-// zero-allocation trial hot path (bytes moved per restore, trials/second).
-#include <benchmark/benchmark.h>
-
-#include <cmath>
+// interleaving counts plus the ratio. Exits 1 unless SKI needs more than twice Snowboard's
+// average.
 #include <set>
 #include <string>
 
 #include "bench/bench_common.h"
-#include "src/fuzz/generator.h"
 #include "src/ski/baselines.h"
-#include "src/util/trace.h"
 
 namespace snowboard {
 namespace {
@@ -100,185 +92,7 @@ int Run() {
   return ski_avg > 2 * snowboard_avg ? 0 : 1;
 }
 
-// --------------------------------------------------------------------------------------------
-// Snapshot-restore microbenchmarks.
-//
-// Both restore benches run the same trial-sized workload (one seed program) per iteration
-// so the arena is realistically dirtied, then restore — one via the reference full-arena
-// memcpy, one via the dirty-page delta. The "bytes/restore" counters are directly
-// comparable: the delta path must move at least 5x fewer bytes (locked in by
-// tests/snapshot_delta_property_test.cc; quantified here).
-// --------------------------------------------------------------------------------------------
-
-void BM_SnapshotRestoreFull(benchmark::State& state) {
-  KernelVm vm;
-  Memory& mem = vm.engine().mem();
-  const std::vector<Engine::GuestFn> fns = {
-      MakeProgramRunner(vm.globals(), SeedPrograms()[0], 0)};
-  Engine::RunOptions opts;
-  opts.max_instructions = 1'000'000;
-  Engine::RunResult result;
-  Memory::Snapshot snap = mem.TakeSnapshot();
-  uint64_t bytes = 0;
-  uint64_t restores = 0;
-  for (auto _ : state) {
-    vm.engine().RunInto(fns, opts, &result);
-    mem.Restore(snap);
-    bytes += mem.size();
-    restores++;
-  }
-  state.counters["bytes/restore"] = benchmark::Counter(
-      static_cast<double>(bytes) / static_cast<double>(restores));
-}
-BENCHMARK(BM_SnapshotRestoreFull)->Unit(benchmark::kMicrosecond);
-
-void BM_SnapshotRestoreDirty(benchmark::State& state) {
-  KernelVm vm;
-  Memory& mem = vm.engine().mem();
-  const std::vector<Engine::GuestFn> fns = {
-      MakeProgramRunner(vm.globals(), SeedPrograms()[0], 0)};
-  Engine::RunOptions opts;
-  opts.max_instructions = 1'000'000;
-  Engine::RunResult result;
-  Memory::Snapshot snap = mem.TakeSnapshot();
-  uint64_t bytes = 0;
-  uint64_t pages = 0;
-  uint64_t restores = 0;
-  for (auto _ : state) {
-    vm.engine().RunInto(fns, opts, &result);
-    Memory::RestoreStats stats = mem.RestoreDirty(snap);
-    bytes += stats.bytes_copied;
-    pages += stats.dirty_pages;
-    restores++;
-  }
-  state.counters["bytes/restore"] = benchmark::Counter(
-      static_cast<double>(bytes) / static_cast<double>(restores));
-  state.counters["pages/restore"] = benchmark::Counter(
-      static_cast<double>(pages) / static_cast<double>(restores));
-}
-BENCHMARK(BM_SnapshotRestoreDirty)->Unit(benchmark::kMicrosecond);
-
-// The distilled Algorithm 2 hot loop at steady state: delta restore + pooled-thread run
-// into recycled buffers + detectors over persistent scratch. Zero heap allocations per
-// iteration after warm-up (tests/trial_alloc_test.cc asserts that; this measures the rate).
-void BM_TrialLoopSteadyState(benchmark::State& state) {
-  KernelVm vm;
-  const Program program = SeedPrograms()[0];
-  SequentialProfile profile = ProfileTest(vm, program, 0);
-  std::vector<Pmc> pmcs = IdentifyPmcs({profile});
-  PmcScheduler scheduler;
-  if (!pmcs.empty()) {
-    scheduler.ResetForTest(pmcs[0].key);
-  }
-  const std::vector<Engine::GuestFn> fns = {MakeProgramRunner(vm.globals(), program, 0),
-                                            MakeProgramRunner(vm.globals(), program, 1)};
-  Engine::RunOptions opts;
-  opts.scheduler = &scheduler;
-  opts.max_instructions = 400'000;
-  Engine::RunResult result;
-  DetectorSuite detector;
-  DetectorResult detectors;
-
-  uint64_t trial = 0;
-  for (auto _ : state) {
-    scheduler.SeedTrial(2021 + trial % 8);
-    vm.RestoreSnapshot();
-    vm.engine().RunInto(fns, opts, &result);
-    RunDetectors(result, &detector, &detectors);
-    trial++;
-  }
-  state.counters["trials/s"] =
-      benchmark::Counter(static_cast<double>(trial), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_TrialLoopSteadyState)->Unit(benchmark::kMicrosecond);
-
-// Detector-overhead A/B: the identical loop with the suite narrowed to the paper's two
-// original oracles (console + race). BM_TrialLoopSteadyState runs all five, so the delta
-// between the two is the whole cost of the hang-gated detectors on completing trials —
-// expected to be noise, since each is one `hang && !panicked` branch per trial
-// (EXPERIMENTS.md "Detector suite overhead").
-void BM_TrialLoopRaceConsoleOnly(benchmark::State& state) {
-  KernelVm vm;
-  const Program program = SeedPrograms()[0];
-  SequentialProfile profile = ProfileTest(vm, program, 0);
-  std::vector<Pmc> pmcs = IdentifyPmcs({profile});
-  PmcScheduler scheduler;
-  if (!pmcs.empty()) {
-    scheduler.ResetForTest(pmcs[0].key);
-  }
-  const std::vector<Engine::GuestFn> fns = {MakeProgramRunner(vm.globals(), program, 0),
-                                            MakeProgramRunner(vm.globals(), program, 1)};
-  Engine::RunOptions opts;
-  opts.scheduler = &scheduler;
-  opts.max_instructions = 400'000;
-  Engine::RunResult result;
-  DetectorSuite detector(kDetectorConsole | kDetectorRace);
-  DetectorResult detectors;
-
-  uint64_t trial = 0;
-  for (auto _ : state) {
-    scheduler.SeedTrial(2021 + trial % 8);
-    vm.RestoreSnapshot();
-    vm.engine().RunInto(fns, opts, &result);
-    RunDetectors(result, &detector, &detectors);
-    trial++;
-  }
-  state.counters["trials/s"] =
-      benchmark::Counter(static_cast<double>(trial), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_TrialLoopRaceConsoleOnly)->Unit(benchmark::kMicrosecond);
-
-// The same loop with the tracer runtime-ENABLED: every trial emits the vm.restore span,
-// restore-bytes counter, and engine.run span into the per-thread buffer. The EXPERIMENTS.md
-// tracing-overhead table is (runtime-off = BM_TrialLoopSteadyState with default build,
-// runtime-on = this, compiled-out = BM_TrialLoopSteadyState with -DSB_TRACE_COMPILED=0).
-void BM_TrialLoopSteadyStateTraced(benchmark::State& state) {
-  KernelVm vm;
-  const Program program = SeedPrograms()[0];
-  SequentialProfile profile = ProfileTest(vm, program, 0);
-  std::vector<Pmc> pmcs = IdentifyPmcs({profile});
-  PmcScheduler scheduler;
-  if (!pmcs.empty()) {
-    scheduler.ResetForTest(pmcs[0].key);
-  }
-  const std::vector<Engine::GuestFn> fns = {MakeProgramRunner(vm.globals(), program, 0),
-                                            MakeProgramRunner(vm.globals(), program, 1)};
-  Engine::RunOptions opts;
-  opts.scheduler = &scheduler;
-  opts.max_instructions = 400'000;
-  Engine::RunResult result;
-  DetectorSuite detector;
-  DetectorResult detectors;
-
-  Tracer::Global().Start(/*per_thread_capacity=*/1 << 20);
-  uint64_t trial = 0;
-  for (auto _ : state) {
-    scheduler.SeedTrial(2021 + trial % 8);
-    vm.RestoreSnapshot();
-    vm.engine().RunInto(fns, opts, &result);
-    RunDetectors(result, &detector, &detectors);
-    trial++;
-  }
-  Tracer::Global().Stop();
-  state.counters["trials/s"] =
-      benchmark::Counter(static_cast<double>(trial), benchmark::Counter::kIsRate);
-  state.counters["dropped"] =
-      benchmark::Counter(static_cast<double>(Tracer::Global().TotalDropped()));
-}
-BENCHMARK(BM_TrialLoopSteadyStateTraced)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 }  // namespace snowboard
 
-int main(int argc, char** argv) {
-  if (argc > 1) {
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
-      return 1;
-    }
-    snowboard::bench::ReportEnvironment();
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
-  }
-  return snowboard::Run();
-}
+int main() { return snowboard::Run(); }

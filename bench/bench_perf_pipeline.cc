@@ -1,191 +1,66 @@
-// §5.4 reproduction — pipeline performance.
+// §5.4 reproduction — concurrent-test generation far outpaces execution.
 //
-// The paper reports: profiling 129,876 sequential tests in ~40h, PMC identification +
-// clustering in <5h without S-FULL (~80h with it), concurrent-test generation at >1000
-// tests/second, and execution throughput of 193.8 (Snowboard) vs 170.3 (SKI) executions
-// per minute — SKI being slower because it "yields thread execution whenever it observes
-// the write or read instruction involved in a PMC (regardless of memory targets)".
-//
-// Our absolute numbers are simulator-scale; the reproduced *shape* is: generation is orders
-// of magnitude faster than execution, S-FULL dominates clustering cost, and Snowboard's
-// precise PMC matching yields at least SKI-instruction-matching throughput.
-#include <benchmark/benchmark.h>
+// The paper generates concurrent tests at ">1000 tests per second, significantly higher than
+// the execution throughput" (193.8 executions per minute per VM). This bench generates the
+// canonical S-INS-PAIR tests, executes them once at one worker, and charges each side the
+// process CPU it spends (getrusage, so pool threads count too). It exits 1 unless
+// generation's tests per CPU second are at least 10x execution's.
+#include <sys/resource.h>
 
 #include "bench/bench_common.h"
-#include "src/fuzz/generator.h"
-#include "src/ski/baselines.h"
 
 namespace snowboard {
 namespace {
 
-const PreparedCampaign& Campaign() {
-  static const PreparedCampaign* campaign =
-      new PreparedCampaign(bench::CanonicalCampaign());
-  return *campaign;
+double ProcessCpuSeconds() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_utime.tv_sec + usage.ru_stime.tv_sec) +
+         1e-6 * static_cast<double>(usage.ru_utime.tv_usec + usage.ru_stime.tv_usec);
 }
 
-std::vector<ConcurrentTest> HintedTests(size_t count) {
-  PipelineOptions options = bench::CanonicalOptions(Strategy::kSInsPair, count, 1);
-  return GenerateTestsForStrategy(Campaign(), options, nullptr);
-}
+int Run() {
+  bench::PrintHeader("§5.4 — concurrent-test generation vs execution (process CPU)");
+  PipelineOptions options = bench::CanonicalOptions(Strategy::kSInsPair, 64, 1);
+  PreparedCampaign campaign = PrepareCampaign(options);
 
-// --- Stage benchmarks. ---
-
-// Campaign preparation (stages 1-2: sharded profiling + sharded PMC identification) at
-// several worker counts. The determinism harness proves the outputs are byte-identical
-// across counts; this measures the wall-clock payoff (≥2× at 4 workers on ≥4 host cores —
-// corpus construction is excluded from the reported counter since it stays sequential).
-void BM_CampaignPreparation(benchmark::State& state) {
-  int workers = static_cast<int>(state.range(0));
-  double prep_seconds = 0;
-  for (auto _ : state) {
-    PipelineOptions options = bench::CanonicalOptions(Strategy::kSInsPair, 0, workers);
-    PreparedCampaign campaign = PrepareCampaign(options);
-    prep_seconds += campaign.profile_seconds + campaign.identify_seconds;
-    benchmark::DoNotOptimize(campaign);
-  }
-  state.counters["profile+identify_s"] =
-      benchmark::Counter(prep_seconds, benchmark::Counter::kAvgIterations);
-  state.SetLabel(workers == 1 ? "sequential baseline" : "sharded preparation");
-}
-BENCHMARK(BM_CampaignPreparation)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
-
-// Multi-strategy preparation with a shared profile cache: the second strategy's profiling
-// stage is served entirely from the cache (Table 3 runs 5+ strategies over one corpus).
-void BM_PreparationWithProfileCache(benchmark::State& state) {
-  for (auto _ : state) {
-    ProfileCache cache;
-    PipelineOptions options = bench::CanonicalOptions(Strategy::kSInsPair, 0, 1);
-    options.profile_cache = &cache;
-    PreparedCampaign first = PrepareCampaign(options);
-    options.strategy = Strategy::kSCh;
-    PreparedCampaign second = PrepareCampaign(options);
-    benchmark::DoNotOptimize(first);
-    benchmark::DoNotOptimize(second);
-  }
-  state.SetLabel("2 strategies, 1 profiling pass");
-}
-BENCHMARK(BM_PreparationWithProfileCache)->Unit(benchmark::kMillisecond);
-
-void BM_SequentialProfiling(benchmark::State& state) {
-  KernelVm vm;
-  const std::vector<Program>& corpus = Campaign().corpus;
-  size_t tests = 0;
-  for (auto _ : state) {
-    SequentialProfile profile =
-        ProfileTest(vm, corpus[tests % corpus.size()], static_cast<int>(tests));
-    benchmark::DoNotOptimize(profile);
-    tests++;
-  }
-  state.counters["tests/s"] =
-      benchmark::Counter(static_cast<double>(tests), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_SequentialProfiling);
-
-void BM_PmcIdentificationAndClustering(benchmark::State& state) {
-  bool with_sfull = state.range(0) != 0;
-  for (auto _ : state) {
-    std::vector<Pmc> pmcs = IdentifyPmcs(Campaign().profiles);
-    for (Strategy strategy : kAllClusteringStrategies) {
-      if (!with_sfull && strategy == Strategy::kSFull) {
-        continue;  // "Removing S-FULL ... completes all clustering in under 5 hours."
-      }
-      std::vector<PmcCluster> clusters = ClusterPmcs(pmcs, strategy);
-      benchmark::DoNotOptimize(clusters);
-    }
-  }
-  state.SetLabel(with_sfull ? "all strategies" : "without S-FULL");
-}
-BENCHMARK(BM_PmcIdentificationAndClustering)->Arg(0)->Arg(1);
-
-void BM_ConcurrentTestGeneration(benchmark::State& state) {
-  // ">1000 tests per second, significantly higher than the execution throughput."
-  static const std::vector<Pmc>& pmcs = Campaign().pmcs;
-  static const std::vector<PmcCluster>* clusters =
-      new std::vector<PmcCluster>(ClusterPmcs(pmcs, Strategy::kSInsPair));
+  // One generation pass takes a fraction of a millisecond, so repeat passes until the
+  // reading is far above the CPU clock's resolution.
+  std::vector<ConcurrentTest> tests;
   size_t generated = 0;
-  for (auto _ : state) {
-    SelectOptions select;
-    select.seed = 7 + generated;
-    std::vector<ConcurrentTest> tests =
-        SelectConcurrentTests(pmcs, *clusters, Campaign().corpus, select);
+  int passes = 0;
+  double start = ProcessCpuSeconds();
+  double generate_cpu = 0;
+  while (generate_cpu < 0.1) {
+    tests = GenerateTestsForStrategy(campaign, options, nullptr);
     generated += tests.size();
-    benchmark::DoNotOptimize(tests);
+    passes++;
+    generate_cpu = ProcessCpuSeconds() - start;
   }
-  state.counters["tests/s"] =
-      benchmark::Counter(static_cast<double>(generated), benchmark::Counter::kIsRate);
+
+  PmcMatcher matcher(&campaign.pmcs);
+  PipelineResult result;
+  start = ProcessCpuSeconds();
+  ExecuteCampaign(tests, /*use_pmc_hints=*/true, &matcher, options, &result);
+  double execute_cpu = ProcessCpuSeconds() - start;
+
+  double generate_rate = static_cast<double>(generated) / generate_cpu;
+  double execute_rate = static_cast<double>(result.tests_executed) / execute_cpu;
+  std::printf("generation: %zu tests x %d passes in %.1f ms CPU -> %.0f tests/CPU-s  "
+              "(paper: >1000 tests/s)\n",
+              tests.size(), passes, 1e3 * generate_cpu, generate_rate);
+  std::printf("execution:  %zu tests, %llu trials in %.1f ms CPU at 1 worker -> %.0f "
+              "tests/CPU-s, %.0f exec/CPU-min  (paper: 193.8 exec/min)\n",
+              result.tests_executed, static_cast<unsigned long long>(result.total_trials),
+              1e3 * execute_cpu, execute_rate,
+              60.0 * static_cast<double>(result.total_trials) / execute_cpu);
+  bool holds = result.tests_executed > 0 && generate_rate >= 10 * execute_rate;
+  std::printf("\nshape check: generation >= 10x execution (%.0fx) ... %s\n",
+              generate_rate / execute_rate, holds ? "HOLDS" : "VIOLATED");
+  return holds ? 0 : 1;
 }
-BENCHMARK(BM_ConcurrentTestGeneration);
-
-// --- End-to-end campaign wall clock. ---
-
-// Full RunSnowboardPipeline wall clock at several worker counts: profiles fold into PMC
-// identification while the profile tail runs, and exploration overlaps the remaining
-// preparation.
-void BM_PipelineEndToEnd(benchmark::State& state) {
-  int workers = static_cast<int>(state.range(0));
-  uint64_t trials = 0;
-  for (auto _ : state) {
-    PipelineResult result =
-        RunSnowboardPipeline(bench::CanonicalOptions(Strategy::kSInsPair, 48, workers));
-    trials += result.total_trials;
-    benchmark::DoNotOptimize(result);
-  }
-  state.counters["trials"] =
-      benchmark::Counter(static_cast<double>(trials), benchmark::Counter::kAvgIterations);
-  state.SetLabel(std::to_string(workers) + " worker(s)");
-}
-BENCHMARK(BM_PipelineEndToEnd)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
-
-// --- Execution throughput: Snowboard (precise PMC match) vs SKI (instruction match). ---
-
-void BM_ExecutionThroughputSnowboard(benchmark::State& state) {
-  KernelVm vm;
-  static const std::vector<ConcurrentTest>* tests =
-      new std::vector<ConcurrentTest>(HintedTests(64));
-  ExplorerOptions options;
-  options.num_trials = 4;
-  options.adopt_incidental = false;
-  size_t executions = 0;
-  size_t i = 0;
-  for (auto _ : state) {
-    ExploreOutcome outcome =
-        ExploreConcurrentTest(vm, (*tests)[i % tests->size()], nullptr, options);
-    executions += static_cast<size_t>(outcome.trials_run);
-    i++;
-  }
-  state.counters["exec/min"] = benchmark::Counter(static_cast<double>(executions) * 60.0,
-                                                  benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_ExecutionThroughputSnowboard);
-
-void BM_ExecutionThroughputSki(benchmark::State& state) {
-  KernelVm vm;
-  static const std::vector<ConcurrentTest>* tests =
-      new std::vector<ConcurrentTest>(HintedTests(64));
-  ExplorerOptions options;
-  options.num_trials = 4;
-  size_t executions = 0;
-  size_t i = 0;
-  for (auto _ : state) {
-    ExploreOutcome outcome = ExploreWithSkiHints(vm, (*tests)[i % tests->size()], options);
-    executions += static_cast<size_t>(outcome.trials_run);
-    i++;
-  }
-  state.counters["exec/min"] = benchmark::Counter(static_cast<double>(executions) * 60.0,
-                                                  benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_ExecutionThroughputSki);
 
 }  // namespace
 }  // namespace snowboard
 
-int main(int argc, char** argv) {
-  snowboard::bench::PrintHeader("§5.4 — pipeline performance (see counters below)");
-  benchmark::Initialize(&argc, argv);
-  snowboard::bench::ReportEnvironment();
-  benchmark::RunSpecifiedBenchmarks();
-  std::printf("\npaper reference points: generation >1000 tests/s ≫ execution; Snowboard "
-              "193.8 vs SKI 170.3 exec/min;\nclustering dominated by S-FULL.\n");
-  return 0;
-}
+int main() { return snowboard::Run(); }

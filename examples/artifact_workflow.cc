@@ -7,7 +7,12 @@
 //   3. reload the PMCs, generate concurrent tests, and explore,
 //   4. capture the first panic as a replayable BugCapsule and REPLAY it from the recording
 //      (the §6 "deterministic reproduction" workflow a bug report would use).
+//
+// The artifacts live in a fresh temporary directory that is removed on exit, so concurrent
+// runs never share files.
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 
 #include "src/snowboard/pipeline.h"
 #include "src/snowboard/replay.h"
@@ -15,8 +20,9 @@
 
 using namespace snowboard;
 
-int main() {
-  const std::string dir = "/tmp";
+namespace {
+
+int RunWorkflow(const std::string& dir) {
   const std::string corpus_path = dir + "/snowboard_corpus.txt";
   const std::string pmcs_path = dir + "/snowboard_pmcs.txt";
 
@@ -76,4 +82,17 @@ int main() {
   }
   std::printf("no panic found within the budget\n");
   return 1;
+}
+
+}  // namespace
+
+int main() {
+  char dir[] = "/tmp/snowboard_artifacts_XXXXXX";
+  if (mkdtemp(dir) == nullptr) {
+    std::perror("mkdtemp");
+    return 1;
+  }
+  int status = RunWorkflow(dir);
+  std::filesystem::remove_all(dir);
+  return status;
 }

@@ -2,7 +2,6 @@
 // KernelVm wrapper takes the post-boot snapshot — the paper's fixed initial kernel state.
 #include "src/kernel/kernel.h"
 
-#include <atomic>
 #include <chrono>
 
 #include "src/kernel/block/blockdev.h"
@@ -74,31 +73,10 @@ KernelVm::KernelVm() : engine_(1u << 20) {
   snapshot_ = engine_.mem().TakeSnapshot();
 }
 
-namespace {
-// Delta restore defaults ON; the determinism harness and A/B benches flip it off to get
-// the reference full-memcpy path.
-std::atomic<bool> g_delta_restore_enabled{true};
-}  // namespace
-
-void KernelVm::SetDeltaRestoreEnabled(bool enabled) {
-  g_delta_restore_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool KernelVm::DeltaRestoreEnabled() {
-  return g_delta_restore_enabled.load(std::memory_order_relaxed);
-}
-
 void KernelVm::RestoreSnapshot() {
   TRACE_SPAN("vm.restore");
   auto start = std::chrono::steady_clock::now();
-  Memory::RestoreStats stats;
-  if (DeltaRestoreEnabled()) {
-    stats = engine_.mem().RestoreDirty(snapshot_);
-  } else {
-    engine_.mem().Restore(snapshot_);
-    stats.bytes_copied = engine_.mem().size();
-    stats.full = true;
-  }
+  Memory::RestoreStats stats = engine_.mem().RestoreDirty(snapshot_);
   uint64_t nanos = static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
                                              std::chrono::steady_clock::now() - start)
                                              .count());

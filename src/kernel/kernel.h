@@ -76,10 +76,9 @@ class KernelVm {
 
   // Rewinds guest memory to the fixed initial kernel state (§4.1). Called by the profiler
   // before each sequential test and by the explorer before each trial (Algorithm 2 line 8).
-  // Uses the dirty-page delta path (Memory::RestoreDirty) unless the process-wide toggle
-  // below says otherwise; either way the resulting memory is byte-identical, so every
-  // consumer (profiling, Algorithm 2, SKI/baseline schedulers, replay) behaves the same.
-  // Copied bytes/pages and wall time are accounted in GlobalPipelineCounters().
+  // Copies back only the pages dirtied since the last restore (Memory::RestoreDirty, which
+  // falls back to one full copy when the tracking epoch is stale). Copied bytes/pages and
+  // wall time are accounted in GlobalPipelineCounters().
   void RestoreSnapshot();
 
   // Re-captures the CURRENT guest memory as the fixed initial state. Ablation hook: lets a
@@ -90,11 +89,6 @@ class KernelVm {
   // Wall-clock seconds this VM has spent in RestoreSnapshot (diagnostic; the process-wide
   // aggregate lives in GlobalPipelineCounters().snapshot_restore_nanos).
   double restore_seconds() const { return restore_seconds_; }
-
-  // Process-wide toggle between the delta path (default) and the reference full-copy path.
-  // The pipeline determinism harness asserts outputs are byte-identical either way.
-  static void SetDeltaRestoreEnabled(bool enabled);
-  static bool DeltaRestoreEnabled();
 
  private:
   Engine engine_;

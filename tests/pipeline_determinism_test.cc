@@ -61,53 +61,6 @@ TEST(PipelineDeterminismTest, PreparedCampaignInvariantAcrossWorkerCounts) {
   }
 }
 
-void ExpectSameResults(const PipelineResult& result, const PipelineResult& base) {
-  EXPECT_EQ(result.corpus_size, base.corpus_size);
-  EXPECT_EQ(result.profiled_ok, base.profiled_ok);
-  EXPECT_EQ(result.shared_accesses, base.shared_accesses);
-  EXPECT_EQ(result.pmc_count, base.pmc_count);
-  EXPECT_EQ(result.total_pmc_pairs, base.total_pmc_pairs);
-  EXPECT_EQ(result.cluster_count, base.cluster_count);
-  EXPECT_EQ(result.tests_generated, base.tests_generated);
-  EXPECT_EQ(result.tests_executed, base.tests_executed);
-  EXPECT_EQ(result.tests_with_bug, base.tests_with_bug);
-  EXPECT_EQ(result.channel_exercised, base.channel_exercised);
-  EXPECT_EQ(result.total_trials, base.total_trials);
-  EXPECT_EQ(result.schedule_switches_orig, base.schedule_switches_orig);
-  EXPECT_EQ(result.schedule_switches_min, base.schedule_switches_min);
-  EXPECT_EQ(result.findings.total_findings(), base.findings.total_findings());
-  EXPECT_EQ(FindingsDigest(result.findings), FindingsDigest(base.findings));
-}
-
-// The dirty-page delta restore is a pure optimization: with it disabled (reference full
-// memcpy path), every deterministic pipeline output must stay byte-identical — and the
-// invariance across worker counts must hold in either mode.
-TEST(PipelineDeterminismTest, DeltaRestoreOnOffProducesIdenticalResults) {
-  ASSERT_TRUE(KernelVm::DeltaRestoreEnabled()) << "delta restore should default on";
-  PipelineResult with_delta = RunSnowboardPipeline(ReferenceCampaignOptions(1));
-  ASSERT_GT(with_delta.tests_executed, 0u);
-
-  KernelVm::SetDeltaRestoreEnabled(false);
-  PipelineResult without_delta = RunSnowboardPipeline(ReferenceCampaignOptions(1));
-  PipelineResult without_delta_mt = RunSnowboardPipeline(ReferenceCampaignOptions(4));
-  KernelVm::SetDeltaRestoreEnabled(true);
-
-  {
-    SCOPED_TRACE("delta off vs on, 1 worker");
-    ExpectSameResults(without_delta, with_delta);
-  }
-  {
-    SCOPED_TRACE("delta off, 4 workers vs 1 worker");
-    ExpectSameResults(without_delta_mt, with_delta);
-  }
-  // And with delta back on, multi-worker runs still match the single-worker baseline.
-  {
-    SCOPED_TRACE("delta on, 2 workers vs 1 worker");
-    PipelineResult with_delta_mt = RunSnowboardPipeline(ReferenceCampaignOptions(2));
-    ExpectSameResults(with_delta_mt, with_delta);
-  }
-}
-
 // The serialized result of the reference campaign is pinned to a checked-in golden at
 // every worker count. The engine overlaps stages (profiles fold into identification while
 // the profile tail runs; exploration starts as soon as tests resolve) but pins every

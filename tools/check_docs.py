@@ -25,6 +25,10 @@ Checks the fast CI lane enforces:
      the serializer no longer writes is a dead one.
  10. Every pattern in a tests/CMakeLists.txt label filter (SB_*_TEST_FILTER) matches at
      least one TEST in tests/*.cc — a stale pattern silently empties or shrinks a lane.
+ 11. Every row of EXPERIMENTS.md's Summary table names, in backticks, at least one test
+     that checks its claim — a bench binary registered with sb_bench(...) (the `paper`
+     ctest label) or a Suite.Name gtest — and no stale one; every sb_bench binary appears
+     in some row. A claim no test checks belongs in the text as a record, not in the table.
 
 Usage: check_docs.py [repo_root]   (default: parent of this script's directory)
 """
@@ -104,6 +108,20 @@ def gtest_names(test_sources: list) -> list:
             names.append(f"Prefix/{suite}.{name}/0" if macro == "TEST_P" else
                          f"{suite}.{name}")
     return names
+
+
+def summary_rows(experiments: str) -> list:
+    """The body rows of the table under EXPERIMENTS.md's "## Summary" heading."""
+    match = re.search(r"^## Summary\n(.*?)(?=^## |\Z)", experiments, re.MULTILINE | re.DOTALL)
+    rows = [line for line in (match.group(1) if match else "").splitlines()
+            if line.startswith("|")]
+    return rows[2:]  # Drop the header and its |---| separator.
+
+
+def test_like_names(row: str) -> list:
+    """Backticked names in a table row that look like a bench binary or a gtest Suite.Name."""
+    return [name for name in re.findall(r"`([^`]+)`", row)
+            if re.fullmatch(r"bench_\w+|[A-Z]\w*\.[A-Z]\w*", name)]
 
 
 def detector_kind_names(detectors_source: str) -> list:
@@ -202,6 +220,25 @@ def main() -> int:
                 errors.append(f"tests/CMakeLists.txt {lane} pattern {pattern!r} matches "
                               f"no TEST in tests/*.cc")
 
+    benches = re.findall(r"^sb_bench\((\w+)\)", bench_cmake, re.MULTILINE)
+    rows = summary_rows((root / "EXPERIMENTS.md").read_text())
+    if not rows:
+        errors.append("could not parse EXPERIMENTS.md's Summary table")
+    known = set(benches) | set(tests)
+    for row in rows:
+        names = test_like_names(row)
+        experiment = row.split("|")[1].strip()
+        for name in names:
+            if name not in known:
+                errors.append(f"EXPERIMENTS.md Summary row {experiment!r} names `{name}`, "
+                              f"which is neither an sb_bench binary nor a TEST")
+        if not any(name in known for name in names):
+            errors.append(f"EXPERIMENTS.md Summary row {experiment!r} names no test that "
+                          f"checks its claim")
+    for bench in benches:
+        if not any(f"`{bench}`" in row for row in rows):
+            errors.append(f"EXPERIMENTS.md's Summary table has no row checked by `{bench}`")
+
     for doc_file in sorted((root / "docs").glob("*.md")):
         if f"docs/{doc_file.name}" not in readme:
             errors.append(f"README.md does not reference docs/{doc_file.name}")
@@ -213,7 +250,7 @@ def main() -> int:
         return 1
     print("check_docs: CLI and serve flags documented, test and bench files registered, "
           "issues repro-covered, detector kinds documented, fleet endpoints and "
-          "campaign-spec keys covered, lane filters live; no drift")
+          "campaign-spec keys covered, lane filters live, paper claims tested; no drift")
     return 0
 
 
