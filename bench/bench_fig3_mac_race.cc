@@ -52,7 +52,6 @@ int Run() {
   // Detection: the race oracle must classify the pair as issue #9.
   ExplorerOptions options;
   options.num_trials = 64;
-  options.stop_on_bug = false;
   ExploreOutcome outcome = ExploreConcurrentTest(vm, test, nullptr, options);
   bool classified = false;
   for (const RaceReport& race : outcome.races) {

@@ -66,7 +66,6 @@ ModeResult RunMode(uint32_t fetch_mode, int trials_per_hint) {
       ExplorerOptions options;
       options.num_trials = trials_per_hint;
       options.seed = seed;
-      options.stop_on_bug = false;
       ExploreOutcome outcome = ExploreConcurrentTest(vm, test, &matcher, options);
       result.trials += outcome.trials_run;
       if (!outcome.panic_messages.empty()) {

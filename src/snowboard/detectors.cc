@@ -750,11 +750,6 @@ std::vector<RaceReport> DetectRaces(const Trace& trace) {
   return races;
 }
 
-void RunDetectors(const Engine::RunResult& result, DetectorSuite* suite,
-                  DetectorResult* out) {
-  suite->Run(result, out);
-}
-
 DetectorResult RunDetectors(const Engine::RunResult& result) {
   DetectorResult out;
   DetectorSuite suite;

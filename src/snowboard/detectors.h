@@ -87,23 +87,17 @@ struct DetectorResult {
   std::vector<LivelockReport> livelocks;
 };
 
-// A pluggable trial oracle. Analyze appends its findings to `out` (never clearing other
-// detectors' sections) and must be a deterministic pure function of the run: two detectors
-// fed the same run produce byte-identical reports, and scratch reuse cannot leak state
-// between trials. Implementations keep persistent scratch reset-in-place so steady-state
-// (completing-trial) calls perform no heap allocation.
-class Detector {
- public:
-  virtual ~Detector() = default;
-  virtual const char* name() const = 0;
-  virtual void Analyze(const Engine::RunResult& run, DetectorResult* out) = 0;
-};
+// Each detector below is a trial oracle owned by value by DetectorSuite. Its Analyze
+// appends findings to `out` (never clearing other detectors' sections) and must be a
+// deterministic pure function of the run: two detectors fed the same run produce
+// byte-identical reports, and scratch reuse cannot leak state between trials. Each keeps
+// persistent scratch reset-in-place so steady-state (completing-trial) calls perform no
+// heap allocation.
 
 // Console checker: the engine's panic flag plus suspicious console lines.
-class ConsoleDetector : public Detector {
+class ConsoleDetector {
  public:
-  const char* name() const override { return "console"; }
-  void Analyze(const Engine::RunResult& run, DetectorResult* out) override;
+  void Analyze(const Engine::RunResult& run, DetectorResult* out);
 };
 
 // The race detector with persistent scratch. One instance is meant to live across an entire
@@ -111,14 +105,13 @@ class ConsoleDetector : public Detector {
 // accesses, signature dedup) is reset-in-place per Detect call, so after the first few
 // trials grow the tables to their high-water capacity, a Detect call performs no heap
 // allocation beyond appending to the caller's `races` vector (itself reusable).
-class RaceDetector : public Detector {
+class RaceDetector {
  public:
   // The detector supports up to three vCPUs: the paper's two-thread configuration plus the
   // §6 three-thread extension.
   static constexpr int kMaxVcpus = 3;
 
-  const char* name() const override { return "race"; }
-  void Analyze(const Engine::RunResult& run, DetectorResult* out) override;
+  void Analyze(const Engine::RunResult& run, DetectorResult* out);
 
   // Analyzes `trace` and replaces the contents of `races` with the deduped reports, in
   // trace order (the same order the legacy DetectRaces free function produced).
@@ -186,10 +179,9 @@ bool FindLockOrderCycle(const std::vector<LockOrderEdge>& edges,
 // event is what puts the closing edge in the graph). A cycle on a hung trial is reported
 // with the witness cycle. Gated on hang so consistently-ordered (or merely lucky) trials
 // cost one branch.
-class LockOrderDetector : public Detector {
+class LockOrderDetector {
  public:
-  const char* name() const override { return "lock-order"; }
-  void Analyze(const Engine::RunResult& run, DetectorResult* out) override;
+  void Analyze(const Engine::RunResult& run, DetectorResult* out);
 
  private:
   void AddEdges(VcpuId vcpu, GuestAddr lock, SiteId site);
@@ -202,10 +194,9 @@ class LockOrderDetector : public Detector {
 // Lost-wakeup detector: a vCPU whose last kWaitBlock has no matching kWaitResume when the
 // trial hangs slept through its wakeup. The report carries the wait site and the last
 // kWaitNotify site on that channel (the wake that landed before the sleeper was listening).
-class LostWakeupDetector : public Detector {
+class LostWakeupDetector {
  public:
-  const char* name() const override { return "lost-wakeup"; }
-  void Analyze(const Engine::RunResult& run, DetectorResult* out) override;
+  void Analyze(const Engine::RunResult& run, DetectorResult* out);
 
  private:
   struct Outstanding {
@@ -223,14 +214,13 @@ class LostWakeupDetector : public Detector {
 // kMinSpinAcquires times inside the window (live cycling — a deadlocked vCPU never
 // re-acquires, a lost-wakeup sleeper never acquires at all), the trial is spinning without
 // progress: a livelock.
-class LivelockDetector : public Detector {
+class LivelockDetector {
  public:
   static constexpr size_t kSpinWindow = 512;     // Tail window: the spin budget, in events.
   static constexpr size_t kMinWindow = 64;       // Below this the tail is too short to judge.
   static constexpr uint32_t kMinSpinAcquires = 4;
 
-  const char* name() const override { return "livelock"; }
-  void Analyze(const Engine::RunResult& run, DetectorResult* out) override;
+  void Analyze(const Engine::RunResult& run, DetectorResult* out);
 
  private:
   FlatSet<uint64_t> sites_before_;
@@ -309,13 +299,9 @@ const char* FindingKindName(FindingKind kind);
 bool DetectorResultContainsKey(const DetectorResult& result, FindingKind kind, uint64_t key);
 
 // Runs the full detector suite over a finished trial (fresh scratch; convenience for
-// replay, tests, and one-shot callers).
+// replay, tests, and one-shot callers). The trial hot loop keeps one DetectorSuite and
+// calls its Run instead.
 DetectorResult RunDetectors(const Engine::RunResult& result);
-
-/// Reusable-scratch variant for the trial hot loop: fills `out` in place (recycling its
-// vectors' capacity) using `suite`'s persistent working state and enable mask.
-void RunDetectors(const Engine::RunResult& result, DetectorSuite* suite,
-                  DetectorResult* out);
 
 // The race detector alone (exposed for tests and post-mortem analysis).
 std::vector<RaceReport> DetectRaces(const Trace& trace);

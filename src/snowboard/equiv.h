@@ -64,8 +64,8 @@ uint64_t HbFingerprint(const Trace& trace, HbScratch* scratch,
                        std::vector<HbEdge>* edges_out = nullptr);
 
 // Sites learned to participate in communication edges, with participation counts, in
-// first-learned order (FlatMap iteration order is unspecified, so serialization and any
-// deterministic output must walk `order()`).
+// first-learned order (FlatMap iteration order is unspecified, so any deterministic output
+// must walk `order()`). One table lives for one test's trial loop and dies with it.
 class AdaptiveSiteTable {
  public:
   void Clear() {
@@ -92,16 +92,7 @@ class AdaptiveSiteTable {
 
  private:
   FlatMap<uint64_t, uint32_t> counts_;
-  std::vector<SiteId> order_;  // First-learned order, for deterministic serialization.
-};
-
-// One serialized adaptive-table entry (ExploreOutcome carries the learned table so
-// journal replay reproduces prune state without re-executing the test).
-struct AdaptiveSiteCount {
-  SiteId site = 0;
-  uint32_t count = 0;
-
-  bool operator==(const AdaptiveSiteCount&) const = default;
+  std::vector<SiteId> order_;  // First-learned order, for deterministic iteration.
 };
 
 // When an adaptive site table is installed on a scheduler, preemption probability at hot
@@ -112,7 +103,9 @@ inline constexpr uint32_t kAdaptiveBoost = 4;
 // Schedule-equivalence pruning knobs (ExplorerOptions::prune). Off by default at the
 // library level so raw PipelineOptions campaigns — goldens, checked-in replay corpus,
 // determinism tests — are bit-for-bit unchanged; campaign specs and the CLI default it ON.
-// Every field participates in the campaign options fingerprint.
+// With pruning on, learned edge sites also feed back into the scheduler as boosted
+// preemption points (the adaptive site table). Every field participates in the campaign
+// options fingerprint.
 struct PruneOptions {
   bool enabled = false;
   // K consecutive duplicate fingerprints ⇒ the test saturates and ends early. Execution
@@ -121,11 +114,8 @@ struct PruneOptions {
   // is 1 — saturate at the first duplicate — because adaptive steering already pushes
   // every subsequent trial toward unexplored communication (measured on the reference
   // campaign: steering halves the duplicate rate), so the first repeat is a strong signal
-  // the test's interleaving space is exhausted. Raise it when running with
-  // adaptive_sites=false, where duplicates are common long before exhaustion.
+  // the test's interleaving space is exhausted.
   int saturation_window = 1;
-  // Feed learned edge sites back into the scheduler as boosted preemption points.
-  bool adaptive_sites = true;
 };
 
 }  // namespace snowboard

@@ -193,18 +193,52 @@ void FindIncidentalPmcs(const Trace& trace, const PmcMatcher& matcher,
   }
 }
 
-}  // namespace
+// True when some finding in `detectors` classifies to Table 2 issue `issue_id`.
+bool HasIssue(const DetectorResult& detectors, int issue_id) {
+  for (const RaceReport& race : detectors.races) {
+    if (ClassifyRace(race) == issue_id) return true;
+  }
+  for (const std::string& line : detectors.console_hits) {
+    if (ClassifyConsoleLine(line) == issue_id) return true;
+  }
+  if (detectors.panicked && ClassifyConsoleLine(detectors.panic_message) == issue_id) {
+    return true;
+  }
+  for (const DeadlockReport& deadlock : detectors.deadlocks) {
+    if (ClassifyDeadlock(deadlock) == issue_id) return true;
+  }
+  for (const LostWakeupReport& lost : detectors.lost_wakeups) {
+    if (ClassifyLostWakeup(lost) == issue_id) return true;
+  }
+  for (const LivelockReport& livelock : detectors.livelocks) {
+    if (ClassifyLivelock(livelock) == issue_id) return true;
+  }
+  return false;
+}
 
-namespace {
+// One PMC channel the trial loop checks (§5.3.2): did `hint` carry data from the writer
+// vCPU to the reader vCPU in some trial?
+struct ChannelCheck {
+  PmcKey hint;
+  VcpuId writer;
+  VcpuId reader;
+};
 
-// Shared trial loop. `pmc_scheduler` enables incidental-PMC adoption when non-null.
-ExploreOutcome RunTrialLoop(KernelVm& vm, const ConcurrentTest& test,
+// The one trial loop: runs `programs` (program i on vCPU i) under `scheduler`. Incidental-PMC
+// adoption runs when both `pmc_scheduler` and `matcher` are non-null; the outcome's channel
+// flag is set once any of `channels` is exercised.
+ExploreOutcome RunTrialLoop(KernelVm& vm, const std::vector<const Program*>& programs,
+                            const std::vector<ChannelCheck>& channels,
                             TrialScheduler& scheduler, PmcScheduler* pmc_scheduler,
-                            const PmcMatcher* matcher, bool check_channel,
-                            const ExplorerOptions& options) {
+                            const PmcMatcher* matcher, const ExplorerOptions& options) {
   ExploreOutcome outcome;
+  const bool adopt = pmc_scheduler != nullptr && matcher != nullptr;
   FlatSet<uint64_t> current_keys;
-  current_keys.Insert(test.hint.Hash());
+  if (adopt) {
+    for (const PmcKey& key : pmc_scheduler->current_pmcs()) {
+      current_keys.Insert(key.Hash());
+    }
+  }
   std::unordered_set<uint64_t> race_signatures;
   std::unordered_set<uint64_t> console_hashes;
   std::unordered_set<uint64_t> panic_hashes;
@@ -217,9 +251,10 @@ ExploreOutcome RunTrialLoop(KernelVm& vm, const ConcurrentTest& test,
   // detector scratch, and incidental-search scratch are all built once and recycled, so a
   // steady-state iteration of this loop performs no heap allocation (trial_alloc_test
   // asserts this on the distilled loop).
-  const std::vector<Engine::GuestFn> vcpu_fns = {
-      MakeProgramRunner(vm.globals(), test.writer, /*task_index=*/0),
-      MakeProgramRunner(vm.globals(), test.reader, /*task_index=*/1)};
+  std::vector<Engine::GuestFn> vcpu_fns;
+  for (size_t i = 0; i < programs.size(); i++) {
+    vcpu_fns.push_back(MakeProgramRunner(vm.globals(), *programs[i], static_cast<int>(i)));
+  }
   // Every trial runs through a recorder so a first-seen finding can be captured with the
   // exact decision sequence that produced it. The recording buffer keeps its capacity
   // across trials (SeedTrial clears, not reallocates), preserving the no-alloc steady state.
@@ -240,8 +275,7 @@ ExploreOutcome RunTrialLoop(KernelVm& vm, const ConcurrentTest& test,
   HbScratch hb_scratch;
   FlatSet<uint64_t> seen_fingerprints;
   AdaptiveSiteTable site_table;
-  const bool adaptive = prune && options.prune.adaptive_sites;
-  if (adaptive) {
+  if (prune) {
     scheduler.set_adaptive_sites(&site_table);
   }
   const uint64_t switch_base = scheduler.switch_decisions();
@@ -268,7 +302,6 @@ ExploreOutcome RunTrialLoop(KernelVm& vm, const ConcurrentTest& test,
     capture.trial = trial;
     capture.fingerprint = trial_fingerprint;
     capture.schedule = recorder.schedule().ToString();
-    capture.orig_len = static_cast<uint32_t>(recorder.schedule().switch_after.size());
     capture.orig_switches = static_cast<uint32_t>(recorder.schedule().SwitchCount());
     capture.min_switches = capture.orig_switches;
     outcome.captures.push_back(std::move(capture));
@@ -329,67 +362,52 @@ ExploreOutcome RunTrialLoop(KernelVm& vm, const ConcurrentTest& test,
         }
         continue;
       }
-      outcome.fingerprints.push_back(hb);
       consecutive_duplicates = 0;
-      if (adaptive) {
-        for (SiteId site : hb_scratch.edge_sites) {
-          site_table.Record(site);
-        }
+      for (SiteId site : hb_scratch.edge_sites) {
+        site_table.Record(site);
       }
     }
 
-    if (check_channel && !outcome.channel_exercised &&
-        PmcChannelExercised(result.trace, test.hint, /*writer_vcpu=*/0, /*reader_vcpu=*/1)) {
-      outcome.channel_exercised = true;
+    for (size_t c = 0; c < channels.size() && !outcome.channel_exercised; c++) {
+      outcome.channel_exercised = PmcChannelExercised(result.trace, channels[c].hint,
+                                                      channels[c].writer, channels[c].reader);
     }
 
-    RunDetectors(result, &detector_suite, &detectors);
+    detector_suite.Run(result, &detectors);
     bool bug_this_trial = detectors.panicked || !detectors.console_hits.empty() ||
                           !detectors.races.empty() || !detectors.deadlocks.empty() ||
                           !detectors.lost_wakeups.empty() || !detectors.livelocks.empty();
-    bool target_this_trial = false;
-    auto check_target = [&](int issue_id) {
-      if (options.target_issue != 0 && issue_id == options.target_issue) {
-        target_this_trial = true;
-      }
-    };
     for (const RaceReport& race : detectors.races) {
-      check_target(ClassifyRace(race));
       if (race_signatures.insert(race.Signature()).second) {
         outcome.races.push_back(race);
         capture_finding(FindingKind::kRace, race.Signature(), trial);
       }
     }
     for (const std::string& line : detectors.console_hits) {
-      check_target(ClassifyConsoleLine(line));
       if (console_hashes.insert(Fnv1a(line)).second) {
         outcome.console_hits.push_back(line);
         capture_finding(FindingKind::kConsole, Fnv1a(line), trial);
       }
     }
     if (detectors.panicked) {
-      check_target(ClassifyConsoleLine(detectors.panic_message));
       if (panic_hashes.insert(Fnv1a(detectors.panic_message)).second) {
         outcome.panic_messages.push_back(detectors.panic_message);
         capture_finding(FindingKind::kPanic, Fnv1a(detectors.panic_message), trial);
       }
     }
     for (const DeadlockReport& deadlock : detectors.deadlocks) {
-      check_target(ClassifyDeadlock(deadlock));
       if (deadlock_signatures.insert(deadlock.Signature()).second) {
         outcome.deadlocks.push_back(deadlock);
         capture_finding(FindingKind::kDeadlock, deadlock.Signature(), trial);
       }
     }
     for (const LostWakeupReport& lost : detectors.lost_wakeups) {
-      check_target(ClassifyLostWakeup(lost));
       if (lost_wakeup_signatures.insert(lost.Signature()).second) {
         outcome.lost_wakeups.push_back(lost);
         capture_finding(FindingKind::kLostWakeup, lost.Signature(), trial);
       }
     }
     for (const LivelockReport& livelock : detectors.livelocks) {
-      check_target(ClassifyLivelock(livelock));
       if (livelock_signatures.insert(livelock.Signature()).second) {
         outcome.livelocks.push_back(livelock);
         capture_finding(FindingKind::kLivelock, livelock.Signature(), trial);
@@ -399,16 +417,16 @@ ExploreOutcome RunTrialLoop(KernelVm& vm, const ConcurrentTest& test,
       outcome.bug_found = true;
       outcome.first_bug_trial = trial;
     }
-    if (target_this_trial && !outcome.target_found) {
+    // Classification takes the site-registry lock per finding, so it runs only when a
+    // target issue can end the test.
+    if (options.target_issue != 0 && HasIssue(detectors, options.target_issue)) {
       outcome.target_found = true;
       outcome.first_target_trial = trial;
-    }
-    if ((bug_this_trial && options.stop_on_bug) || target_this_trial) {
       break;
     }
 
     // Lines 26-27: adopt one incidental PMC observed in this trial.
-    if (pmc_scheduler != nullptr && options.adopt_incidental && matcher != nullptr) {
+    if (adopt) {
       FindIncidentalPmcs(result.trace, *matcher, current_keys, &incidental);
       if (!incidental.matches.empty()) {
         uint32_t pick = incidental.matches[adoption_rng.Below(incidental.matches.size())];
@@ -423,12 +441,8 @@ ExploreOutcome RunTrialLoop(KernelVm& vm, const ConcurrentTest& test,
   outcome.switch_decisions = scheduler.switch_decisions() - switch_base - discarded_switches;
   ActiveCounters().scheduler_switch_decisions.fetch_add(outcome.switch_decisions,
                                                         std::memory_order_relaxed);
-  if (adaptive) {
+  if (prune) {
     scheduler.set_adaptive_sites(nullptr);  // The table dies with this test.
-    outcome.adaptive_sites.reserve(site_table.order().size());
-    for (SiteId site : site_table.order()) {
-      outcome.adaptive_sites.push_back({site, site_table.CountFor(site)});
-    }
   }
   if (outcome.saturated) {
     ActiveCounters().tests_saturated.fetch_add(1, std::memory_order_relaxed);
@@ -445,8 +459,6 @@ ExploreOutcome RunTrialLoop(KernelVm& vm, const ConcurrentTest& test,
       !(options.fault != nullptr && options.fault->crashed())) {
     Engine::RunOptions replay_opts;
     replay_opts.max_instructions = options.max_instructions;
-    MinimizeOptions min_opts;
-    min_opts.max_probes = options.minimize_probes;
     for (TrialCapture& capture : outcome.captures) {
       std::optional<RecordedSchedule> recorded =
           RecordedSchedule::FromString(capture.schedule);
@@ -461,7 +473,7 @@ ExploreOutcome RunTrialLoop(KernelVm& vm, const ConcurrentTest& test,
         replay_opts.scheduler = &replayer;
         vm.RestoreSnapshot();
         vm.engine().RunInto(vcpu_fns, replay_opts, &result);
-        RunDetectors(result, &detector_suite, &detectors);
+        detector_suite.Run(result, &detectors);
         if (!DetectorResultContainsKey(detectors, kind, capture.finding_key)) {
           return false;
         }
@@ -469,7 +481,7 @@ ExploreOutcome RunTrialLoop(KernelVm& vm, const ConcurrentTest& test,
         return true;
       };
       MinimizeStats stats;
-      RecordedSchedule minimized = MinimizeSchedule(*recorded, probe, min_opts, &stats);
+      RecordedSchedule minimized = MinimizeSchedule(*recorded, probe, MinimizeOptions(), &stats);
       if (stats.reproduced) {
         // The final successful probe ran exactly `minimized`, so its fingerprint is the
         // one a replay of this capture will produce.
@@ -489,104 +501,29 @@ ExploreOutcome ExploreConcurrentTest(KernelVm& vm, const ConcurrentTest& test,
                                      const ExplorerOptions& options) {
   PmcScheduler scheduler;
   scheduler.ResetForTest(test.hint);
-  return RunTrialLoop(vm, test, scheduler, &scheduler, matcher, /*check_channel=*/true,
-                      options);
+  return RunTrialLoop(vm, {&test.writer, &test.reader}, {{test.hint, 0, 1}}, scheduler,
+                      &scheduler, matcher, options);
 }
 
 ExploreOutcome ExploreWithScheduler(KernelVm& vm, const ConcurrentTest& test,
                                     TrialScheduler& scheduler, bool check_channel,
                                     const ExplorerOptions& options) {
-  return RunTrialLoop(vm, test, scheduler, /*pmc_scheduler=*/nullptr, /*matcher=*/nullptr,
-                      check_channel, options);
+  std::vector<ChannelCheck> channels;
+  if (check_channel) {
+    channels.push_back({test.hint, 0, 1});
+  }
+  return RunTrialLoop(vm, {&test.writer, &test.reader}, channels, scheduler,
+                      /*pmc_scheduler=*/nullptr, /*matcher=*/nullptr, options);
 }
 
 ExploreOutcome ExploreThreeThreaded(KernelVm& vm, const ThreeThreadTest& test,
                                     const ExplorerOptions& options) {
-  ExploreOutcome outcome;
   PmcScheduler scheduler;
   scheduler.ResetForTest(test.hint_a);
   scheduler.AddPmc(test.hint_b);
-  std::unordered_set<uint64_t> race_signatures;
-  std::unordered_set<uint64_t> console_hashes;
-  std::unordered_set<uint64_t> panic_hashes;
-  std::unordered_set<uint64_t> deadlock_signatures;
-  std::unordered_set<uint64_t> lost_wakeup_signatures;
-  std::unordered_set<uint64_t> livelock_signatures;
-
-  // Trial-scoped buffers, hoisted (same reuse discipline as RunTrialLoop).
-  const std::vector<Engine::GuestFn> vcpu_fns = {
-      MakeProgramRunner(vm.globals(), test.programs[0], 0),
-      MakeProgramRunner(vm.globals(), test.programs[1], 1),
-      MakeProgramRunner(vm.globals(), test.programs[2], 2)};
-  Engine::RunOptions run_opts;
-  run_opts.scheduler = &scheduler;
-  run_opts.max_instructions = options.max_instructions;
-  Engine::RunResult result;
-  DetectorSuite detector_suite(options.detectors);
-  DetectorResult detectors;
-  const uint64_t switch_base = scheduler.switch_decisions();
-
-  for (int trial = 0; trial < options.num_trials; trial++) {
-    outcome.trials_run++;
-    scheduler.SeedTrial(options.seed + static_cast<uint64_t>(trial));
-
-    vm.RestoreSnapshot();
-    vm.engine().RunInto(vcpu_fns, run_opts, &result);
-
-    if (result.hang) {
-      outcome.any_hang = true;
-    }
-    if (!outcome.channel_exercised &&
-        (PmcChannelExercised(result.trace, test.hint_a, 0, 1) ||
-         PmcChannelExercised(result.trace, test.hint_b, 0, 2) ||
-         PmcChannelExercised(result.trace, test.hint_b, 1, 2))) {
-      outcome.channel_exercised = true;
-    }
-
-    RunDetectors(result, &detector_suite, &detectors);
-    bool bug_this_trial = detectors.panicked || !detectors.console_hits.empty() ||
-                          !detectors.races.empty() || !detectors.deadlocks.empty() ||
-                          !detectors.lost_wakeups.empty() || !detectors.livelocks.empty();
-    for (const RaceReport& race : detectors.races) {
-      if (race_signatures.insert(race.Signature()).second) {
-        outcome.races.push_back(race);
-      }
-    }
-    for (const std::string& line : detectors.console_hits) {
-      if (console_hashes.insert(Fnv1a(line)).second) {
-        outcome.console_hits.push_back(line);
-      }
-    }
-    if (detectors.panicked && panic_hashes.insert(Fnv1a(detectors.panic_message)).second) {
-      outcome.panic_messages.push_back(detectors.panic_message);
-    }
-    for (const DeadlockReport& deadlock : detectors.deadlocks) {
-      if (deadlock_signatures.insert(deadlock.Signature()).second) {
-        outcome.deadlocks.push_back(deadlock);
-      }
-    }
-    for (const LostWakeupReport& lost : detectors.lost_wakeups) {
-      if (lost_wakeup_signatures.insert(lost.Signature()).second) {
-        outcome.lost_wakeups.push_back(lost);
-      }
-    }
-    for (const LivelockReport& livelock : detectors.livelocks) {
-      if (livelock_signatures.insert(livelock.Signature()).second) {
-        outcome.livelocks.push_back(livelock);
-      }
-    }
-    if (bug_this_trial) {
-      if (!outcome.bug_found) {
-        outcome.bug_found = true;
-        outcome.first_bug_trial = trial;
-      }
-      if (options.stop_on_bug) {
-        break;
-      }
-    }
-  }
-  outcome.switch_decisions = scheduler.switch_decisions() - switch_base;
-  return outcome;
+  return RunTrialLoop(vm, {&test.programs[0], &test.programs[1], &test.programs[2]},
+                      {{test.hint_a, 0, 1}, {test.hint_b, 0, 2}, {test.hint_b, 1, 2}},
+                      scheduler, &scheduler, /*matcher=*/nullptr, options);
 }
 
 }  // namespace snowboard

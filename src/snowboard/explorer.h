@@ -169,14 +169,11 @@ struct ExplorerOptions {
   int num_trials = 64;  // "Every PMC was explored with at most 64 trials" (§5.1).
   uint64_t seed = 2021;
   uint64_t max_instructions = 400'000;
-  // End the test as soon as ANY detector fires. Off by default: Algorithm 2 records
-  // findings and keeps exploring (an early ubiquitous finding — the #13 allocator race —
-  // would otherwise mask rarer bugs in the same test).
-  bool stop_on_bug = false;
   // If nonzero, stop as soon as a finding classifies to this Table 2 issue id — used by the
-  // §5.4 trials-to-expose comparison against SKI.
+  // §5.4 trials-to-expose comparison against SKI. Only then are findings classified inside
+  // the trial loop. Otherwise Algorithm 2 records findings and keeps exploring (an early
+  // ubiquitous finding, the #13 allocator race, would mask rarer bugs in the same test).
   int target_issue = 0;
-  bool adopt_incidental = true;  // Algorithm 2 lines 26-27.
   // Hung-trial policy: a trial attempt that trips the liveness monitor (or an injected
   // hang) is discarded — before detectors see it — and re-run up to this many times, with
   // the same seed from the same restored snapshot. Retries are counted in
@@ -187,10 +184,10 @@ struct ExplorerOptions {
   // the trial loop unwind immediately with a partial outcome the caller must discard.
   FaultInjector* fault = nullptr;
   // Record the schedule of every first-seen finding and shrink it with the delta-debugging
-  // minimizer (minimize.h) after the trial loop, so findings ship with a minimal replay
-  // token. Minimization replays are extra engine runs; disable for raw-throughput runs.
+  // minimizer (minimize.h; MinimizeOptions sets the per-finding replay budget) after the
+  // trial loop, so findings ship with a minimal replay token. Minimization replays are
+  // extra engine runs; disable for raw-throughput runs.
   bool minimize_schedules = true;
-  int minimize_probes = 48;  // Per-finding replay budget for the minimizer.
   // Enabled-detector mask (kDetector* bits; detectors.h). All five by default; the CLI's
   // --detectors flag narrows it. Part of the campaign options fingerprint: outcomes
   // explored under different masks answer different questions.
@@ -212,7 +209,6 @@ struct TrialCapture {
   int trial = -1;
   uint64_t fingerprint = 0;
   std::string schedule;        // RecordedSchedule::ToString() of the (minimized) schedule.
-  uint32_t orig_len = 0;       // Decisions in the raw recording.
   uint32_t orig_switches = 0;  // Switches in the raw recording.
   uint32_t min_switches = 0;   // Switches surviving minimization.
 
@@ -238,11 +234,6 @@ struct ExploreOutcome {
   std::vector<LostWakeupReport> lost_wakeups;    // Deduped.
   std::vector<LivelockReport> livelocks;         // Deduped.
   std::vector<TrialCapture> captures;       // One per first-seen finding (replay tokens).
-  // Prune state, journaled with the outcome so crash/resume reproduces it without
-  // re-execution: unique happens-before fingerprints (first-seen order) and the learned
-  // adaptive site table (first-learned order). Both empty when pruning is off.
-  std::vector<uint64_t> fingerprints;
-  std::vector<AdaptiveSiteCount> adaptive_sites;
 
   bool operator==(const ExploreOutcome&) const = default;
 };
@@ -265,7 +256,10 @@ ExploreOutcome ExploreWithScheduler(KernelVm& vm, const ConcurrentTest& test,
 // write with 2 reads, or PMC chains." A ThreeThreadTest runs three sequential tests on three
 // vCPUs; both hints are installed as current PMCs, so Algorithm 2's switch points cover
 // either a fan-out (one write, two reads: hint_a/hint_b share the write side) or a chain
-// (t0 -w-> t1 -w-> t2: hint_b's writer lives in t1).
+// (t0 -w-> t1 -w-> t2: hint_b's writer lives in t1). It runs the same trial loop as a
+// two-thread test (so findings get captured, minimized schedules), with no incidental-PMC
+// adoption; the channel counts as exercised when hint_a carried data 0->1 or hint_b
+// carried it 0->2 or 1->2.
 struct ThreeThreadTest {
   Program programs[kMaxTestVcpus];
   int test_ids[kMaxTestVcpus] = {-1, -1, -1};

@@ -32,16 +32,15 @@ double SecondsBetween(std::chrono::steady_clock::time_point a,
   return seconds > 0 ? seconds : 0;
 }
 
-// Classifies one test's raw outcome into findings. This must run in the process that
-// executed the test: race classification and evidence rendering resolve site IDs through
-// the in-process site-name registry, which a cold resumed process has not populated for
-// tests it never re-executes. The extracted findings therefore travel WITH the outcome in
-// the execution journal, and journal replay records them verbatim instead of
+// Classifies one test's raw outcome into its findings log. This must run in the process
+// that executed the test: race classification and evidence rendering resolve site IDs
+// through the in-process site-name registry, which a cold resumed process has not
+// populated for tests it never re-executes. The log therefore travels in the test's
+// execution-journal record, and journal replay merges it verbatim instead of
 // re-classifying.
-std::vector<Finding> ExtractFindings(const ConcurrentTest& test,
-                                     const ExploreOutcome& outcome, size_t test_index,
-                                     const ExplorerOptions& explorer) {
-  std::vector<Finding> findings;
+FindingsLog ExtractFindings(const ConcurrentTest& test, const ExploreOutcome& outcome,
+                            size_t test_index, const ExplorerOptions& explorer) {
+  FindingsLog findings;
   bool duplicate_input = test.write_test == test.read_test;
   // Joins a finding back to its trial capture by the shared dedup key, and renders the
   // capture as a shippable replay token. `explorer` must be the per-test options the
@@ -81,7 +80,7 @@ std::vector<Finding> ExtractFindings(const ConcurrentTest& test,
     finding.trial = outcome.first_bug_trial;
     finding.duplicate_input = duplicate_input;
     finding.replay_token = token_for(issue_id, kind, key);
-    findings.push_back(std::move(finding));
+    findings.Record(finding);
   };
   for (const RaceReport& race : outcome.races) {
     std::string evidence =
@@ -152,11 +151,9 @@ uint64_t OptionsFingerprint(const PipelineOptions& o) {
                  o.corpus.use_seeds, o.pmc.max_keys_per_address, o.pmc.max_pmcs,
                  static_cast<uint64_t>(o.strategy), o.max_concurrent_tests,
                  o.explorer.num_trials, o.explorer.seed, o.explorer.max_instructions,
-                 o.explorer.stop_on_bug, o.explorer.target_issue,
-                 o.explorer.adopt_incidental, o.explorer.max_trial_retries,
-                 o.explorer.minimize_schedules, o.explorer.minimize_probes,
-                 o.explorer.detectors, o.explorer.prune.enabled,
-                 o.explorer.prune.saturation_window, o.explorer.prune.adaptive_sites);
+                 o.explorer.target_issue, o.explorer.max_trial_retries,
+                 o.explorer.minimize_schedules, o.explorer.detectors,
+                 o.explorer.prune.enabled, o.explorer.prune.saturation_window);
 }
 
 // The worker count the identify stage actually uses: its own option, or the pipeline-wide
@@ -250,10 +247,13 @@ StageDef<PipelineResult> ResultStageDef(const PipelineOptions& options) {
 
 // --- Execution helpers ------------------------------------------------------------------
 
-// Pre-parses the execution journal into a by-index replay table. A record whose test index
-// is outside the current test list cannot belong to this campaign's tests (a mismatched
-// journal would otherwise silently masquerade as progress): it is dropped, counted in
-// GlobalPipelineCounters().journal_records_dropped, and warned about once per build.
+// Pre-parses the execution journal into a by-index replay table. ReadJournal has already
+// stopped at the first torn or corrupt line, so every record it returns is checksum-valid.
+// Two kinds of record are dropped, counted in
+// GlobalPipelineCounters().journal_records_dropped, and warned about once per build: one
+// that does not decode (another record format wrote it) and one whose test index is
+// outside the current test list (a mismatched journal would otherwise silently masquerade
+// as progress). Their tests re-execute.
 std::vector<std::optional<OutcomeRecord>> BuildJournalTable(const StageRunner& runner,
                                                             const std::string& journal_name,
                                                             size_t num_tests) {
@@ -261,22 +261,30 @@ std::vector<std::optional<OutcomeRecord>> BuildJournalTable(const StageRunner& r
   if (runner.store() == nullptr || !runner.resume()) {
     return journaled;
   }
-  size_t dropped = 0;
+  size_t undecodable = 0;
+  size_t out_of_range = 0;
   for (const std::string& record : runner.store()->ReadJournal(journal_name)) {
     std::optional<OutcomeRecord> decoded = DecodeOutcomeRecord(record);
     if (!decoded.has_value()) {
-      continue;  // Torn tail record (documented journal tolerance).
+      undecodable++;
+      continue;
     }
     if (decoded->test_index >= num_tests) {
-      dropped++;
+      out_of_range++;
       continue;
     }
     size_t index = decoded->test_index;
     journaled[index] = std::move(*decoded);
   }
-  if (dropped > 0) {
-    ActiveCounters().journal_records_dropped.fetch_add(dropped, std::memory_order_relaxed);
-    SB_LOG(kWarn) << "checkpoint: dropped " << dropped << " journal record(s) of "
+  ActiveCounters().journal_records_dropped.fetch_add(undecodable + out_of_range,
+                                                     std::memory_order_relaxed);
+  if (undecodable > 0) {
+    SB_LOG(kWarn) << "checkpoint: dropped " << undecodable << " journal record(s) of "
+                  << journal_name << " that do not decode (written by another record "
+                  << "format?); their tests re-execute";
+  }
+  if (out_of_range > 0) {
+    SB_LOG(kWarn) << "checkpoint: dropped " << out_of_range << " journal record(s) of "
                   << journal_name << " with test indices past the " << num_tests
                   << "-test list (journal belongs to a different test set?)";
   }
@@ -293,24 +301,36 @@ std::optional<OutcomeRecord> RunOneExploreTest(KernelVm& vm, const ConcurrentTes
                                                const PipelineOptions& options,
                                                const StageRunner& runner,
                                                const std::string& journal_name) {
-  OutcomeRecord record;
-  record.test_index = index;
   ExplorerOptions explorer = options.explorer;
   // Per-test seed derived from the test index: trial schedules are independent of which
   // worker runs the test and in what order.
   explorer.seed = options.explorer.seed + index * 1000003ull;
   explorer.fault = runner.fault();
+  ExploreOutcome outcome;
   if (use_pmc_hints) {
-    record.outcome = ExploreConcurrentTest(vm, test, matcher, explorer);
+    outcome = ExploreConcurrentTest(vm, test, matcher, explorer);
   } else {
     RandomPreemptScheduler scheduler;
-    record.outcome =
-        ExploreWithScheduler(vm, test, scheduler, /*check_channel=*/false, explorer);
+    outcome = ExploreWithScheduler(vm, test, scheduler, /*check_channel=*/false, explorer);
   }
   if (runner.dead()) {
     return std::nullopt;  // The trial loop died mid-test; its partial outcome never existed.
   }
-  record.findings = ExtractFindings(test, record.outcome, index, explorer);
+  // The record keeps exactly what the fold reads; the rest of the outcome dies here.
+  OutcomeRecord record;
+  record.test_index = index;
+  record.trials_run = outcome.trials_run;
+  record.trials_retried = outcome.trials_retried;
+  record.trials_pruned = outcome.trials_pruned;
+  record.saturated = outcome.saturated;
+  record.switch_decisions = outcome.switch_decisions;
+  record.bug_found = outcome.bug_found;
+  record.channel_exercised = outcome.channel_exercised;
+  for (const TrialCapture& capture : outcome.captures) {
+    record.schedule_switches_orig += capture.orig_switches;
+    record.schedule_switches_min += capture.min_switches;
+  }
+  record.findings = ExtractFindings(test, outcome, index, explorer);
   if (runner.store() != nullptr) {
     runner.store()->AppendJournal(journal_name, EncodeOutcomeRecord(record));
     if (runner.dead()) {
@@ -321,10 +341,11 @@ std::optional<OutcomeRecord> RunOneExploreTest(KernelVm& vm, const ConcurrentTes
   return record;
 }
 
-// Folds per-test outcome slots into the result in test-index order. FindingsLog::Record
-// keeps the lowest-test-index finding per issue, so this fold lands on the same final
-// state as any merge order — which is what makes the fold byte-identical across worker
-// counts. Empty slots (tests never run because an injected crash fired first) are skipped.
+// Folds per-test outcome slots into the result in test-index order. FindingsLog::Merge
+// keeps the lowest-test-index finding per issue, so merging the per-test logs in index
+// order keeps the same first finding per issue as recording every finding in that order —
+// which is what makes the fold byte-identical across worker counts. Empty slots (tests
+// never run because an injected crash fired first) are skipped.
 void FoldExploreOutcomes(const std::vector<std::optional<OutcomeRecord>>& outcomes,
                          const std::vector<uint8_t>& resumed, PipelineResult* result) {
   for (size_t i = 0; i < outcomes.size(); i++) {
@@ -333,29 +354,25 @@ void FoldExploreOutcomes(const std::vector<std::optional<OutcomeRecord>>& outcom
     }
     const OutcomeRecord& record = *outcomes[i];
     result->tests_executed++;
-    result->total_trials += static_cast<uint64_t>(record.outcome.trials_run);
-    result->trials_retried += static_cast<uint64_t>(record.outcome.trials_retried);
-    result->trials_pruned += static_cast<uint64_t>(record.outcome.trials_pruned);
-    result->switch_decisions += record.outcome.switch_decisions;
-    if (record.outcome.saturated) {
+    result->total_trials += static_cast<uint64_t>(record.trials_run);
+    result->trials_retried += static_cast<uint64_t>(record.trials_retried);
+    result->trials_pruned += static_cast<uint64_t>(record.trials_pruned);
+    result->switch_decisions += record.switch_decisions;
+    if (record.saturated) {
       result->tests_saturated++;
     }
-    if (record.outcome.bug_found) {
+    if (record.bug_found) {
       result->tests_with_bug++;
     }
-    if (record.outcome.channel_exercised) {
+    if (record.channel_exercised) {
       result->channel_exercised++;
     }
     if (resumed[i]) {
       result->tests_resumed++;
     }
-    for (const TrialCapture& capture : record.outcome.captures) {
-      result->schedule_switches_orig += capture.orig_switches;
-      result->schedule_switches_min += capture.min_switches;
-    }
-    for (const Finding& finding : record.findings) {
-      result->findings.Record(finding);
-    }
+    result->schedule_switches_orig += record.schedule_switches_orig;
+    result->schedule_switches_min += record.schedule_switches_min;
+    result->findings.Merge(record.findings);
   }
 }
 
@@ -677,8 +694,7 @@ class CampaignEngine {
       outcomes_[index] = std::move(*record);
     }
     if (options_.explorer.prune.enabled) {
-      feedback_.RecordOutcome(TestFeedbackGroup(tests_[index]),
-                              outcomes_[index]->outcome.saturated);
+      feedback_.RecordOutcome(TestFeedbackGroup(tests_[index]), outcomes_[index]->saturated);
     }
     // No wake-up needed: explore_only_ (set, with a notify, before the last explore can
     // finish) keeps every worker out of cv_.wait, and each re-checks AllDone on its own.

@@ -88,9 +88,6 @@ class FindingsLog {
   size_t total_ = 0;
 };
 
-// Classifies everything in an ExploreOutcome-shaped set of raw findings and records them.
-struct ExploreOutcome;  // Fwd (explorer.h); definition not needed here.
-
 }  // namespace snowboard
 
 #endif  // SRC_SNOWBOARD_REPORT_H_

@@ -17,10 +17,12 @@ constexpr const char* kCorpusHeader = "snowboard-corpus-v1";
 constexpr const char* kPmcHeader = "snowboard-pmcs-v1";
 constexpr const char* kProfilesHeader = "snowboard-profiles-v1";
 constexpr const char* kTestsHeader = "snowboard-tests-v1";
-constexpr const char* kOutcomeHeader = "snowboard-outcome-v4";   // v4: prune state.
 constexpr const char* kFindingsHeader = "snowboard-findings-v3"; // v3: finding kind.
 constexpr const char* kResultHeader = "snowboard-result-v3";     // v3: prune funnel.
 constexpr const char* kReplayTokenHeader = "sb-replay-v1";
+// v5: the flat per-test record. Earlier journal records began with a bare test index, so
+// they fail on this first field.
+constexpr const char* kOutcomeRecordTag = "sb-outcome-v5";
 
 // Tokens embed a schedule plus two hex programs; anything past this is not a token.
 constexpr size_t kMaxReplayTokenLength = (1 << 20) + 65536;
@@ -166,6 +168,44 @@ bool ParseHex16(const std::string& hex, uint64_t* value) {
 
 std::string Hex16(uint64_t value) {
   return StrPrintf("%016llx", static_cast<unsigned long long>(value));
+}
+
+// One finding's fields, shared by findings logs and execute-journal records: "<issue_id>
+// <test_index> <trial> <duplicate> <kind> <evidence-hex|-> <token-hex|->".
+void WriteFinding(std::ostream& os, const Finding& finding) {
+  os << finding.issue_id << ' ' << finding.test_index << ' ' << finding.trial << ' '
+     << (finding.duplicate_input ? 1 : 0) << ' ' << static_cast<int>(finding.kind) << ' '
+     << HexToken(finding.evidence) << ' ' << HexToken(finding.replay_token);
+}
+
+// Reads the fields WriteFinding writes; false on a missing, malformed, or out-of-range one.
+bool ReadFinding(std::istream& fields, Finding* finding) {
+  int64_t issue_id = 0;
+  int64_t test_index = 0;
+  int64_t trial = 0;
+  int64_t duplicate = 0;
+  int64_t kind = 0;
+  std::string evidence_hex;
+  std::string replay_hex;
+  fields >> issue_id >> test_index >> trial >> duplicate >> kind >> evidence_hex >>
+      replay_hex;
+  if (fields.fail() || test_index < 0 || duplicate < 0 || duplicate > 1 || kind < 0 ||
+      kind > 5) {
+    return false;
+  }
+  std::optional<std::string> evidence = DecodeHexToken(evidence_hex);
+  std::optional<std::string> replay_token = DecodeHexToken(replay_hex);
+  if (!evidence.has_value() || !replay_token.has_value()) {
+    return false;
+  }
+  finding->issue_id = static_cast<int>(issue_id);
+  finding->kind = static_cast<FindingKind>(kind);
+  finding->test_index = static_cast<size_t>(test_index);
+  finding->trial = static_cast<int>(trial);
+  finding->duplicate_input = duplicate == 1;
+  finding->evidence = std::move(*evidence);
+  finding->replay_token = std::move(*replay_token);
+  return true;
 }
 
 }  // namespace
@@ -490,416 +530,71 @@ std::optional<SerializedTests> DeserializeConcurrentTests(const std::string& tex
   return out;
 }
 
-std::string SerializeExploreOutcome(const ExploreOutcome& outcome) {
-  std::ostringstream os;
-  os << kOutcomeHeader << "\n";
-  os << "trials " << outcome.trials_run << ' ' << outcome.trials_retried << "\n";
-  os << "prune " << outcome.trials_pruned << ' ' << (outcome.saturated ? 1 : 0) << ' '
-     << outcome.switch_decisions << "\n";
-  os << "bug " << (outcome.bug_found ? 1 : 0) << ' ' << outcome.first_bug_trial << "\n";
-  os << "target " << (outcome.target_found ? 1 : 0) << ' ' << outcome.first_target_trial
-     << "\n";
-  os << "flags " << (outcome.channel_exercised ? 1 : 0) << ' ' << (outcome.any_hang ? 1 : 0)
-     << "\n";
-  os << "races " << outcome.races.size() << "\n";
-  for (const RaceReport& race : outcome.races) {
-    os << "r " << race.write_site << ' ' << race.other_site << ' ' << race.addr << ' '
-       << (race.write_write ? 1 : 0) << "\n";
-  }
-  os << "console " << outcome.console_hits.size() << "\n";
-  for (const std::string& hit : outcome.console_hits) {
-    os << "c " << HexToken(hit) << "\n";
-  }
-  os << "panics " << outcome.panic_messages.size() << "\n";
-  for (const std::string& message : outcome.panic_messages) {
-    os << "p " << HexToken(message) << "\n";
-  }
-  os << "deadlocks " << outcome.deadlocks.size() << "\n";
-  for (const DeadlockReport& deadlock : outcome.deadlocks) {
-    os << "d " << deadlock.locks.size();
-    for (size_t i = 0; i < deadlock.locks.size(); i++) {
-      os << ' ' << deadlock.locks[i] << ' ' << deadlock.sites[i];
-    }
-    os << "\n";
-  }
-  os << "waits " << outcome.lost_wakeups.size() << "\n";
-  for (const LostWakeupReport& lost : outcome.lost_wakeups) {
-    os << "w " << lost.channel << ' ' << lost.wait_site << ' ' << lost.notify_site << ' '
-       << static_cast<uint32_t>(lost.vcpu) << "\n";
-  }
-  os << "livelocks " << outcome.livelocks.size() << "\n";
-  for (const LivelockReport& livelock : outcome.livelocks) {
-    os << "l " << livelock.window_events << ' ' << livelock.spin_sites.size();
-    for (SiteId site : livelock.spin_sites) {
-      os << ' ' << site;
-    }
-    os << "\n";
-  }
-  os << "captures " << outcome.captures.size() << "\n";
-  for (const TrialCapture& capture : outcome.captures) {
-    os << "k " << static_cast<uint32_t>(capture.kind) << ' ' << capture.finding_key << ' '
-       << capture.trial << ' ' << Hex16(capture.fingerprint) << ' ' << capture.orig_len
-       << ' ' << capture.orig_switches << ' ' << capture.min_switches << ' '
-       << (capture.schedule.empty() ? kEmptyToken : capture.schedule) << "\n";
-  }
-  // Prune state: the unique happens-before fingerprints (first-seen order) and the learned
-  // adaptive site table (first-learned order) — journal replay rebuilds both exactly.
-  os << "fps " << outcome.fingerprints.size() << "\n";
-  for (uint64_t fingerprint : outcome.fingerprints) {
-    os << "f " << Hex16(fingerprint) << "\n";
-  }
-  os << "sites " << outcome.adaptive_sites.size() << "\n";
-  for (const AdaptiveSiteCount& entry : outcome.adaptive_sites) {
-    os << "s " << entry.site << ' ' << entry.count << "\n";
-  }
-  os << "endoutcome\n";
-  return os.str();
-}
-
-std::optional<ExploreOutcome> DeserializeExploreOutcome(const std::string& text) {
-  std::istringstream is(text);
-  std::string line;
-  if (!std::getline(is, line) || line != kOutcomeHeader) {
-    return std::nullopt;
-  }
-  ExploreOutcome outcome;
-  std::vector<int64_t> values;
-  if (!ParseLabeledInts(is, "trials", &values, 2) || values[0] < 0 || values[1] < 0) {
-    return std::nullopt;
-  }
-  outcome.trials_run = static_cast<int>(values[0]);
-  outcome.trials_retried = static_cast<int>(values[1]);
-  if (!ParseLabeledInts(is, "prune", &values, 3) || values[0] < 0 || values[1] < 0 ||
-      values[1] > 1 || values[2] < 0) {
-    return std::nullopt;
-  }
-  outcome.trials_pruned = static_cast<int>(values[0]);
-  outcome.saturated = values[1] == 1;
-  outcome.switch_decisions = static_cast<uint64_t>(values[2]);
-  if (!ParseLabeledInts(is, "bug", &values, 2) || values[0] > 1 || values[0] < 0) {
-    return std::nullopt;
-  }
-  outcome.bug_found = values[0] == 1;
-  outcome.first_bug_trial = static_cast<int>(values[1]);
-  if (!ParseLabeledInts(is, "target", &values, 2) || values[0] > 1 || values[0] < 0) {
-    return std::nullopt;
-  }
-  outcome.target_found = values[0] == 1;
-  outcome.first_target_trial = static_cast<int>(values[1]);
-  if (!ParseLabeledInts(is, "flags", &values, 2) || values[0] > 1 || values[0] < 0 ||
-      values[1] > 1 || values[1] < 0) {
-    return std::nullopt;
-  }
-  outcome.channel_exercised = values[0] == 1;
-  outcome.any_hang = values[1] == 1;
-
-  uint64_t race_count = 0;
-  if (!ParseLabeledUint(is, "races", &race_count)) {
-    return std::nullopt;
-  }
-  for (uint64_t i = 0; i < race_count; i++) {
-    if (!std::getline(is, line)) {
-      return std::nullopt;
-    }
-    std::istringstream fields(line);
-    std::string tag;
-    uint64_t addr = 0;
-    uint32_t ww = 0;
-    RaceReport race;
-    fields >> tag >> race.write_site >> race.other_site >> addr >> ww;
-    if (fields.fail() || tag != "r" || addr > UINT32_MAX || ww > 1) {
-      return std::nullopt;
-    }
-    race.addr = static_cast<GuestAddr>(addr);
-    race.write_write = ww == 1;
-    outcome.races.push_back(race);
-  }
-
-  // Count line, then `count` "<tag> <hex>" lines.
-  auto parse_strings = [&is](const char* label, const char* tag,
-                             std::vector<std::string>* out) {
-    std::string body_line;
-    uint64_t count = 0;
-    {
-      if (!std::getline(is, body_line)) {
-        return false;
-      }
-      std::istringstream fields(body_line);
-      std::string got;
-      fields >> got >> count;
-      if (fields.fail() || got != label) {
-        return false;
-      }
-    }
-    for (uint64_t i = 0; i < count; i++) {
-      if (!std::getline(is, body_line)) {
-        return false;
-      }
-      std::istringstream fields(body_line);
-      std::string got;
-      std::string token;
-      fields >> got >> token;
-      if (fields.fail() || got != tag) {
-        return false;
-      }
-      std::optional<std::string> decoded = DecodeHexToken(token);
-      if (!decoded.has_value()) {
-        return false;
-      }
-      out->push_back(std::move(*decoded));
-    }
-    return true;
-  };
-  if (!parse_strings("console", "c", &outcome.console_hits) ||
-      !parse_strings("panics", "p", &outcome.panic_messages)) {
-    return std::nullopt;
-  }
-
-  uint64_t deadlock_count = 0;
-  if (!ParseLabeledUint(is, "deadlocks", &deadlock_count)) {
-    return std::nullopt;
-  }
-  for (uint64_t i = 0; i < deadlock_count; i++) {
-    if (!std::getline(is, line)) {
-      return std::nullopt;
-    }
-    std::istringstream fields(line);
-    std::string tag;
-    uint64_t lock_count = 0;
-    fields >> tag >> lock_count;
-    if (fields.fail() || tag != "d" || lock_count == 0 || lock_count > 64) {
-      return std::nullopt;
-    }
-    DeadlockReport deadlock;
-    for (uint64_t j = 0; j < lock_count; j++) {
-      uint64_t lock = 0;
-      SiteId site = 0;
-      fields >> lock >> site;
-      if (fields.fail() || lock > UINT32_MAX) {
-        return std::nullopt;
-      }
-      deadlock.locks.push_back(static_cast<GuestAddr>(lock));
-      deadlock.sites.push_back(site);
-    }
-    std::string extra;
-    if (fields >> extra) {
-      return std::nullopt;
-    }
-    outcome.deadlocks.push_back(std::move(deadlock));
-  }
-
-  uint64_t wait_count = 0;
-  if (!ParseLabeledUint(is, "waits", &wait_count)) {
-    return std::nullopt;
-  }
-  for (uint64_t i = 0; i < wait_count; i++) {
-    if (!std::getline(is, line)) {
-      return std::nullopt;
-    }
-    std::istringstream fields(line);
-    std::string tag;
-    uint64_t channel = 0;
-    uint32_t vcpu = 0;
-    LostWakeupReport lost;
-    fields >> tag >> channel >> lost.wait_site >> lost.notify_site >> vcpu;
-    std::string extra;
-    if (fields.fail() || tag != "w" || channel > UINT32_MAX || vcpu >= 64 ||
-        (fields >> extra)) {
-      return std::nullopt;
-    }
-    lost.channel = static_cast<GuestAddr>(channel);
-    lost.vcpu = static_cast<VcpuId>(vcpu);
-    outcome.lost_wakeups.push_back(lost);
-  }
-
-  uint64_t livelock_count = 0;
-  if (!ParseLabeledUint(is, "livelocks", &livelock_count)) {
-    return std::nullopt;
-  }
-  for (uint64_t i = 0; i < livelock_count; i++) {
-    if (!std::getline(is, line)) {
-      return std::nullopt;
-    }
-    std::istringstream fields(line);
-    std::string tag;
-    uint64_t site_count = 0;
-    LivelockReport livelock;
-    fields >> tag >> livelock.window_events >> site_count;
-    if (fields.fail() || tag != "l" || site_count > 4096) {
-      return std::nullopt;
-    }
-    for (uint64_t j = 0; j < site_count; j++) {
-      SiteId site = 0;
-      fields >> site;
-      if (fields.fail()) {
-        return std::nullopt;
-      }
-      livelock.spin_sites.push_back(site);
-    }
-    std::string extra;
-    if (fields >> extra) {
-      return std::nullopt;
-    }
-    outcome.livelocks.push_back(std::move(livelock));
-  }
-
-  uint64_t capture_count = 0;
-  if (!ParseLabeledUint(is, "captures", &capture_count)) {
-    return std::nullopt;
-  }
-  for (uint64_t i = 0; i < capture_count; i++) {
-    if (!std::getline(is, line)) {
-      return std::nullopt;
-    }
-    std::istringstream fields(line);
-    std::string tag;
-    uint32_t kind = 0;
-    std::string fp_hex;
-    std::string sched;
-    TrialCapture capture;
-    fields >> tag >> kind >> capture.finding_key >> capture.trial >> fp_hex >>
-        capture.orig_len >> capture.orig_switches >> capture.min_switches >> sched;
-    std::string extra;
-    if (fields.fail() || tag != "k" || kind > 5 || !ParseHex16(fp_hex, &capture.fingerprint) ||
-        (fields >> extra)) {
-      return std::nullopt;
-    }
-    capture.kind = static_cast<uint8_t>(kind);
-    if (sched == kEmptyToken) {
-      capture.schedule.clear();
-    } else {
-      // Validate via the rejecting schedule parser; stores the canonical text form.
-      std::optional<RecordedSchedule> parsed = RecordedSchedule::FromString(sched);
-      if (!parsed.has_value()) {
-        return std::nullopt;
-      }
-      capture.schedule = std::move(sched);
-    }
-    outcome.captures.push_back(std::move(capture));
-  }
-
-  uint64_t fingerprint_count = 0;
-  if (!ParseLabeledUint(is, "fps", &fingerprint_count) || fingerprint_count > 1'000'000) {
-    return std::nullopt;
-  }
-  for (uint64_t i = 0; i < fingerprint_count; i++) {
-    if (!std::getline(is, line)) {
-      return std::nullopt;
-    }
-    std::istringstream fields(line);
-    std::string tag;
-    std::string fp_hex;
-    std::string extra;
-    uint64_t fingerprint = 0;
-    fields >> tag >> fp_hex;
-    if (fields.fail() || tag != "f" || !ParseHex16(fp_hex, &fingerprint) ||
-        (fields >> extra)) {
-      return std::nullopt;
-    }
-    outcome.fingerprints.push_back(fingerprint);
-  }
-
-  uint64_t site_count = 0;
-  if (!ParseLabeledUint(is, "sites", &site_count) || site_count > 1'000'000) {
-    return std::nullopt;
-  }
-  for (uint64_t i = 0; i < site_count; i++) {
-    if (!std::getline(is, line)) {
-      return std::nullopt;
-    }
-    std::istringstream fields(line);
-    std::string tag;
-    std::string extra;
-    AdaptiveSiteCount entry;
-    fields >> tag >> entry.site >> entry.count;
-    if (fields.fail() || tag != "s" || entry.count == 0 || (fields >> extra)) {
-      return std::nullopt;
-    }
-    outcome.adaptive_sites.push_back(entry);
-  }
-
-  if (!std::getline(is, line) || line != "endoutcome") {
-    return std::nullopt;
-  }
-  return outcome;
-}
-
 std::string EncodeOutcomeRecord(const OutcomeRecord& record) {
   std::ostringstream os;
-  os << record.test_index << ' ' << HexEncode(SerializeExploreOutcome(record.outcome))
-     << ' ' << record.findings.size();
-  for (const Finding& finding : record.findings) {
-    std::string text = StrPrintf("%d %d %d %d ", finding.issue_id, finding.trial,
-                                 finding.duplicate_input ? 1 : 0,
-                                 static_cast<int>(finding.kind)) +
-                       HexToken(finding.evidence) + " " + HexToken(finding.replay_token);
-    os << ' ' << HexEncode(text);
+  os << kOutcomeRecordTag << ' ' << record.test_index << ' ' << record.trials_run << ' '
+     << record.trials_retried << ' ' << record.trials_pruned << ' '
+     << (record.saturated ? 1 : 0) << ' ' << record.switch_decisions << ' '
+     << (record.bug_found ? 1 : 0) << ' ' << (record.channel_exercised ? 1 : 0) << ' '
+     << record.schedule_switches_orig << ' ' << record.schedule_switches_min << ' '
+     << record.findings.total_findings() << ' ' << record.findings.first_findings().size();
+  for (const auto& [issue_id, finding] : record.findings.first_findings()) {
+    os << ' ';
+    WriteFinding(os, finding);
   }
+  // The terminator makes every strict prefix fail, even one cut inside the last hex field.
+  os << " end";
   return os.str();
 }
 
 std::optional<OutcomeRecord> DecodeOutcomeRecord(const std::string& record) {
   std::istringstream fields(record);
-  uint64_t index = 0;
-  std::string hex;
-  uint64_t finding_count = 0;
-  fields >> index >> hex >> finding_count;
-  if (fields.fail()) {
+  std::string tag;
+  fields >> tag;
+  if (tag != kOutcomeRecordTag) {
     return std::nullopt;
   }
-  std::optional<std::string> text = HexDecode(hex);
-  if (!text.has_value()) {
-    return std::nullopt;
-  }
-  std::optional<ExploreOutcome> outcome = DeserializeExploreOutcome(*text);
-  if (!outcome.has_value()) {
-    return std::nullopt;
-  }
+  // Numbers parse signed and bounded, so a negative count is rejected rather than wrapped.
+  bool ok = true;
+  auto read = [&](int64_t max) {
+    int64_t value = -1;
+    fields >> value;
+    ok = ok && !fields.fail() && value >= 0 && value <= max;
+    return value;
+  };
+  constexpr int64_t kAny = INT64_MAX;
+  constexpr int64_t kInt = INT32_MAX;
   OutcomeRecord out;
-  out.test_index = static_cast<size_t>(index);
-  out.outcome = std::move(*outcome);
-  for (uint64_t i = 0; i < finding_count; i++) {
-    std::string finding_hex;
-    fields >> finding_hex;
-    if (fields.fail()) {
-      return std::nullopt;
-    }
-    std::optional<std::string> finding_text = HexDecode(finding_hex);
-    if (!finding_text.has_value()) {
-      return std::nullopt;
-    }
-    std::istringstream finding_fields(*finding_text);
-    int64_t issue_id = 0;
-    int64_t trial = 0;
-    int64_t duplicate = 0;
-    int64_t kind = 0;
-    std::string evidence_token;
-    std::string replay_hex;
-    finding_fields >> issue_id >> trial >> duplicate >> kind >> evidence_token >> replay_hex;
-    std::string finding_extra;
-    if (finding_fields.fail() || duplicate < 0 || duplicate > 1 || kind < 0 || kind > 5 ||
-        (finding_fields >> finding_extra)) {
-      return std::nullopt;
-    }
-    std::optional<std::string> evidence = DecodeHexToken(evidence_token);
-    std::optional<std::string> replay_token = DecodeHexToken(replay_hex);
-    if (!evidence.has_value() || !replay_token.has_value()) {
-      return std::nullopt;
-    }
-    Finding finding;
-    finding.issue_id = static_cast<int>(issue_id);
-    finding.kind = static_cast<FindingKind>(kind);
-    finding.test_index = out.test_index;
-    finding.trial = static_cast<int>(trial);
-    finding.duplicate_input = duplicate == 1;
-    finding.evidence = std::move(*evidence);
-    finding.replay_token = std::move(*replay_token);
-    out.findings.push_back(std::move(finding));
-  }
-  std::string extra;
-  if (fields >> extra) {
+  out.test_index = static_cast<size_t>(read(kAny));
+  out.trials_run = static_cast<int>(read(kInt));
+  out.trials_retried = static_cast<int>(read(kInt));
+  out.trials_pruned = static_cast<int>(read(kInt));
+  out.saturated = read(1) == 1;
+  out.switch_decisions = static_cast<uint64_t>(read(kAny));
+  out.bug_found = read(1) == 1;
+  out.channel_exercised = read(1) == 1;
+  out.schedule_switches_orig = static_cast<uint64_t>(read(kAny));
+  out.schedule_switches_min = static_cast<uint64_t>(read(kAny));
+  const int64_t total = read(kAny);
+  const int64_t entries = read(total);
+  if (!ok) {
     return std::nullopt;
   }
+  std::map<int, Finding> first_findings;
+  for (int64_t i = 0; i < entries; i++) {
+    Finding finding;
+    if (!ReadFinding(fields, &finding) || finding.test_index != out.test_index ||
+        !first_findings.emplace(finding.issue_id, std::move(finding)).second) {
+      return std::nullopt;  // Malformed, another test's, or a duplicate issue id.
+    }
+  }
+  std::string end;
+  std::string extra;
+  fields >> end;
+  if (fields.fail() || end != "end" || (fields >> extra)) {
+    return std::nullopt;
+  }
+  out.findings.Restore(first_findings, static_cast<size_t>(total));
   return out;
 }
 
@@ -909,9 +604,9 @@ std::string SerializeFindings(const FindingsLog& findings) {
   os << "total " << findings.total_findings() << "\n";
   os << "entries " << findings.first_findings().size() << "\n";
   for (const auto& [issue_id, finding] : findings.first_findings()) {
-    os << "f " << issue_id << ' ' << finding.test_index << ' ' << finding.trial << ' '
-       << (finding.duplicate_input ? 1 : 0) << ' ' << static_cast<int>(finding.kind) << ' '
-       << HexToken(finding.evidence) << ' ' << HexToken(finding.replay_token) << "\n";
+    os << "f ";
+    WriteFinding(os, finding);
+    os << "\n";
   }
   os << "endfindings\n";
   return os.str();
@@ -936,33 +631,12 @@ std::optional<FindingsLog> DeserializeFindings(const std::string& text) {
     }
     std::istringstream fields(line);
     std::string tag;
-    int64_t issue_id = 0;
-    int64_t test_index = 0;
-    int64_t trial = 0;
-    int64_t duplicate = 0;
-    int64_t kind = 0;
-    std::string token;
-    std::string replay_hex;
-    fields >> tag >> issue_id >> test_index >> trial >> duplicate >> kind >> token >>
-        replay_hex;
     std::string extra;
-    if (fields.fail() || tag != "f" || test_index < 0 || duplicate < 0 || duplicate > 1 ||
-        kind < 0 || kind > 5 || (fields >> extra)) {
-      return std::nullopt;
-    }
-    std::optional<std::string> evidence = DecodeHexToken(token);
-    std::optional<std::string> replay_token = DecodeHexToken(replay_hex);
-    if (!evidence.has_value() || !replay_token.has_value()) {
-      return std::nullopt;
-    }
     Finding finding;
-    finding.issue_id = static_cast<int>(issue_id);
-    finding.kind = static_cast<FindingKind>(kind);
-    finding.test_index = static_cast<size_t>(test_index);
-    finding.trial = static_cast<int>(trial);
-    finding.duplicate_input = duplicate == 1;
-    finding.evidence = std::move(*evidence);
-    finding.replay_token = std::move(*replay_token);
+    fields >> tag;
+    if (tag != "f" || !ReadFinding(fields, &finding) || (fields >> extra)) {
+      return std::nullopt;
+    }
     if (!first_findings.emplace(finding.issue_id, std::move(finding)).second) {
       return std::nullopt;  // Duplicate issue id: not a valid first-findings map.
     }

@@ -4,7 +4,7 @@
 // separate identification job; S-FULL's PMC keys are "stored on disk and sorted by
 // frequency"; concurrent tests travel through a Redis queue to workers). These helpers give
 // the same workflow: every stage artifact — corpora, sequential profiles, PMC sets,
-// generated concurrent tests, per-test execution outcomes, findings logs, and whole
+// generated concurrent tests, per-test execution records, findings logs, and whole
 // pipeline results — round-trips through a line-oriented text format that is stable,
 // diffable, and versioned.
 //
@@ -65,21 +65,31 @@ std::string SerializeConcurrentTests(const std::vector<ConcurrentTest>& tests,
                                      size_t cluster_count);
 std::optional<SerializedTests> DeserializeConcurrentTests(const std::string& text);
 
-// --- Explore outcomes (per-test execution result; the journal payload). ---
-
-std::string SerializeExploreOutcome(const ExploreOutcome& outcome);
-std::optional<ExploreOutcome> DeserializeExploreOutcome(const std::string& text);
-
-// Single-line journal record: the raw outcome PLUS the findings classified from it at
-// execution time. Classification and evidence rendering need the in-process site-name
-// registry, which a cold resumed process lacks for tests it never re-executes — so the
-// journal stores the classified findings and replay never re-classifies.
-// Format: "<test_index> <hex(outcome text)> <n> <hex(finding)>...", where each finding
-// encodes "<issue_id> <trial> <duplicate> <evidence-hex|->" (test_index is the record's).
+// --- Execute-journal records (one per executed test; what resume replays). ---
+// A record holds exactly what the campaign's outcome fold reads: the per-test counters and
+// the test's classified findings log. Classification and evidence rendering need the
+// in-process site-name registry, which a cold resumed process lacks for tests it never
+// re-executes — so the record stores the classified findings and replay never
+// re-classifies. Everything else the explorer returns (raw reports, captures) dies with
+// the test.
+// Format, one line: "sb-outcome-v5 <test_index> <trials_run> <trials_retried>
+// <trials_pruned> <saturated> <switch_decisions> <bug_found> <channel_exercised>
+// <schedule_switches_orig> <schedule_switches_min> <total> <entries>" then `entries`
+// findings, each "<issue_id> <test_index> <trial> <duplicate> <kind> <evidence-hex|->
+// <token-hex|->" (SerializeFindings' fields), then "end". Each finding's test index must
+// be the record's, and issue ids must be distinct.
 struct OutcomeRecord {
   size_t test_index = 0;
-  ExploreOutcome outcome;
-  std::vector<Finding> findings;
+  int trials_run = 0;
+  int trials_retried = 0;
+  int trials_pruned = 0;
+  bool saturated = false;
+  uint64_t switch_decisions = 0;
+  bool bug_found = false;
+  bool channel_exercised = false;
+  uint64_t schedule_switches_orig = 0;  // Summed over the test's trial captures.
+  uint64_t schedule_switches_min = 0;
+  FindingsLog findings;  // The first finding per issue id, plus the test's total count.
 };
 
 std::string EncodeOutcomeRecord(const OutcomeRecord& record);

@@ -254,8 +254,9 @@ TEST(CheckpointResumeTest, MismatchedOptionsFingerprintResetsDirectory) {
 }
 
 // A journal record whose test index is outside the campaign's test list (e.g. a journal
-// left by a differently-sized test set) must be dropped and counted — never replayed as
-// progress, and never allowed to perturb the resumed result.
+// left by a differently-sized test set), or a checksum-valid record that does not decode
+// (e.g. one written in another record format), must be dropped and counted — never
+// replayed as progress, and never allowed to perturb the resumed result.
 TEST(CheckpointResumeTest, OutOfRangeJournalRecordsDroppedAndCounted) {
   PipelineOptions plain = TinyOptions(2);
   const std::string golden_text = SerializePipelineResult(RunSnowboardPipeline(plain));
@@ -297,12 +298,15 @@ TEST(CheckpointResumeTest, OutOfRangeJournalRecordsDroppedAndCounted) {
   ASSERT_FALSE(dir.empty()) << "no crash point left journaled outcomes without a result";
   ASSERT_GT(journaled, 0u);
 
-  // Poison the journal with a record far past any test index this campaign can generate.
+  // Poison the journal with a record far past any test index this campaign can generate,
+  // and with an earlier-format record for test 0 (a bare index, then the hex-encoded outcome).
   {
     CheckpointStore store(dir);
     OutcomeRecord bogus;
     bogus.test_index = 1'000'000;
     ASSERT_TRUE(store.AppendJournal(journal, EncodeOutcomeRecord(bogus)));
+    ASSERT_TRUE(
+        store.AppendJournal(journal, "0 " + HexEncode("snowboard-outcome-v4\n") + " 0"));
   }
 
   ResetPipelineCounters();
@@ -313,8 +317,8 @@ TEST(CheckpointResumeTest, OutOfRangeJournalRecordsDroppedAndCounted) {
 
   EXPECT_EQ(SerializePipelineResult(resumed), golden_text)
       << "a dropped record must not perturb the resumed result";
-  EXPECT_GE(GlobalPipelineCounters().journal_records_dropped.load(), 1u)
-      << "the out-of-range record must be counted as dropped";
+  EXPECT_EQ(GlobalPipelineCounters().journal_records_dropped.load(), 2u)
+      << "the out-of-range and the undecodable record must both be counted as dropped";
   EXPECT_EQ(resumed.tests_resumed, journaled)
       << "only in-range journaled outcomes may replay";
 

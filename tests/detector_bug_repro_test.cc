@@ -52,7 +52,6 @@ ExploreOutcome Explore(const Program& writer, const Program& reader, uint64_t se
   ExplorerOptions options;
   options.num_trials = trials;
   options.seed = seed;
-  options.stop_on_bug = false;
   options.max_instructions = max_instructions;
   RandomPreemptScheduler scheduler(/*period=*/8);
   return ExploreWithScheduler(vm, test, scheduler, /*check_channel=*/false, options);

@@ -176,7 +176,6 @@ TEST_F(ExplorerE2eTest, ChannelExercisedReported) {
   ExplorerOptions options;
   options.num_trials = 64;
   options.seed = 5;
-  options.stop_on_bug = false;
   ExploreOutcome outcome = ExploreConcurrentTest(vm, test, nullptr, options);
   EXPECT_TRUE(outcome.channel_exercised);  // The predicted channel actually carried data.
 }

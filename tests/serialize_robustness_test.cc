@@ -86,52 +86,6 @@ ConcurrentTest MakeTest() {
   return test;
 }
 
-ExploreOutcome MakeOutcome() {
-  ExploreOutcome outcome;
-  outcome.trials_run = 6;
-  outcome.trials_retried = 2;
-  outcome.bug_found = true;
-  outcome.first_bug_trial = 3;
-  outcome.target_found = false;
-  outcome.first_target_trial = -1;
-  outcome.channel_exercised = true;
-  outcome.any_hang = false;
-  RaceReport race;
-  race.write_site = 0xabcdef0123456789ull;
-  race.other_site = 0x8888777766665555ull;
-  race.addr = 0x1234;
-  race.write_write = true;
-  outcome.races.push_back(race);
-  outcome.console_hits.push_back("EXT4-fs error: checksum invalid at block 7");
-  outcome.console_hits.push_back("");  // Empty strings must survive the hex token coding.
-  outcome.panic_messages.push_back("BUG: unable to handle page fault at 0xdead");
-  TrialCapture capture;
-  capture.kind = 2;  // kPanic.
-  capture.finding_key = 0x9999888877776666ull;
-  capture.trial = 3;
-  capture.fingerprint = 0xabcdef0011223344ull;
-  capture.schedule = "..S.S";
-  capture.orig_len = 40;
-  capture.orig_switches = 6;
-  capture.min_switches = 2;
-  outcome.captures.push_back(capture);
-  TrialCapture bare;  // Empty schedule must survive the "-" coding.
-  bare.kind = 0;
-  bare.finding_key = 1;
-  bare.trial = 0;
-  outcome.captures.push_back(bare);
-  // v4 prune state: saturation flags, the unique fingerprints, and the learned adaptive
-  // sites all ride in the outcome so journal replay rebuilds prune state exactly.
-  outcome.trials_pruned = 3;
-  outcome.saturated = true;
-  outcome.switch_decisions = 17;
-  outcome.fingerprints.push_back(0x1111222233334444ull);
-  outcome.fingerprints.push_back(0);  // Zero hashes must survive the hex16 coding.
-  outcome.adaptive_sites.push_back({0xabcdull, 5});
-  outcome.adaptive_sites.push_back({1, 1});
-  return outcome;
-}
-
 ReplayToken MakeToken() {
   ReplayToken token;
   token.issue_id = 13;
@@ -145,6 +99,68 @@ ReplayToken MakeToken() {
   token.writer = MakeProgram(1);
   token.reader = MakeProgram(2);
   return token;
+}
+
+// Every counter away from its default; findings of several issues including the
+// unclassified id 0, one with empty evidence and token, and a repeat that only counts.
+OutcomeRecord MakeRecord() {
+  OutcomeRecord record;
+  record.test_index = 41;
+  record.trials_run = 6;
+  record.trials_retried = 2;
+  record.trials_pruned = 3;
+  record.saturated = true;
+  record.switch_decisions = 17;
+  record.bug_found = true;
+  record.channel_exercised = true;
+  record.schedule_switches_orig = 9;
+  record.schedule_switches_min = 2;
+  // Execution-time findings ride along so journal replay never re-classifies (the site
+  // name registry of a cold resumed process cannot reproduce these strings).
+  Finding race;
+  race.issue_id = 11;
+  race.kind = FindingKind::kRace;
+  race.test_index = 41;
+  race.trial = 3;
+  race.evidence = "data race: <ConfigfsLookup> / <ConfigfsRmdir> @0x1018";
+  race.replay_token = FormatReplayToken(MakeToken());
+  record.findings.Record(race);
+  Finding panic;
+  panic.issue_id = 1;
+  panic.kind = FindingKind::kPanic;
+  panic.test_index = 41;
+  panic.trial = 3;
+  panic.evidence = "BUG: unable to handle page fault at 0xdead";
+  panic.replay_token = "sb-replay-v1 not-reparsed-here";
+  record.findings.Record(panic);
+  Finding unclassified;
+  unclassified.issue_id = 0;
+  unclassified.kind = FindingKind::kLivelock;
+  unclassified.test_index = 41;
+  unclassified.trial = -1;
+  unclassified.duplicate_input = true;  // Empty evidence and token survive the "-" coding.
+  record.findings.Record(unclassified);
+  Finding repeat = race;  // Same issue, same test: counts, but is never written.
+  repeat.evidence = "a later witness of the same issue";
+  record.findings.Record(repeat);
+  return record;
+}
+
+// `text`'s space-separated fields with field `index` replaced by `value`.
+std::string WithField(const std::string& text, size_t index, const std::string& value) {
+  std::vector<std::string> fields;
+  size_t start = 0;
+  for (size_t space; (space = text.find(' ', start)) != std::string::npos; start = space + 1) {
+    fields.push_back(text.substr(start, space - start));
+  }
+  fields.push_back(text.substr(start));
+  EXPECT_LT(index, fields.size());
+  fields[index] = value;
+  std::string out = fields[0];
+  for (size_t i = 1; i < fields.size(); i++) {
+    out += ' ' + fields[i];
+  }
+  return out;
 }
 
 FindingsLog MakeFindings() {
@@ -267,70 +283,46 @@ TEST(SerializeRobustnessTest, ConcurrentTestsRoundTrip) {
   EXPECT_EQ(SerializeConcurrentTests(loaded->tests, loaded->cluster_count), text);
 }
 
-TEST(SerializeRobustnessTest, ExploreOutcomeRoundTrip) {
-  ExploreOutcome outcome = MakeOutcome();
-  std::string text = SerializeExploreOutcome(outcome);
-  std::optional<ExploreOutcome> loaded = DeserializeExploreOutcome(text);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(*loaded, outcome);
-  EXPECT_EQ(SerializeExploreOutcome(*loaded), text);
-}
-
 TEST(SerializeRobustnessTest, OutcomeRecordRoundTrip) {
-  OutcomeRecord record;
-  record.test_index = 41;
-  record.outcome = MakeOutcome();
-  // Execution-time findings ride along so journal replay never re-classifies (the site
-  // name registry of a cold resumed process cannot reproduce these strings).
-  Finding classified;
-  classified.issue_id = 11;
-  classified.test_index = 41;
-  classified.trial = 3;
-  classified.duplicate_input = false;
-  classified.evidence = "data race: <ConfigfsLookup> / <ConfigfsRmdir> @0x1018";
-  record.findings.push_back(classified);
-  Finding unclassified;
-  unclassified.issue_id = 0;
-  unclassified.test_index = 41;
-  unclassified.trial = -1;
-  unclassified.duplicate_input = true;
-  unclassified.evidence = "";  // Empty evidence must survive the token coding.
-  record.findings.push_back(unclassified);
-
+  const OutcomeRecord record = MakeRecord();
   std::string line = EncodeOutcomeRecord(record);
   EXPECT_EQ(line.find('\n'), std::string::npos) << "journal records must be single-line";
+  EXPECT_EQ(line.find(HexEncode("a later witness")), std::string::npos)
+      << "a record carries at most one finding per issue id";
   std::optional<OutcomeRecord> loaded = DecodeOutcomeRecord(line);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->test_index, 41u);
-  EXPECT_EQ(loaded->outcome, record.outcome);
-  ASSERT_EQ(loaded->findings.size(), 2u);
-  for (size_t i = 0; i < 2; i++) {
-    EXPECT_EQ(loaded->findings[i].issue_id, record.findings[i].issue_id);
-    EXPECT_EQ(loaded->findings[i].test_index, record.findings[i].test_index);
-    EXPECT_EQ(loaded->findings[i].trial, record.findings[i].trial);
-    EXPECT_EQ(loaded->findings[i].duplicate_input, record.findings[i].duplicate_input);
-    EXPECT_EQ(loaded->findings[i].evidence, record.findings[i].evidence);
+  EXPECT_EQ(loaded->trials_run, 6);
+  EXPECT_EQ(loaded->trials_retried, 2);
+  EXPECT_EQ(loaded->trials_pruned, 3);
+  EXPECT_TRUE(loaded->saturated);
+  EXPECT_EQ(loaded->switch_decisions, 17u);
+  EXPECT_TRUE(loaded->bug_found);
+  EXPECT_TRUE(loaded->channel_exercised);
+  EXPECT_EQ(loaded->schedule_switches_orig, 9u);
+  EXPECT_EQ(loaded->schedule_switches_min, 2u);
+  EXPECT_EQ(loaded->findings.total_findings(), 4u);
+  ASSERT_EQ(loaded->findings.first_findings().size(), 3u);
+  for (const auto& [id, want] : record.findings.first_findings()) {
+    ASSERT_TRUE(loaded->findings.Found(id)) << id;
+    const Finding& got = loaded->findings.first_findings().at(id);
+    EXPECT_EQ(got.issue_id, want.issue_id);
+    EXPECT_EQ(got.kind, want.kind);
+    EXPECT_EQ(got.test_index, want.test_index);
+    EXPECT_EQ(got.trial, want.trial);
+    EXPECT_EQ(got.duplicate_input, want.duplicate_input);
+    EXPECT_EQ(got.evidence, want.evidence);
+    EXPECT_EQ(got.replay_token, want.replay_token);
   }
   EXPECT_EQ(EncodeOutcomeRecord(*loaded), line);
 
-  EXPECT_FALSE(DecodeOutcomeRecord("").has_value());
-  EXPECT_FALSE(DecodeOutcomeRecord("41").has_value());
-  EXPECT_FALSE(DecodeOutcomeRecord("41 nothex!").has_value());
-  EXPECT_FALSE(DecodeOutcomeRecord(line + " trailing").has_value());
-  EXPECT_FALSE(DecodeOutcomeRecord(line + " 6a756e6b").has_value())
-      << "more findings than the declared count must not decode";
-
-  // A record with a short findings list (fewer tokens than the count claims) fails.
-  OutcomeRecord bare;
+  OutcomeRecord bare;  // Default counters and no findings round-trip too.
   bare.test_index = 7;
-  bare.outcome = MakeOutcome();
   std::string bare_line = EncodeOutcomeRecord(bare);
-  ASSERT_TRUE(DecodeOutcomeRecord(bare_line).has_value());
-  EXPECT_FALSE(DecodeOutcomeRecord(bare_line.substr(0, bare_line.size() - 4)).has_value())
-      << "a truncated outcome payload must not decode";
-  std::string claims_one = bare_line.substr(0, bare_line.size() - 1) + "1";
-  EXPECT_FALSE(DecodeOutcomeRecord(claims_one).has_value())
-      << "a findings count without the findings must not decode";
+  std::optional<OutcomeRecord> bare_loaded = DecodeOutcomeRecord(bare_line);
+  ASSERT_TRUE(bare_loaded.has_value());
+  EXPECT_EQ(bare_loaded->findings.total_findings(), 0u);
+  EXPECT_EQ(EncodeOutcomeRecord(*bare_loaded), bare_line);
 }
 
 TEST(SerializeRobustnessTest, FindingsRoundTrip) {
@@ -396,11 +388,51 @@ TEST(SerializeRobustnessTest, ConcurrentTestsAdversarial) {
   ExpectHeaderAndJunkRejected(text, parses);
 }
 
-TEST(SerializeRobustnessTest, ExploreOutcomeAdversarial) {
-  std::string text = SerializeExploreOutcome(MakeOutcome());
-  auto parses = [](const std::string& t) { return DeserializeExploreOutcome(t).has_value(); };
-  ExpectTruncationsRejected(text, parses);
-  ExpectHeaderAndJunkRejected(text, parses);
+TEST(SerializeRobustnessTest, OutcomeRecordAdversarial) {
+  const std::string line = EncodeOutcomeRecord(MakeRecord());
+  auto decodes = [](const std::string& t) { return DecodeOutcomeRecord(t).has_value(); };
+  ASSERT_TRUE(decodes(line));
+  // A record is one line, so the line-boundary sweep does not apply: every strict prefix,
+  // cut at any byte, must fail.
+  for (size_t cut = 0; cut < line.size(); cut++) {
+    EXPECT_FALSE(decodes(line.substr(0, cut))) << "prefix of " << cut << " bytes";
+  }
+  EXPECT_FALSE(decodes(line + " junk")) << "trailing junk";
+  EXPECT_FALSE(decodes(line + " end")) << "a second terminator";
+  EXPECT_FALSE(decodes(line.substr(line.find(' ') + 1))) << "missing tag";
+  EXPECT_FALSE(decodes(WithField(line, 0, "sb-outcome-v4"))) << "wrong tag";
+  EXPECT_FALSE(decodes("41 " + HexEncode("snowboard-outcome-v4\n") + " 0"))
+      << "an earlier-format record fails on its first field";
+  EXPECT_FALSE(decodes("complete garbage, not a record"));
+
+  // Fields: 0 tag, 1 test index, 2-4 trials run/retried/pruned, 5 saturated, 6 switch
+  // decisions, 7 bug found, 8 channel exercised, 9-10 schedule switches, 11 total,
+  // 12 entries; then seven per finding (issue ids 0, 1, 11 in map order): issue id,
+  // test index, trial, duplicate, kind, evidence, token; then "end".
+  struct Case {
+    size_t field;
+    const char* value;
+    const char* what;
+  };
+  for (const Case& c : std::vector<Case>{
+           {12, "4", "inflated finding count"},
+           {11, "2", "more entries than the total"},
+           {11, "-1", "negative total"},
+           {2, "-1", "negative trial count"},
+           {2, "4294967296", "trial count past int"},
+           {5, "2", "saturated flag outside {0,1}"},
+           {7, "2", "bug flag outside {0,1}"},
+           {8, "-1", "channel flag outside {0,1}"},
+           {20, "0", "duplicate issue id"},
+           {21, "40", "a finding of another test"},
+           {16, "2", "duplicate-input flag outside {0,1}"},
+           {17, "6", "kind above 5"},
+           {17, "-1", "negative kind"},
+           {25, "abc", "odd-length evidence hex"},
+           {26, "ZZ", "non-hex token"},
+       }) {
+    EXPECT_FALSE(decodes(WithField(line, c.field, c.value))) << c.what;
+  }
 }
 
 TEST(SerializeRobustnessTest, FindingsAdversarial) {
@@ -458,71 +490,11 @@ TEST(SerializeRobustnessTest, ReplayTokenAdversarial) {
 
 TEST(SerializeRobustnessTest, FieldCorruptionRejected) {
   // Flipping a count or a bounded field must be caught by validation, not crash.
-  std::string outcome_text = SerializeExploreOutcome(MakeOutcome());
-  std::string bad = outcome_text;
-  size_t races_pos = bad.find("races 1");
-  ASSERT_NE(races_pos, std::string::npos);
-  bad.replace(races_pos, 7, "races 9");
-  EXPECT_FALSE(DeserializeExploreOutcome(bad).has_value()) << "inflated element count";
-
-  std::string capture_bad = outcome_text;
-  size_t cap_pos = capture_bad.find("captures 2");
-  ASSERT_NE(cap_pos, std::string::npos);
-  capture_bad.replace(cap_pos, 10, "captures 9");
-  EXPECT_FALSE(DeserializeExploreOutcome(capture_bad).has_value())
-      << "inflated capture count";
-
-  std::string kind_bad = outcome_text;
-  size_t kind_pos = kind_bad.find("\nk 2 ");
-  ASSERT_NE(kind_pos, std::string::npos);
-  kind_bad[kind_pos + 3] = '7';
-  EXPECT_FALSE(DeserializeExploreOutcome(kind_bad).has_value())
-      << "out-of-range capture kind";
-
-  std::string sched_bad = outcome_text;
-  size_t sched_pos = sched_bad.find("..S.S");
-  ASSERT_NE(sched_pos, std::string::npos);
-  sched_bad[sched_pos + 2] = 'X';
-  EXPECT_FALSE(DeserializeExploreOutcome(sched_bad).has_value())
-      << "junk in a captured schedule";
-
-  std::string findings_text = SerializeFindings(MakeFindings());
-  bad = findings_text;
+  std::string bad = SerializeFindings(MakeFindings());
   size_t entries_pos = bad.find("entries 2");
   ASSERT_NE(entries_pos, std::string::npos);
   bad.replace(entries_pos, 9, "entries 9");
   EXPECT_FALSE(DeserializeFindings(bad).has_value()) << "count larger than total";
-}
-
-// v4 outcome sections: the prune summary line and the fps/sites lists must be validated
-// as strictly as every v3 field — a resumed campaign trusts them to rebuild prune state.
-TEST(SerializeRobustnessTest, OutcomePruneSectionCorruptionRejected) {
-  const std::string text = SerializeExploreOutcome(MakeOutcome());
-  auto reject = [&](const std::string& from, const std::string& to, const char* what) {
-    std::string bad = text;
-    size_t pos = bad.find(from);
-    ASSERT_NE(pos, std::string::npos) << what;
-    bad.replace(pos, from.size(), to);
-    EXPECT_FALSE(DeserializeExploreOutcome(bad).has_value()) << what;
-  };
-  reject("prune 3 1 17", "prune 3 2 17", "saturated flag out of range");
-  reject("prune 3 1 17", "prune -1 1 17", "negative pruned count");
-  reject("prune 3 1 17", "prune 3 1", "missing switch_decisions field");
-  reject("fps 2", "fps 9", "inflated fingerprint count");
-  reject("fps 2", "fps 18446744073709551615", "absurd fingerprint count");
-  reject("f 1111222233334444", "f 111122223333444", "short fingerprint hex");
-  reject("f 1111222233334444", "f 1111222233334444 junk", "trailing junk on fingerprint");
-  reject("f 1111222233334444", "f 111122223333444g", "non-hex fingerprint digit");
-  reject("sites 2", "sites 9", "inflated site count");
-  reject("s 43981 5", "s 43981 0", "zero adaptive count");
-  reject("s 43981 5", "s 43981", "missing adaptive count");
-  reject("s 43981 5", "x 43981 5", "wrong site tag");
-
-  // Dropping a whole v4 section truncates the record and must not decode.
-  std::string no_sites = text.substr(0, text.find("sites 2"));
-  EXPECT_FALSE(DeserializeExploreOutcome(no_sites).has_value());
-  std::string no_fps = text.substr(0, text.find("fps 2"));
-  EXPECT_FALSE(DeserializeExploreOutcome(no_fps).has_value());
 }
 
 // --- Atomic file primitives (satellite: failed writes never leave partial files). ---

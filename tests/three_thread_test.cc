@@ -156,7 +156,6 @@ TEST(ThreeThreadExploreTest, L2tpFanOutPanics) {
 
   ExplorerOptions options;
   options.num_trials = 96;
-  options.stop_on_bug = false;  // The ubiquitous #13 race fires first; keep exploring.
   ExploreOutcome outcome = ExploreThreeThreaded(vm, test, options);
   bool panicked = false;
   for (const std::string& message : outcome.panic_messages) {

@@ -85,7 +85,7 @@ TEST(TrialAllocTest, SteadyStateTrialLoopIsAllocationFree) {
       scheduler.SeedTrial(2021 + s);
       vm.RestoreSnapshot();
       vm.engine().RunInto(fns, opts, &result);
-      RunDetectors(result, &suite, &detectors);
+      suite.Run(result, &detectors);
       if (!detectors.console_hits.empty() || result.panicked || result.hang) {
         found_clean = false;
       }
@@ -98,7 +98,7 @@ TEST(TrialAllocTest, SteadyStateTrialLoopIsAllocationFree) {
       scheduler.SeedTrial(2021 + s);
       vm.RestoreSnapshot();
       vm.engine().RunInto(fns, opts, &result);
-      RunDetectors(result, &suite, &detectors);
+      suite.Run(result, &detectors);
     }
   };
 
@@ -162,7 +162,7 @@ TEST(TrialAllocTest, SteadyStateTrialLoopIsAllocationFree) {
             site_table.Record(site);
           }
         }
-        RunDetectors(result, &suite, &detectors);
+        suite.Run(result, &detectors);
       }
     };
     run_pruned_cycle();  // Warm-up: seen-set, site table, and scratch reach capacity.

@@ -2,10 +2,12 @@
 # Smoke test for snowboard_cli's argument surface: --help must print the full flag
 # reference and exit 0; unknown commands, unknown flags, and stray positionals must exit 2
 # (the CLI used to silently accept unknown flags and exit 0 — this keeps that regression
-# dead). Pass the CLI binary path as $1; optionally pass the replay-token corpus directory
-# (tests/corpus) as $2 to exercise `replay` end to end (success, divergence exit 3), and
-# the snowboard_serve binary as $3 for a daemon submit/status/cancel round-trip over a
-# unix socket (drain via POST /drain, daemon exit 0).
+# dead). A small campaign is then crashed by injected faults and resumed in a fresh process,
+# which must reproduce the uninterrupted run's findings. Pass the CLI binary path as $1;
+# optionally pass the replay-token corpus directory (tests/corpus) as $2 to exercise
+# `replay` end to end (success, divergence exit 3), and the snowboard_serve binary as $3
+# for a daemon submit/status/cancel round-trip over a unix socket (drain via POST /drain,
+# daemon exit 0).
 set -u
 
 CLI="${1:?usage: cli_smoke_test.sh /path/to/snowboard_cli [corpus-dir] [serve-binary]}"
@@ -82,6 +84,43 @@ if [ -n "$CORPUS" ] && [ -d "$CORPUS" ]; then
 else
   echo "note: no corpus dir supplied; skipping replay end-to-end checks"
 fi
+
+# --- campaign crash/resume across processes. ---
+# A resumed process never registered the sites of the tests it replays from the journal,
+# so the journal record must carry those tests' classified findings. Crash a checkpointed
+# campaign with injected faults, resume it in a fresh process at another worker count, and
+# require the uninterrupted run's findings with every test either replayed or re-run.
+work="${TMPDIR:-/tmp}/cli_smoke_resume.$$"
+mkdir -p "$work"
+campaign="campaign --seed 7 --budget 24 --trials 8 --workers 1 --corpus-size 32"
+campaign="$campaign --corpus-iters 40"
+# $campaign stays unquoted: it is a word list.
+"$CLI" $campaign --report-dir "$work/A" > "$work/a.txt" 2>&1
+check_exit "uninterrupted campaign exits 0" 0 $?
+"$CLI" $campaign --checkpoint-dir "$work/D" --inject-faults 150 --fault-seed 1 \
+    > /dev/null 2>&1
+check_exit "campaign with injected faults exits 42" 42 $?
+"$CLI" $campaign --checkpoint-dir "$work/D" --resume --workers 4 --report-dir "$work/B" \
+    > "$work/b.txt" 2>&1
+check_exit "resumed campaign exits 0" 0 $?
+findings_block() { sed -n '/^findings:$/,/^report written/p' "$1" | grep -v '^report written'; }
+metric() { grep -o "\"$2\": [0-9]*" "$1/report.json" | grep -o '[0-9]*$'; }
+if [ "$(findings_block "$work/a.txt" | wc -l)" -lt 2 ]; then
+  echo "FAIL: uninterrupted campaign printed no findings"; fails=$((fails + 1))
+elif [ "$(findings_block "$work/a.txt")" != "$(findings_block "$work/b.txt")" ]; then
+  echo "FAIL: resumed findings differ from the uninterrupted run's"; fails=$((fails + 1))
+else
+  echo "ok: resumed findings match the uninterrupted run"
+fi
+resumed=$(metric "$work/B" run.tests_resumed)
+rerun=$(metric "$work/B" run.concurrent_tests_run)
+if [ "${resumed:-0}" -gt 0 ] && [ $((${resumed:-0} + ${rerun:-0})) -eq 24 ]; then
+  echo "ok: resume replayed $resumed journaled tests and ran $rerun"
+else
+  echo "FAIL: resume replayed '${resumed}' and ran '${rerun}' tests, want > 0 and a sum of 24"
+  fails=$((fails + 1))
+fi
+rm -rf "$work"
 
 # --- serve: argument surface, then a live daemon round-trip on a unix socket. ---
 if [ -n "$SERVE" ] && [ -x "$SERVE" ]; then
