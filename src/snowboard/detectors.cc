@@ -18,19 +18,6 @@ void JoinClock(std::array<uint64_t, RaceDetector::kMaxVcpus>& into,
   }
 }
 
-// Locksets hold unique lock addrs; order is irrelevant to disjointness. They are tiny
-// (nesting depth of held locks), so the quadratic scan beats any hashed structure.
-bool LocksetsDisjoint(const std::vector<GuestAddr>& a, const std::vector<GuestAddr>& b) {
-  for (GuestAddr lock : a) {
-    for (GuestAddr other : b) {
-      if (lock == other) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 void LocksetInsert(std::vector<GuestAddr>& lockset, GuestAddr lock) {
   for (GuestAddr held : lockset) {
     if (held == lock) {
@@ -99,19 +86,39 @@ bool IsSuspiciousConsoleLine(const std::string& line) {
 RaceDetector::GranuleSlot& RaceDetector::GetGranule(GuestAddr granule) {
   uint32_t* index = granule_index_.Find(granule);
   if (index != nullptr) {
-    return granule_pool_[*index];
+    return granules_[*index];
   }
-  uint32_t slot = static_cast<uint32_t>(granule_pool_used_++);
-  granule_index_[granule] = slot;
-  if (slot < granule_pool_.size()) {
-    // Recycle a slot from a previous trial: entries keep their lockset capacity.
-    for (RememberedList& list : granule_pool_[slot].per_vcpu) {
-      list.used = 0;
+  granule_index_[granule] = static_cast<uint32_t>(granules_.size());
+  granules_.emplace_back().fill(kNil);
+  return granules_.back();
+}
+
+void RaceDetector::UpdateLockset(int v, GuestAddr lock, bool acquire) {
+  const LocksetRange old = locksets_[v];
+  const uint32_t begin = static_cast<uint32_t>(lockset_pool_.size());
+  for (uint32_t i = old.begin; i < old.begin + old.len; i++) {
+    GuestAddr held = lockset_pool_[i];
+    if (held != lock) {
+      lockset_pool_.push_back(held);
     }
-  } else {
-    granule_pool_.emplace_back();
   }
-  return granule_pool_[slot];
+  if (acquire) {
+    lockset_pool_.push_back(lock);  // Set semantics: a recursive acquire keeps one entry.
+  }
+  locksets_[v] = {begin, static_cast<uint32_t>(lockset_pool_.size()) - begin};
+}
+
+// Locksets hold unique lock addrs; order is irrelevant to disjointness. They are tiny
+// (nesting depth of held locks), so the quadratic scan beats any hashed structure.
+bool RaceDetector::LocksetsDisjoint(LocksetRange a, LocksetRange b) const {
+  for (uint32_t i = a.begin; i < a.begin + a.len; i++) {
+    for (uint32_t j = b.begin; j < b.begin + b.len; j++) {
+      if (lockset_pool_[i] == lockset_pool_[j]) {
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 void RaceDetector::Detect(const Trace& trace, std::vector<RaceReport>* races) {
@@ -127,13 +134,15 @@ void RaceDetector::Detect(const Trace& trace, std::vector<RaceReport>* races) {
   // A race: overlapping ranges, different vCPUs, at least one write, not both marked, no
   // common lock, and the earlier access NOT happened-before the later one.
   std::memset(clocks_, 0, sizeof(clocks_));
-  for (std::vector<GuestAddr>& lockset : locksets_) {
-    lockset.clear();
+  for (LocksetRange& lockset : locksets_) {
+    lockset = LocksetRange();
   }
+  lockset_pool_.clear();
   lock_release_clocks_.Clear();
   atomic_release_clocks_.Clear();
   granule_index_.Clear();
-  granule_pool_used_ = 0;
+  granules_.clear();
+  remembered_.clear();
   seen_signatures_.Clear();
   races->clear();
 
@@ -147,7 +156,7 @@ void RaceDetector::Detect(const Trace& trace, std::vector<RaceReport>* races) {
     switch (event.kind) {
       case EventKind::kLockAcquire:
       case EventKind::kSharedAcquire: {
-        LocksetInsert(locksets_[v], event.lock_addr);
+        UpdateLockset(v, event.lock_addr, /*acquire=*/true);
         const VectorClock* release = lock_release_clocks_.Find(event.lock_addr);
         if (release != nullptr) {
           JoinClock(clocks_[v], *release);
@@ -156,7 +165,7 @@ void RaceDetector::Detect(const Trace& trace, std::vector<RaceReport>* races) {
       }
       case EventKind::kLockRelease:
       case EventKind::kSharedRelease: {
-        LocksetErase(locksets_[v], event.lock_addr);
+        UpdateLockset(v, event.lock_addr, /*acquire=*/false);
         JoinClock(lock_release_clocks_[event.lock_addr], clocks_[v]);
         continue;
       }
@@ -194,7 +203,7 @@ void RaceDetector::Detect(const Trace& trace, std::vector<RaceReport>* races) {
       }
     }
 
-    const std::vector<GuestAddr>& lockset = locksets_[v];
+    const LocksetRange lockset = locksets_[v];
     GuestAddr first_granule = a.addr & ~3u;
     GuestAddr last_granule = (a.addr + a.len - 1) & ~3u;
     for (GuestAddr granule = first_granule; granule <= last_granule; granule += 4) {
@@ -204,9 +213,8 @@ void RaceDetector::Detect(const Trace& trace, std::vector<RaceReport>* races) {
         if (other_vcpu == v) {
           continue;
         }
-        const RememberedList& theirs = state.per_vcpu[other_vcpu];
-        for (size_t i = 0; i < theirs.used; i++) {
-          const Remembered& other = theirs.entries[i];
+        for (uint32_t i = state[other_vcpu]; i != kNil; i = remembered_[i].next) {
+          const Remembered& other = remembered_[i];
           bool overlap = a.addr < other.addr + other.len && other.addr < a.addr + a.len;
           if (!overlap) {
             continue;
@@ -241,31 +249,31 @@ void RaceDetector::Detect(const Trace& trace, std::vector<RaceReport>* races) {
           }
         }
       }
-      // Remember this access: replace an existing same-key entry (keep the freshest).
-      RememberedList& mine = state.per_vcpu[v];
-      Remembered* target = nullptr;
-      for (size_t i = 0; i < mine.used; i++) {
-        Remembered& r = mine.entries[i];
-        if (r.site == a.site && r.type == a.type) {
-          target = &r;
-          break;
+      // Remember this access: replace an existing same-key entry (keep the freshest), or
+      // append one to the chain while it is under the cap.
+      uint32_t target = state[v];
+      uint32_t last = kNil;
+      size_t length = 0;
+      while (target != kNil &&
+             (remembered_[target].site != a.site || remembered_[target].type != a.type)) {
+        last = target;
+        target = remembered_[target].next;
+        length++;
+      }
+      if (target == kNil) {
+        if (length >= kMaxRememberedPerGranuleVcpu) {
+          continue;
         }
+        target = static_cast<uint32_t>(remembered_.size());
+        remembered_.push_back({a.site, 0, 0, {}, kNil, a.type, false, 0});
+        (last == kNil ? state[v] : remembered_[last].next) = target;
       }
-      if (target == nullptr && mine.used < kMaxRememberedPerGranuleVcpu) {
-        if (mine.used == mine.entries.size()) {
-          mine.entries.emplace_back();
-        }
-        target = &mine.entries[mine.used++];
-        target->site = a.site;
-        target->type = a.type;
-      }
-      if (target != nullptr) {
-        target->marked = a.marked_atomic;
-        target->addr = a.addr;
-        target->len = a.len;
-        target->own_ts = clocks_[v][v];
-        target->lockset.assign(lockset.begin(), lockset.end());
-      }
+      Remembered& r = remembered_[target];
+      r.marked = a.marked_atomic;
+      r.addr = a.addr;
+      r.len = a.len;
+      r.own_ts = clocks_[v][v];
+      r.lockset = lockset;
     }
   }
 }
@@ -699,48 +707,27 @@ uint64_t DetectorFingerprint(const DetectorResult& result) {
   return h;
 }
 
-bool DetectorResultContainsKey(const DetectorResult& result, FindingKind kind,
-                               uint64_t key) {
-  switch (kind) {
-    case FindingKind::kRace:
-      for (const RaceReport& race : result.races) {
-        if (race.Signature() == key) {
-          return true;
-        }
-      }
-      return false;
-    case FindingKind::kConsole:
-      for (const std::string& line : result.console_hits) {
-        if (Fnv1a(line) == key) {
-          return true;
-        }
-      }
-      return false;
-    case FindingKind::kPanic:
-      return result.panicked && Fnv1a(result.panic_message) == key;
-    case FindingKind::kDeadlock:
-      for (const DeadlockReport& deadlock : result.deadlocks) {
-        if (deadlock.Signature() == key) {
-          return true;
-        }
-      }
-      return false;
-    case FindingKind::kLostWakeup:
-      for (const LostWakeupReport& lost : result.lost_wakeups) {
-        if (lost.Signature() == key) {
-          return true;
-        }
-      }
-      return false;
-    case FindingKind::kLivelock:
-      for (const LivelockReport& livelock : result.livelocks) {
-        if (livelock.Signature() == key) {
-          return true;
-        }
-      }
-      return false;
+std::vector<FindingKey> FindingKeys(const DetectorResult& result) {
+  std::vector<FindingKey> keys;
+  for (const RaceReport& race : result.races) {
+    keys.push_back({FindingKind::kRace, race.Signature()});
   }
-  return false;
+  for (const std::string& line : result.console_hits) {
+    keys.push_back({FindingKind::kConsole, Fnv1a(line)});
+  }
+  if (result.panicked) {
+    keys.push_back({FindingKind::kPanic, Fnv1a(result.panic_message)});
+  }
+  for (const DeadlockReport& deadlock : result.deadlocks) {
+    keys.push_back({FindingKind::kDeadlock, deadlock.Signature()});
+  }
+  for (const LostWakeupReport& lost : result.lost_wakeups) {
+    keys.push_back({FindingKind::kLostWakeup, lost.Signature()});
+  }
+  for (const LivelockReport& livelock : result.livelocks) {
+    keys.push_back({FindingKind::kLivelock, livelock.Signature()});
+  }
+  return keys;
 }
 
 std::vector<RaceReport> DetectRaces(const Trace& trace) {

@@ -101,10 +101,11 @@ class ConsoleDetector {
 };
 
 // The race detector with persistent scratch. One instance is meant to live across an entire
-// trial loop: all working state (vector clocks, locksets, release-clock maps, remembered
-// accesses, signature dedup) is reset-in-place per Detect call, so after the first few
-// trials grow the tables to their high-water capacity, a Detect call performs no heap
-// allocation beyond appending to the caller's `races` vector (itself reusable).
+// trial loop: all working state (vector clocks, lockset snapshots, release-clock maps,
+// remembered accesses, signature dedup) lives in flat tables and vectors that are reset in
+// place per Detect call, so after the first few trials grow them to their high-water
+// capacity, a Detect call performs no heap allocation beyond appending to the caller's
+// `races` vector (itself reusable).
 class RaceDetector {
  public:
   // The detector supports up to three vCPUs: the paper's two-thread configuration plus the
@@ -119,40 +120,46 @@ class RaceDetector {
 
  private:
   using VectorClock = std::array<uint64_t, kMaxVcpus>;
+  static constexpr uint32_t kNil = UINT32_MAX;
+
+  // A lockset: `len` unique lock addrs at `lockset_pool_[begin..]`, unordered. Every lock
+  // event appends the vCPU's new lockset to the pool, so a range never changes once made.
+  struct LocksetRange {
+    uint32_t begin = 0;
+    uint32_t len = 0;
+  };
 
   // A remembered access for cross-thread comparison, deduped per (granule, vcpu) by
   // (site, type); the most recent instance is kept (it has the least happens-before
-  // coverage, so it is the most likely to still race).
+  // coverage, so it is the most likely to still race). Entries of one (granule, vcpu)
+  // chain through `next` in insertion order.
   struct Remembered {
     SiteId site;
+    uint64_t own_ts;  // The owner's own clock component when the access executed.
+    GuestAddr addr;
+    LocksetRange lockset;
+    uint32_t next;
     AccessType type;
     bool marked;
-    GuestAddr addr;
     uint8_t len;
-    uint64_t own_ts;  // The owner's own clock component when the access executed.
-    std::vector<GuestAddr> lockset;
   };
 
-  // Slot-reusing list: `used` counts live entries; dead slots keep their lockset capacity
-  // so refilling them allocates nothing.
-  struct RememberedList {
-    std::vector<Remembered> entries;
-    size_t used = 0;
-  };
-
-  struct GranuleSlot {
-    RememberedList per_vcpu[kMaxVcpus];
-  };
+  // A granule's per-vCPU chain heads into remembered_ (kNil: no entry).
+  using GranuleSlot = std::array<uint32_t, kMaxVcpus>;
 
   GranuleSlot& GetGranule(GuestAddr granule);
+  // Makes `lock` held (acquire) or not held (release) in a fresh snapshot of v's lockset.
+  void UpdateLockset(int v, GuestAddr lock, bool acquire);
+  bool LocksetsDisjoint(LocksetRange a, LocksetRange b) const;
 
   VectorClock clocks_[kMaxVcpus] = {};
-  std::vector<GuestAddr> locksets_[kMaxVcpus];  // Unique lock addrs held, unordered.
+  LocksetRange locksets_[kMaxVcpus];  // Each vCPU's current lockset.
+  std::vector<GuestAddr> lockset_pool_;
   FlatMap<GuestAddr, VectorClock> lock_release_clocks_;
   FlatMap<GuestAddr, VectorClock> atomic_release_clocks_;  // Keyed by cell addr.
-  FlatMap<GuestAddr, uint32_t> granule_index_;  // granule addr -> granule_pool_ slot.
-  std::vector<GranuleSlot> granule_pool_;
-  size_t granule_pool_used_ = 0;
+  FlatMap<GuestAddr, uint32_t> granule_index_;  // granule addr -> granules_ slot.
+  std::vector<GranuleSlot> granules_;
+  std::vector<Remembered> remembered_;
   FlatSet<uint64_t> seen_signatures_;
 };
 
@@ -294,9 +301,18 @@ enum class FindingKind : uint8_t {
 // SARIF, and the CLI.
 const char* FindingKindName(FindingKind kind);
 
-// True if `result` contains a finding of `kind` whose dedup key equals `key` — the
-// minimizer's acceptance test ("does the finding of interest still fire?").
-bool DetectorResultContainsKey(const DetectorResult& result, FindingKind kind, uint64_t key);
+// One finding of a trial's detector output, by kind and dedup key.
+struct FindingKey {
+  FindingKind kind = FindingKind::kRace;
+  uint64_t key = 0;
+
+  bool operator==(const FindingKey&) const = default;
+};
+
+// Every finding in `result` as its (kind, dedup key), section by section in DetectorResult
+// order. The minimizer's acceptance test ("does the finding of interest still fire?")
+// looks its capture up in this list.
+std::vector<FindingKey> FindingKeys(const DetectorResult& result);
 
 // Runs the full detector suite over a finished trial (fresh scratch; convenience for
 // replay, tests, and one-shot callers). The trial hot loop keeps one DetectorSuite and

@@ -24,8 +24,7 @@ constexpr uint64_t kEdgeTag = 0xe1;
 
 uint64_t HbFingerprint(const Trace& trace, HbScratch* scratch,
                        std::vector<HbEdge>* edges_out) {
-  scratch->last_write_site.Clear();
-  scratch->last_write_vcpu.Clear();
+  scratch->last_write.Clear();
   scratch->edge_sites.clear();
   if (edges_out != nullptr) {
     edges_out->clear();
@@ -43,13 +42,12 @@ uint64_t HbFingerprint(const Trace& trace, HbScratch* scratch,
     const Access& access = event.access;
     uint64_t addr = static_cast<uint64_t>(access.addr);
     if (access.type == AccessType::kWrite) {
-      scratch->last_write_site[addr] = access.site;
-      scratch->last_write_vcpu[addr] = static_cast<uint64_t>(access.vcpu);
+      scratch->last_write[addr] = {access.site, access.vcpu};
     } else {
-      const uint64_t* writer_vcpu = scratch->last_write_vcpu.Find(addr);
-      if (writer_vcpu != nullptr && *writer_vcpu != static_cast<uint64_t>(access.vcpu)) {
+      const HbScratch::LastWrite* writer = scratch->last_write.Find(addr);
+      if (writer != nullptr && writer->vcpu != access.vcpu) {
         // A reads-from edge crossing threads: the happens-before skeleton grows here.
-        SiteId write_site = *scratch->last_write_site.Find(addr);
+        SiteId write_site = writer->site;
         h = FnvFold(h, kEdgeTag);
         h = FnvFold(h, write_site);
         h = FnvFold(h, access.site);

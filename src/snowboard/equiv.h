@@ -42,13 +42,16 @@ struct HbEdge {
   bool operator==(const HbEdge&) const = default;
 };
 
-// Reusable scratch for HbFingerprint: last-writer tables keyed by address plus the edge
-// sites of the most recent trial (in trace order, duplicates preserved — the adaptive
-// table counts participation). Clear-keeps-capacity, so one scratch serves a whole test.
+// Reusable scratch for HbFingerprint: one last-writer table keyed by address plus the edge
+// sites of the most recent trial (in trace order, duplicates preserved).
+// Clear-keeps-capacity, so one scratch serves a whole test.
 struct HbScratch {
-  FlatMap<uint64_t, uint64_t> last_write_site;  // addr -> site of the last write.
-  FlatMap<uint64_t, uint64_t> last_write_vcpu;  // addr -> vCPU of the last write.
-  std::vector<SiteId> edge_sites;               // Both sites of every edge, this trial.
+  struct LastWrite {
+    SiteId site = 0;
+    VcpuId vcpu = kInvalidVcpu;
+  };
+  FlatMap<uint64_t, LastWrite> last_write;  // addr -> the last write's site and vCPU.
+  std::vector<SiteId> edge_sites;           // Both sites of every edge, this trial.
 };
 
 // The per-trial happens-before fingerprint: order-sensitive FNV-1a over the trial's
@@ -63,36 +66,20 @@ struct HbScratch {
 uint64_t HbFingerprint(const Trace& trace, HbScratch* scratch,
                        std::vector<HbEdge>* edges_out = nullptr);
 
-// Sites learned to participate in communication edges, with participation counts, in
-// first-learned order (FlatMap iteration order is unspecified, so any deterministic output
-// must walk `order()`). One table lives for one test's trial loop and dies with it.
+// Sites learned to participate in communication edges. One table lives for one test's
+// trial loop and dies with it.
 class AdaptiveSiteTable {
  public:
-  void Clear() {
-    counts_.Clear();
-    order_.clear();
-  }
-  void Record(SiteId site) {
-    uint32_t& count = counts_[static_cast<uint64_t>(site)];
-    if (count == 0) {
-      order_.push_back(site);
-    }
-    count++;
-  }
+  void Clear() { hot_.Clear(); }
+  void Record(SiteId site) { hot_.Insert(site); }
   // A site is hot once it has participated in any communication edge. The schedulers only
   // consult a non-empty table (an empty table means nothing has been learned yet, not that
   // every site is cold).
-  bool IsHot(SiteId site) const { return counts_.Contains(static_cast<uint64_t>(site)); }
-  uint32_t CountFor(SiteId site) const {
-    const uint32_t* count = counts_.Find(static_cast<uint64_t>(site));
-    return count != nullptr ? *count : 0;
-  }
-  bool empty() const { return order_.empty(); }
-  const std::vector<SiteId>& order() const { return order_; }
+  bool IsHot(SiteId site) const { return hot_.Contains(site); }
+  bool empty() const { return hot_.size() == 0; }
 
  private:
-  FlatMap<uint64_t, uint32_t> counts_;
-  std::vector<SiteId> order_;  // First-learned order, for deterministic iteration.
+  FlatSet<SiteId> hot_;
 };
 
 // When an adaptive site table is installed on a scheduler, preemption probability at hot

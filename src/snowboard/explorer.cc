@@ -1,6 +1,9 @@
 #include "src/snowboard/explorer.h"
 
 #include <algorithm>
+#include <string>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "src/snowboard/minimize.h"
 #include "src/snowboard/profile.h"
@@ -37,15 +40,71 @@ uint64_t AccessHash(const Access& access) {
 
 PmcMatcher::PmcMatcher(const std::vector<Pmc>* pmcs, size_t max_indexed) : pmcs_(pmcs) {
   size_t count = std::min(pmcs->size(), max_indexed);
+  std::vector<std::vector<Candidate>> groups;  // In order of first appearance.
   for (uint32_t i = 0; i < count; i++) {
-    uint64_t h = SideFeatureHash((*pmcs)[i].key.write, AccessType::kWrite);
-    by_write_feature_[h].push_back(i);
+    const PmcKey& key = (*pmcs)[i].key;
+    FeatureIds& read = ids_[SideFeatureHash(key.read, AccessType::kRead)];
+    if (read.read == kNoId) {
+      read.read = num_reads_++;
+    }
+    const Candidate candidate{key.Hash(), i, read.read};
+    FeatureIds& write = ids_[SideFeatureHash(key.write, AccessType::kWrite)];
+    if (write.group == kNoId) {
+      write.group = static_cast<uint32_t>(groups.size());
+      groups.emplace_back();
+    }
+    groups[write.group].push_back(candidate);
   }
+  for (const std::vector<Candidate>& group : groups) {
+    group_begin_.push_back(static_cast<uint32_t>(candidates_.size()));
+    candidates_.insert(candidates_.end(), group.begin(), group.end());
+  }
+  group_begin_.push_back(static_cast<uint32_t>(candidates_.size()));
 }
 
-const std::vector<uint32_t>* PmcMatcher::CandidatesForWrite(uint64_t write_feature_hash) const {
-  auto it = by_write_feature_.find(write_feature_hash);
-  return it == by_write_feature_.end() ? nullptr : &it->second;
+void PmcMatcher::FindIncidental(const Trace& trace, const FlatSet<uint64_t>& current_keys,
+                                Search* search) const {
+  search->groups_hit_.clear();
+  search->matches_.clear();
+  // Size the stamps on a test's first search, and zero them again before the stamp would
+  // wrap: a zero slot never equals a live stamp, which starts at 1.
+  if (search->group_stamp_.size() != group_begin_.size() - 1 ||
+      search->read_stamp_.size() != num_reads_ || search->stamp_ == UINT32_MAX) {
+    search->group_stamp_.assign(group_begin_.size() - 1, 0);
+    search->read_stamp_.assign(num_reads_, 0);
+    search->stamp_ = 0;
+  }
+  const uint32_t stamp = ++search->stamp_;
+  for (const Event& event : trace) {
+    if (event.kind != EventKind::kAccess) {
+      continue;
+    }
+    const FeatureIds* ids = ids_.Find(AccessHash(event.access));
+    if (ids == nullptr) {
+      continue;
+    }
+    if (event.access.type == AccessType::kWrite) {
+      if (ids->group != kNoId && search->group_stamp_[ids->group] != stamp) {
+        search->group_stamp_[ids->group] = stamp;
+        search->groups_hit_.push_back(ids->group);
+      }
+    } else if (ids->read != kNoId) {
+      search->read_stamp_[ids->read] = stamp;
+    }
+  }
+  for (uint32_t group : search->groups_hit_) {
+    for (uint32_t c = group_begin_[group]; c < group_begin_[group + 1]; c++) {
+      const Candidate& candidate = candidates_[c];
+      if (search->read_stamp_[candidate.read] != stamp ||
+          current_keys.Contains(candidate.key_hash)) {
+        continue;
+      }
+      search->matches_.push_back(candidate.pmc);
+      if (search->matches_.size() >= kMaxMatches) {
+        return;
+      }
+    }
+  }
 }
 
 // --------------------------------------------------------------------------------------------
@@ -54,8 +113,8 @@ const std::vector<uint32_t>* PmcMatcher::CandidatesForWrite(uint64_t write_featu
 
 void PmcScheduler::ResetForTest(const PmcKey& initial_pmc) {
   current_pmcs_.clear();
-  pmc_feature_hashes_.clear();
-  flags_.clear();
+  pmc_feature_hashes_.Clear();
+  flags_.Clear();
   addr_filter_.Clear();
   AddPmc(initial_pmc);
 }
@@ -69,25 +128,25 @@ void PmcScheduler::SeedTrial(uint64_t seed) {
 
 void PmcScheduler::AddPmc(const PmcKey& pmc) {
   current_pmcs_.push_back(pmc);
-  pmc_feature_hashes_.insert(SideFeatureHash(pmc.write, AccessType::kWrite));
-  pmc_feature_hashes_.insert(SideFeatureHash(pmc.read, AccessType::kRead));
+  pmc_feature_hashes_.Insert(SideFeatureHash(pmc.write, AccessType::kWrite));
+  pmc_feature_hashes_.Insert(SideFeatureHash(pmc.read, AccessType::kRead));
   addr_filter_.Add(pmc.write.addr);
   addr_filter_.Add(pmc.read.addr);
 }
 
 void PmcScheduler::RollbackAttempt() {
   for (uint64_t flag : flag_journal_) {
-    flags_.erase(flag);
+    flags_.Erase(flag);
   }
   flag_journal_.clear();
 }
 
 bool PmcScheduler::PerformedPmcAccess(const Access& access) const {
-  return pmc_feature_hashes_.count(AccessHash(access)) != 0;
+  return pmc_feature_hashes_.Contains(AccessHash(access));
 }
 
 bool PmcScheduler::PmcAccessComing(const Access& access) const {
-  return flags_.count(AccessHash(access)) != 0;
+  return flags_.Contains(AccessHash(access));
 }
 
 bool PmcScheduler::AfterAccess(VcpuId vcpu, const Access& access) {
@@ -119,7 +178,7 @@ bool PmcScheduler::AfterAccess(VcpuId vcpu, const Access& access) {
     const std::optional<Access>& previous = last_access_[vcpu];
     if (flags_enabled_ && previous.has_value()) {
       uint64_t flag = AccessHash(*previous);
-      if (flags_.insert(flag).second) {
+      if (flags_.Insert(flag)) {
         flag_journal_.push_back(flag);
       }
       addr_filter_.Add(previous->addr);
@@ -139,59 +198,6 @@ bool PmcScheduler::AfterAccess(VcpuId vcpu, const Access& access) {
 // --------------------------------------------------------------------------------------------
 
 namespace {
-
-// Reusable scratch for FindIncidentalPmcs: flat tables and vectors that keep their capacity
-// across trials, so the steady-state trial loop performs no heap allocation here.
-struct IncidentalScratch {
-  FlatSet<uint64_t> write_features;
-  std::vector<uint64_t> write_order;  // Write features in first-occurrence trace order.
-  FlatSet<uint64_t> read_features;
-  std::vector<uint32_t> matches;
-};
-
-// Incidental-PMC search (line 26): find PMCs different from the current ones whose write
-// and read features BOTH occurred in the trial's accesses. Candidates are collected by
-// scanning write features in first-occurrence trace order, so the result (and the adoption
-// draw made from it) is a deterministic function of the trace, independent of any hash
-// table's layout. Fills `scratch->matches`.
-void FindIncidentalPmcs(const Trace& trace, const PmcMatcher& matcher,
-                        const FlatSet<uint64_t>& current_keys, IncidentalScratch* scratch) {
-  scratch->write_features.Clear();
-  scratch->write_order.clear();
-  scratch->read_features.Clear();
-  scratch->matches.clear();
-  for (const Event& event : trace) {
-    if (event.kind != EventKind::kAccess) {
-      continue;
-    }
-    uint64_t h = AccessHash(event.access);
-    if (event.access.type == AccessType::kWrite) {
-      if (scratch->write_features.Insert(h)) {
-        scratch->write_order.push_back(h);
-      }
-    } else {
-      scratch->read_features.Insert(h);
-    }
-  }
-  for (uint64_t write_feature : scratch->write_order) {
-    const std::vector<uint32_t>* candidates = matcher.CandidatesForWrite(write_feature);
-    if (candidates == nullptr) {
-      continue;
-    }
-    for (uint32_t index : *candidates) {
-      const PmcKey& key = matcher.pmcs()[index].key;
-      if (current_keys.Contains(key.Hash())) {
-        continue;
-      }
-      if (scratch->read_features.Contains(SideFeatureHash(key.read, AccessType::kRead))) {
-        scratch->matches.push_back(index);
-        if (scratch->matches.size() >= 64) {
-          return;  // Plenty to draw one from.
-        }
-      }
-    }
-  }
-}
 
 // True when some finding in `detectors` classifies to Table 2 issue `issue_id`.
 bool HasIssue(const DetectorResult& detectors, int issue_id) {
@@ -248,9 +254,10 @@ ExploreOutcome RunTrialLoop(KernelVm& vm, const std::vector<const Program*>& pro
   Rng adoption_rng(options.seed ^ 0xadadadadull);
 
   // Trial-scoped buffers, hoisted: the guest functions, run result (trace storage), race
-  // detector scratch, and incidental-search scratch are all built once and recycled, so a
-  // steady-state iteration of this loop performs no heap allocation (trial_alloc_test
-  // asserts this on the distilled loop).
+  // detector scratch, and incidental-search stamps are all built once and recycled, and
+  // the scheduler's PMC and flag sets are flat tables, so a steady-state iteration of this
+  // loop (adoption included) performs no heap allocation (trial_alloc_test asserts this on
+  // the distilled loop).
   std::vector<Engine::GuestFn> vcpu_fns;
   for (size_t i = 0; i < programs.size(); i++) {
     vcpu_fns.push_back(MakeProgramRunner(vm.globals(), *programs[i], static_cast<int>(i)));
@@ -265,7 +272,7 @@ ExploreOutcome RunTrialLoop(KernelVm& vm, const std::vector<const Program*>& pro
   Engine::RunResult result;
   DetectorSuite detector_suite(options.detectors);
   DetectorResult detectors;
-  IncidentalScratch incidental;
+  PmcMatcher::Search incidental;
 
   // Schedule-equivalence pruning state (equiv.h). The fingerprint scratch and seen-set
   // keep their capacity across trials (no steady-state allocation); the adaptive table is
@@ -427,9 +434,10 @@ ExploreOutcome RunTrialLoop(KernelVm& vm, const std::vector<const Program*>& pro
 
     // Lines 26-27: adopt one incidental PMC observed in this trial.
     if (adopt) {
-      FindIncidentalPmcs(result.trace, *matcher, current_keys, &incidental);
-      if (!incidental.matches.empty()) {
-        uint32_t pick = incidental.matches[adoption_rng.Below(incidental.matches.size())];
+      matcher->FindIncidental(result.trace, current_keys, &incidental);
+      const std::vector<uint32_t>& matches = incidental.matches();
+      if (!matches.empty()) {
+        uint32_t pick = matches[adoption_rng.Below(matches.size())];
         const PmcKey& key = matcher->pmcs()[pick].key;
         if (current_keys.Insert(key.Hash())) {
           pmc_scheduler->AddPmc(key);
@@ -459,25 +467,40 @@ ExploreOutcome RunTrialLoop(KernelVm& vm, const std::vector<const Program*>& pro
       !(options.fault != nullptr && options.fault->crashed())) {
     Engine::RunOptions replay_opts;
     replay_opts.max_instructions = options.max_instructions;
+    // A replay is a pure function of the schedule string (same programs, same snapshot), so
+    // each distinct candidate runs once per test: the captures of one trial share their
+    // first probe, and most captures probe the switch-free schedule. A memo hit still
+    // spends a probe of the minimizer's budget, so every search path is unchanged.
+    struct ProbeResult {
+      uint64_t fingerprint = 0;
+      std::vector<FindingKey> findings;
+    };
+    std::unordered_map<std::string, ProbeResult> probe_memo;
     for (TrialCapture& capture : outcome.captures) {
       std::optional<RecordedSchedule> recorded =
           RecordedSchedule::FromString(capture.schedule);
       if (!recorded.has_value()) {
         continue;
       }
-      FindingKind kind = static_cast<FindingKind>(capture.kind);
+      const FindingKey wanted{static_cast<FindingKind>(capture.kind), capture.finding_key};
       uint64_t last_fingerprint = 0;
       auto probe = [&](const RecordedSchedule& candidate) {
-        ReplayScheduler replayer(candidate);
-        replayer.SeedTrial(0);
-        replay_opts.scheduler = &replayer;
-        vm.RestoreSnapshot();
-        vm.engine().RunInto(vcpu_fns, replay_opts, &result);
-        detector_suite.Run(result, &detectors);
-        if (!DetectorResultContainsKey(detectors, kind, capture.finding_key)) {
+        auto [memo, fresh] = probe_memo.try_emplace(candidate.ToString());
+        if (fresh) {
+          ReplayScheduler replayer(candidate);
+          replayer.SeedTrial(0);
+          replay_opts.scheduler = &replayer;
+          vm.RestoreSnapshot();
+          vm.engine().RunInto(vcpu_fns, replay_opts, &result);
+          detector_suite.Run(result, &detectors);
+          memo->second.fingerprint = DetectorFingerprint(detectors);
+          memo->second.findings = FindingKeys(detectors);
+        }
+        const std::vector<FindingKey>& findings = memo->second.findings;
+        if (std::find(findings.begin(), findings.end(), wanted) == findings.end()) {
           return false;
         }
-        last_fingerprint = DetectorFingerprint(detectors);
+        last_fingerprint = memo->second.fingerprint;
         return true;
       };
       MinimizeStats stats;

@@ -16,9 +16,8 @@
 #define SRC_SNOWBOARD_EXPLORER_H_
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/kernel/kernel.h"
@@ -26,6 +25,7 @@
 #include "src/snowboard/detectors.h"
 #include "src/snowboard/equiv.h"
 #include "src/snowboard/select.h"
+#include "src/util/flatmap.h"
 #include "src/util/rng.h"
 
 namespace snowboard {
@@ -34,19 +34,65 @@ namespace snowboard {
 uint64_t AccessFeatureHash(AccessType type, GuestAddr addr, uint8_t len, SiteId site,
                            uint64_t value);
 
-// Reverse index from write-side features to PMCs, supporting incidental-PMC discovery
-// (Algorithm 2 line 26). Built once per pipeline; shared read-only across workers.
+// Incidental-PMC discovery (Algorithm 2 line 26) over the first `max_indexed` PMCs. Built
+// once per pipeline; shared read-only across workers. The constructor gives every distinct
+// write-side feature a dense group id and every distinct read-side feature a dense read id,
+// and lays the candidates out contiguously group by group (index order within a group),
+// each with its precomputed PmcKey::Hash() and read id. A trial's search then hashes each
+// access once, marks the ids it hit in per-test stamp arrays, and walks only the hit
+// groups' candidates.
 class PmcMatcher {
  public:
+  // The search stops once this many matches are collected: plenty to draw one from.
+  static constexpr size_t kMaxMatches = 64;
+
+  // Per-test search state: stamp arrays indexed by the matcher's dense ids, sized by the
+  // test's first search and reused by every later trial (a trial only bumps the stamp).
+  class Search {
+   public:
+    // PMC indices found by the last FindIncidental call, in match order.
+    const std::vector<uint32_t>& matches() const { return matches_; }
+
+   private:
+    friend class PmcMatcher;
+    std::vector<uint32_t> group_stamp_;
+    std::vector<uint32_t> read_stamp_;
+    uint32_t stamp_ = 0;
+    std::vector<uint32_t> groups_hit_;  // Write groups in first-occurrence trace order.
+    std::vector<uint32_t> matches_;
+  };
+
   PmcMatcher(const std::vector<Pmc>* pmcs, size_t max_indexed = 200'000);
 
-  // PMCs whose write side matches `write_feature_hash`.
-  const std::vector<uint32_t>* CandidatesForWrite(uint64_t write_feature_hash) const;
+  // Fills search->matches() with the indexed PMCs not in `current_keys` (PmcKey::Hash()
+  // values) whose write AND read features both occurred among the trace's accesses. Write
+  // features are scanned in first-occurrence trace order and each one's PMCs in index
+  // order, stopping at kMaxMatches, so the result (and the adoption draw made from it) is a
+  // deterministic function of the trace.
+  void FindIncidental(const Trace& trace, const FlatSet<uint64_t>& current_keys,
+                      Search* search) const;
+
   const std::vector<Pmc>& pmcs() const { return *pmcs_; }
 
  private:
+  static constexpr uint32_t kNoId = UINT32_MAX;
+
+  // What a feature hash is as a PMC side: a write group, a read id, or (by collision) both.
+  struct FeatureIds {
+    uint32_t group = kNoId;
+    uint32_t read = kNoId;
+  };
+  struct Candidate {
+    uint64_t key_hash;  // PmcKey::Hash().
+    uint32_t pmc;       // Index into pmcs().
+    uint32_t read;      // Read id of the PMC's read side.
+  };
+
   const std::vector<Pmc>* pmcs_;
-  std::unordered_map<uint64_t, std::vector<uint32_t>> by_write_feature_;
+  FlatMap<uint64_t, FeatureIds> ids_;  // Side feature hash -> dense ids.
+  std::vector<uint32_t> group_begin_;  // Group g's candidates: [group_begin_[g], [g + 1]).
+  std::vector<Candidate> candidates_;
+  uint32_t num_reads_ = 0;
 };
 
 // A scheduler that is reseeded at the start of every trial (deterministic replay).
@@ -141,8 +187,8 @@ class PmcScheduler : public TrialScheduler {
   bool PmcAccessComing(const Access& access) const;
 
   std::vector<PmcKey> current_pmcs_;
-  std::unordered_set<uint64_t> pmc_feature_hashes_;  // Both sides of every current PMC.
-  std::unordered_set<uint64_t> flags_;               // Persist across trials of one test.
+  FlatSet<uint64_t> pmc_feature_hashes_;  // Both sides of every current PMC.
+  FlatSet<uint64_t> flags_;               // Persist across trials of one test.
   // Address-level prefilter over both exact sets above: AfterAccess early-exits when the
   // access address provably belongs to neither PMC sides nor flags (the overwhelmingly
   // common case), skipping the feature hash and both set probes.

@@ -40,11 +40,11 @@ class FlatMap {
     }
     size_t index = Probe(key, /*for_insert=*/true);
     if (states_[index] != kFull) {
+      used_ += states_[index] == kEmpty ? 1 : 0;  // A reused tombstone was already counted.
       states_[index] = kFull;
       keys_[index] = key;
       values_[index] = Value();  // Slots are recycled across Clear(); reset stale content.
       size_++;
-      used_++;
     }
     return values_[index];
   }
@@ -145,6 +145,7 @@ class FlatSet {
  public:
   bool Insert(Key key) { return map_.Insert(key); }
   bool Contains(Key key) const { return map_.Contains(key); }
+  void Erase(Key key) { map_.Erase(key); }
   size_t size() const { return map_.size(); }
   void Clear() { map_.Clear(); }
 

@@ -230,22 +230,23 @@ TEST(HbFingerprintTest, EdgesOutDecodesTheEdgeList) {
 
 // --- AdaptiveSiteTable / ClusterPriorityTracker / TestFeedbackGroup units. ---
 
-TEST(AdaptiveSiteTableTest, RecordsCountsInFirstLearnedOrder) {
+TEST(AdaptiveSiteTableTest, RecordedSitesAreHotUntilClear) {
   AdaptiveSiteTable table;
   EXPECT_TRUE(table.empty());
   EXPECT_FALSE(table.IsHot(7));
   table.Record(7);
+  EXPECT_FALSE(table.empty());
   table.Record(9);
   table.Record(7);
   EXPECT_TRUE(table.IsHot(7));
   EXPECT_TRUE(table.IsHot(9));
   EXPECT_FALSE(table.IsHot(8));
-  EXPECT_EQ(table.CountFor(7), 2u);
-  EXPECT_EQ(table.CountFor(9), 1u);
-  EXPECT_EQ(table.CountFor(8), 0u);
-  EXPECT_EQ(table.order(), (std::vector<SiteId>{7, 9}));
   table.Clear();
   EXPECT_TRUE(table.empty());
+  EXPECT_FALSE(table.IsHot(7));
+  EXPECT_FALSE(table.IsHot(9));
+  table.Record(8);  // A cleared table learns afresh.
+  EXPECT_TRUE(table.IsHot(8));
   EXPECT_FALSE(table.IsHot(7));
 }
 

@@ -109,17 +109,39 @@ TEST(PmcSchedulerTest, AddPmcExtendsMatching) {
   EXPECT_EQ(scheduler.current_pmcs().size(), 2u);
 }
 
+Event AccessEvent(const Access& access) {
+  Event e;
+  e.kind = EventKind::kAccess;
+  e.vcpu = access.vcpu;
+  e.access = access;
+  return e;
+}
+
 TEST(PmcMatcherTest, FindsPmcsByWriteFeature) {
   std::vector<Pmc> pmcs;
   Pmc pmc;
   pmc.key = MakeHint();
   pmcs.push_back(pmc);
   PmcMatcher matcher(&pmcs);
-  uint64_t h = AccessFeatureHash(AccessType::kWrite, 0x2000, 4, 11, 5);
-  const std::vector<uint32_t>* candidates = matcher.CandidatesForWrite(h);
-  ASSERT_NE(candidates, nullptr);
-  EXPECT_EQ(candidates->size(), 1u);
-  EXPECT_EQ(matcher.CandidatesForWrite(12345), nullptr);
+  PmcMatcher::Search search;
+  FlatSet<uint64_t> current_keys;
+  const Event write = AccessEvent(MakeAccess(0, AccessType::kWrite, 0x2000, 11, 5));
+  const Event read = AccessEvent(MakeAccess(1, AccessType::kRead, 0x2000, 22, 0));
+
+  // Both sides occurred: the PMC is found, in either trace order.
+  matcher.FindIncidental({read, write}, current_keys, &search);
+  EXPECT_EQ(search.matches(), (std::vector<uint32_t>{0}));
+  // The write side alone, or the write's feature seen as a read, finds nothing.
+  matcher.FindIncidental({write}, current_keys, &search);
+  EXPECT_TRUE(search.matches().empty());
+  Event write_as_read = write;
+  write_as_read.access.type = AccessType::kRead;
+  matcher.FindIncidental({write_as_read, read}, current_keys, &search);
+  EXPECT_TRUE(search.matches().empty());
+  // A current PMC is never an incidental one.
+  current_keys.Insert(pmc.key.Hash());
+  matcher.FindIncidental({write, read}, current_keys, &search);
+  EXPECT_TRUE(search.matches().empty());
 }
 
 // --- End-to-end exposure of the Figure 1 bug via Algorithm 2. ---

@@ -2,6 +2,9 @@
 // identification caps, hot-cell pruning, and matcher bounds.
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <utility>
+
 #include "src/fuzz/generator.h"
 #include "src/snowboard/pipeline.h"
 
@@ -97,18 +100,27 @@ TEST(PipelineEdgeTest, HotCellPruningReducesPmcs) {
 
 TEST(PipelineEdgeTest, MatcherIndexBoundRespected) {
   std::vector<Pmc> pmcs;
+  Trace trace;
   for (uint32_t i = 0; i < 100; i++) {
     Pmc pmc;
     pmc.key.write = PmcSide{0x1000 + 4 * i, 4, 100 + i, 1};
     pmc.key.read = PmcSide{0x1000 + 4 * i, 4, 200 + i, 2};
     pmcs.push_back(pmc);
+    for (const auto& [type, side] : {std::pair{AccessType::kWrite, pmc.key.write},
+                                     std::pair{AccessType::kRead, pmc.key.read}}) {
+      Event event;
+      event.access = {.type = type, .len = side.len, .addr = side.addr, .value = side.value,
+                      .site = side.site};
+      trace.push_back(event);
+    }
   }
   PmcMatcher matcher(&pmcs, /*max_indexed=*/10);
-  // Write features beyond the indexed prefix are not findable.
-  uint64_t indexed = AccessFeatureHash(AccessType::kWrite, 0x1000, 4, 100, 1);
-  uint64_t unindexed = AccessFeatureHash(AccessType::kWrite, 0x1000 + 4 * 50, 4, 150, 1);
-  EXPECT_NE(matcher.CandidatesForWrite(indexed), nullptr);
-  EXPECT_EQ(matcher.CandidatesForWrite(unindexed), nullptr);
+  PmcMatcher::Search search;
+  // Every PMC occurred in full, but only the indexed prefix is findable.
+  matcher.FindIncidental(trace, FlatSet<uint64_t>(), &search);
+  std::vector<uint32_t> indexed(10);
+  std::iota(indexed.begin(), indexed.end(), 0u);
+  EXPECT_EQ(search.matches(), indexed);
 }
 
 TEST(PipelineEdgeTest, ExplorerZeroTrials) {
