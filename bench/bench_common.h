@@ -41,6 +41,21 @@ inline bool FindL2tpHint(const KernelVm& vm, const std::vector<Pmc>& pmcs, PmcKe
   return false;
 }
 
+// The issue a harvest probe credits to a test: its highest race issue other than the
+// ubiquitous #13, overridden by a classified panic.
+inline int HarvestedIssue(const ExploreOutcome& outcome) {
+  int issue = 0;
+  for (const FindingRecord& finding : outcome.findings) {
+    if (finding.kind == FindingKind::kRace && finding.issue_id > issue &&
+        finding.issue_id != 13) {
+      issue = finding.issue_id;
+    } else if (finding.kind == FindingKind::kPanic && finding.issue_id != 0) {
+      issue = finding.issue_id;
+    }
+  }
+  return issue;
+}
+
 inline void PrintHeader(const char* title) {
   std::printf("\n================================================================\n"
               "%s\n"

@@ -49,16 +49,18 @@ int Run() {
 
   std::printf("exploration: %d trials, target %s\n", outcome.trials_run,
               outcome.target_found ? "EXPOSED" : "not exposed");
-  for (const std::string& line : outcome.panic_messages) {
-    std::printf("  guest console: %s\n", line.c_str());
+  for (const FindingRecord& finding : outcome.findings) {
+    if (finding.kind == FindingKind::kPanic) {
+      std::printf("  guest console: %s\n", finding.evidence.c_str());
+    }
   }
 
   // §5.2 Case 2: "concurrency bugs ... also occur when there are no data races involved".
+  // A race's evidence names the functions of both sites.
   bool l2tp_race = false;
-  for (const RaceReport& race : outcome.races) {
-    std::string functions =
-        LookupSite(race.write_site).function + LookupSite(race.other_site).function;
-    l2tp_race = l2tp_race || functions.find("L2tp") != std::string::npos;
+  for (const FindingRecord& finding : outcome.findings) {
+    l2tp_race = l2tp_race || (finding.kind == FindingKind::kRace &&
+                              finding.evidence.find("L2tp") != std::string::npos);
   }
   std::printf("\nno l2tp data race reported by the race oracle: %s (the bug is an order "
               "violation)\n",

@@ -53,12 +53,16 @@ int Run() {
   ExplorerOptions options;
   options.num_trials = 64;
   ExploreOutcome outcome = ExploreConcurrentTest(vm, test, nullptr, options);
+  size_t races = 0;
   bool classified = false;
-  for (const RaceReport& race : outcome.races) {
-    classified = classified || ClassifyRace(race) == 9;
+  for (const FindingRecord& finding : outcome.findings) {
+    if (finding.kind == FindingKind::kRace) {
+      races++;
+      classified = classified || finding.issue_id == 9;
+    }
   }
-  std::printf("race oracle: %zu distinct races; issue #9 classified: %s\n",
-              outcome.races.size(), classified ? "yes" : "NO");
+  std::printf("race oracle: %zu distinct races; issue #9 classified: %s\n", races,
+              classified ? "yes" : "NO");
 
   // Harm quantification: count torn reads across hinted trials (old MAC AA*6; new pattern
   // from seed 1 is 0x21..0x26 per FillMacPattern).

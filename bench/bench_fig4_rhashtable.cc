@@ -68,10 +68,13 @@ ModeResult RunMode(uint32_t fetch_mode, int trials_per_hint) {
       options.seed = seed;
       ExploreOutcome outcome = ExploreConcurrentTest(vm, test, &matcher, options);
       result.trials += outcome.trials_run;
-      if (!outcome.panic_messages.empty()) {
-        result.panics += static_cast<int>(outcome.panic_messages.size());
+      for (const FindingRecord& finding : outcome.findings) {
+        if (finding.kind != FindingKind::kPanic) {
+          continue;
+        }
+        result.panics++;
         if (result.first_panic.empty()) {
-          result.first_panic = outcome.panic_messages[0];
+          result.first_panic = finding.evidence;
         }
       }
     }

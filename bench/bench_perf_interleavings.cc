@@ -43,15 +43,7 @@ int Run() {
       probe.num_trials = 24;
       probe.seed = options.explorer.seed + i * 1000003ull;
       ExploreOutcome outcome = ExploreConcurrentTest(vm, tests[i], nullptr, probe);
-      int issue = 0;
-      for (const RaceReport& race : outcome.races) {
-        int id = ClassifyRace(race);
-        issue = id > issue && id != 13 ? id : issue;  // Prefer non-ubiquitous issues.
-      }
-      for (const std::string& line : outcome.panic_messages) {
-        int id = ClassifyConsoleLine(line);
-        issue = id != 0 ? id : issue;
-      }
+      int issue = bench::HarvestedIssue(outcome);
       if (issue != 0 && covered.insert(issue).second) {
         bug_tests.push_back(BugTest{tests[i], issue});
       }

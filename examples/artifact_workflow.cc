@@ -5,8 +5,8 @@
 //   1. build a corpus and SAVE it,
 //   2. reload it (as a separate identification job would), identify + SAVE the PMCs,
 //   3. reload the PMCs, generate concurrent tests, and explore,
-//   4. capture the first panic as a replayable BugCapsule and REPLAY it from the recording
-//      (the §6 "deterministic reproduction" workflow a bug report would use).
+//   4. ship the first panic finding's replay token to disk and REPLAY it from that text
+//      alone (the §6 "deterministic reproduction" workflow a bug report would use).
 //
 // The artifacts live in a fresh temporary directory that is removed on exit, so concurrent
 // runs never share files.
@@ -59,23 +59,30 @@ int RunWorkflow(const std::string& dir) {
   std::printf("stage 3: %zu clusters -> %zu concurrent tests; exploring...\n",
               clusters.size(), tests.size());
 
-  // Stage 4: find a panicking trial and capture + replay it.
+  // Stage 4: explore until a test records a panic, then ship its replay token and replay
+  // it from the shipped text.
+  const std::string token_path = dir + "/snowboard_panic.token";
   for (size_t i = 0; i < tests.size(); i++) {
-    for (int trial = 0; trial < 24; trial++) {
-      BugCapsule capsule;
-      Engine::RunResult result =
-          ReproduceTrial(vm, tests[i], /*seed=*/2021 + i * 1000003ull, trial, &capsule);
-      if (!result.panicked) {
+    ExplorerOptions explorer;
+    explorer.num_trials = 24;
+    explorer.seed = 2021 + i * 1000003ull;
+    ExploreOutcome outcome = ExploreConcurrentTest(vm, tests[i], nullptr, explorer);
+    for (const FindingRecord& record : outcome.findings) {
+      if (record.kind != FindingKind::kPanic) {
         continue;
       }
-      std::printf("stage 4: test %zu trial %d panicked:\n  %s\n", i, trial,
-                  result.panic_message.c_str());
-      std::printf("  recorded schedule: %zu decisions, %zu switches\n",
-                  capsule.schedule.switch_after.size(),
-                  static_cast<size_t>(std::count(capsule.schedule.switch_after.begin(),
-                                                 capsule.schedule.switch_after.end(), true)));
-      bool replayed = ReplayCapsule(vm, capsule);
-      std::printf("  replay from recording: %s\n",
+      std::optional<ReplayToken> token = MakeReplayToken(tests[i], record, explorer);
+      if (!token.has_value()) {
+        continue;
+      }
+      std::printf("stage 4: test %zu trial %d panicked:\n  %s\n", i, record.trial,
+                  record.evidence.c_str());
+      std::printf("  recorded schedule: %u switches, %u after minimization\n",
+                  record.orig_switches, record.min_switches);
+      WriteStringToFile(token_path, FormatReplayToken(*token));
+      std::optional<ReplayToken> shipped = ParseReplayToken(*ReadFileToString(token_path));
+      bool replayed = shipped.has_value() && ReplayTokenTrial(vm, *shipped).fingerprint_match;
+      std::printf("  replay from %s: %s\n", token_path.c_str(),
                   replayed ? "IDENTICAL PANIC REPRODUCED" : "failed");
       return replayed ? 0 : 1;
     }

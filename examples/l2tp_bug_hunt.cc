@@ -74,8 +74,10 @@ int main() {
   options.num_trials = 64;
   options.target_issue = 12;
   ExploreOutcome outcome = ExploreConcurrentTest(vm, test, nullptr, options);
-  for (const std::string& line : outcome.panic_messages) {
-    std::printf("\nguest console: %s\n", line.c_str());
+  for (const FindingRecord& finding : outcome.findings) {
+    if (finding.kind == FindingKind::kPanic) {
+      std::printf("\nguest console: %s\n", finding.evidence.c_str());
+    }
   }
   std::printf("\nNote: no data race is involved — the list is RCU-protected and "
               "tunnel->sock uses WRITE_ONCE/READ_ONCE;\nthe bug is the publish ORDER "

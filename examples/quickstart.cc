@@ -11,7 +11,6 @@
 #include <cstdio>
 
 #include "src/fuzz/generator.h"
-#include "src/sim/site.h"
 #include "src/snowboard/pipeline.h"
 
 using namespace snowboard;
@@ -46,23 +45,7 @@ int main() {
   for (size_t i = 0; i < tests.size(); i++) {
     explorer.seed = 2021 + i * 1000003ull;
     ExploreOutcome outcome = ExploreConcurrentTest(vm, tests[i], nullptr, explorer);
-    for (const RaceReport& race : outcome.races) {
-      Finding finding;
-      finding.issue_id = ClassifyRace(race);
-      finding.evidence = "data race: " + SiteName(race.write_site) + " / " +
-                         SiteName(race.other_site);
-      finding.test_index = i;
-      finding.trial = outcome.first_bug_trial;
-      findings.Record(finding);
-    }
-    for (const std::string& line : outcome.panic_messages) {
-      Finding finding;
-      finding.issue_id = ClassifyConsoleLine(line);
-      finding.evidence = line;
-      finding.test_index = i;
-      finding.trial = outcome.first_bug_trial;
-      findings.Record(finding);
-    }
+    findings.Merge(ExtractFindings(tests[i], outcome, i, explorer));
   }
   std::printf("\n--- findings (%zu raw) ---\n%s", findings.total_findings(),
               findings.Summarize().c_str());

@@ -177,7 +177,7 @@ void Engine::RunInto(const std::vector<GuestFn>& vcpu_fns, const RunOptions& opt
   for (int v = 0; v < n; v++) {
     ctxs_.emplace_back(this, v);
   }
-  liveness_.Reset(n, opts.liveness);
+  liveness_.Reset(n, LivenessMonitor::Options());
   trace_ = std::move(result->trace);
   trace_.clear();
   seq_ = 0;
@@ -304,7 +304,7 @@ void Engine::Yield(VcpuId from, bool record_event) {
   if (next == kInvalidVcpu) {
     return;  // No one to switch to; keep running.
   }
-  if (record_event && opts_.collect_trace) {
+  if (record_event) {
     Event event;
     event.kind = EventKind::kYield;
     event.vcpu = from;
@@ -324,9 +324,7 @@ void Engine::RecordEvent(Event event) {
   if (event.kind == EventKind::kAccess) {
     event.access.seq = event.seq;
   }
-  if (opts_.collect_trace) {
-    trace_.push_back(event);
-  }
+  trace_.push_back(event);
 }
 
 void Engine::AbortTrial(VcpuId vcpu, bool panic, const std::string& message) {

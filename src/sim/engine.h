@@ -106,8 +106,6 @@ class Engine {
   struct RunOptions {
     Scheduler* scheduler = nullptr;  // nullptr => sequential.
     uint64_t max_instructions = 2'000'000;
-    bool collect_trace = true;
-    LivenessMonitor::Options liveness;
   };
 
   struct RunResult {

@@ -24,6 +24,10 @@ std::string HashHex(uint64_t hash) {
   return StrPrintf("%016llx", static_cast<unsigned long long>(hash));
 }
 
+std::string JournalPath(const std::string& dir, const std::string& name) {
+  return dir + "/" + name + ".journal";
+}
+
 }  // namespace
 
 CheckpointStore::CheckpointStore(const std::string& dir, FaultInjector* fault)
@@ -56,10 +60,6 @@ bool CheckpointStore::ValidName(const std::string& name) {
 
 std::string CheckpointStore::PathFor(const std::string& name) const {
   return dir_ + "/" + name;
-}
-
-std::string CheckpointStore::JournalPathFor(const std::string& name) const {
-  return dir_ + "/" + name + ".journal";
 }
 
 std::string CheckpointStore::ManifestText() const {
@@ -215,7 +215,7 @@ bool CheckpointStore::FlushJournalLocked(const std::string& name) const {
   std::vector<std::string> lines = std::move(it->second.lines);
   it->second.lines.clear();
   it->second.bytes = 0;
-  bool ok = AppendLinesDurable(JournalPathFor(name), lines, fault_);
+  bool ok = AppendLinesDurable(JournalPath(dir_, name), lines, fault_);
   if (ok) {
     uint64_t nanos = static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() -
@@ -246,10 +246,8 @@ bool CheckpointStore::FlushJournals() {
 }
 
 std::vector<std::string> CheckpointStore::ReadJournal(const std::string& name) const {
-  TRACE_SPAN("checkpoint.journal_read");
-  std::vector<std::string> records;
   if (!ok_ || !ValidName(name)) {
-    return records;
+    return {};
   }
   {
     // Read-your-writes: commit this journal's still-buffered records first so batching
@@ -259,16 +257,27 @@ std::vector<std::string> CheckpointStore::ReadJournal(const std::string& name) c
       FlushJournalLocked(name);
     }
   }
-  std::optional<std::string> text = ReadFileContents(JournalPathFor(name));
+  return ReadJournalFile(dir_, name);
+}
+
+std::vector<std::string> ReadJournalFile(const std::string& dir, const std::string& name) {
+  TRACE_SPAN("checkpoint.journal_read");
+  std::vector<std::string> records;
+  if (dir.empty() || !CheckpointStore::ValidName(name)) {
+    return records;
+  }
+  std::optional<std::string> text = ReadFileContents(JournalPath(dir, name));
   if (!text.has_value()) {
     return records;
   }
-  std::istringstream is(*text);
-  std::string line;
-  while (std::getline(is, line)) {
+  // Only newline-terminated lines are read: the bytes after the last newline are a torn
+  // tail, never a record.
+  for (size_t begin = 0, end; (end = text->find('\n', begin)) != std::string::npos;
+       begin = end + 1) {
+    std::string line = text->substr(begin, end - begin);
     size_t space = line.find(' ');
     if (space != 16) {
-      break;  // Truncated tail or garbage: stop replay at the last verified record.
+      break;  // Garbage: stop replay at the last verified record.
     }
     std::string payload = line.substr(space + 1);
     if (HashHex(Fnv1a(payload)) != line.substr(0, 16)) {

@@ -80,8 +80,7 @@ class CheckpointStore {
 
   ~CheckpointStore();
 
-  // All records up to the first malformed/corrupt line (a crash-truncated tail or flipped
-  // bytes end the replay there; everything before it is verified). Missing journal = empty.
+  // Commits this journal's buffered records, then reads it back (ReadJournalFile).
   std::vector<std::string> ReadJournal(const std::string& name) const;
 
  private:
@@ -95,7 +94,6 @@ class CheckpointStore {
   };
 
   std::string PathFor(const std::string& name) const;
-  std::string JournalPathFor(const std::string& name) const;
   std::string ManifestText() const;  // Caller holds mutex_.
   bool WriteManifestLocked();        // Caller holds mutex_.
   // Group-commits journal `name`'s pending lines (no-op true when none). Caller holds
@@ -115,6 +113,14 @@ class CheckpointStore {
   size_t journal_flush_records_ = 8;
   size_t journal_flush_bytes_ = 256 * 1024;
 };
+
+// The records of journal `name` in checkpoint directory `dir`, up to the first malformed
+// or corrupt line; everything returned is verified and a missing journal reads as empty.
+// Read-only: it opens no store, so it creates no directory and commits nothing, and a
+// reader may poll a journal that a live campaign is appending to. An unterminated final
+// line is a torn tail (a group commit in flight, or one a crash cut short) and is dropped
+// silently; a complete line that fails its checksum warns.
+std::vector<std::string> ReadJournalFile(const std::string& dir, const std::string& name);
 
 }  // namespace snowboard
 

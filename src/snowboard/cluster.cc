@@ -134,25 +134,4 @@ std::vector<PmcCluster> ClusterPmcs(const std::vector<Pmc>& pmcs, Strategy strat
   return clusters;
 }
 
-void ClusterPriorityTracker::RecordOutcome(uint64_t group, bool saturated) {
-  std::lock_guard<std::mutex> lock(mu_);
-  int& streak = streaks_[group];
-  streak = saturated ? streak + 1 : 0;
-}
-
-bool ClusterPriorityTracker::IsDeprioritized(uint64_t group) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = streaks_.find(group);
-  return it != streaks_.end() && it->second >= threshold_;
-}
-
-size_t ClusterPriorityTracker::deprioritized_groups() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t count = 0;
-  for (const auto& [group, streak] : streaks_) {
-    count += streak >= threshold_ ? 1 : 0;
-  }
-  return count;
-}
-
 }  // namespace snowboard

@@ -9,9 +9,7 @@
 #define SRC_SNOWBOARD_CLUSTER_H_
 
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/snowboard/pmc.h"
@@ -77,37 +75,6 @@ bool StrategyFilter(Strategy strategy, const PmcKey& key);
 // The Table 1 clustering key, exposed for tests. `which` selects the S-INS sub-strategy
 // (0 = write instruction, 1 = read instruction); ignored otherwise.
 uint64_t StrategyKey(Strategy strategy, const PmcKey& key, int which);
-
-// Cluster-priority feedback for schedule-equivalence pruning (equiv.h).
-//
-// When every test drawn from a feedback group keeps saturating — its trials collapse to
-// already-seen happens-before fingerprints — the group's remaining tests are poor bets,
-// so the explore claim order defers them behind the rest of the list. Feedback changes
-// ONLY execution order: every test still runs exactly once and outcomes fold in
-// test-index order, so no deterministic output ever depends on this tracker (which is
-// what lets it be timing-fed across workers without a determinism cost).
-//
-// Thread-safe; shared by all workers of one campaign. Groups come from
-// TestFeedbackGroup (select.h).
-class ClusterPriorityTracker {
- public:
-  explicit ClusterPriorityTracker(int threshold = 2) : threshold_(threshold) {}
-
-  // Feed one finished test's saturation verdict. A non-saturating test resets its group's
-  // streak: deprioritization needs tests that KEEP saturating, not one unlucky draw.
-  void RecordOutcome(uint64_t group, bool saturated);
-
-  // True once `threshold` consecutive tests of this group have saturated.
-  bool IsDeprioritized(uint64_t group) const;
-
-  // Groups currently at or past the threshold (diagnostics).
-  size_t deprioritized_groups() const;
-
- private:
-  const int threshold_;
-  mutable std::mutex mu_;
-  std::unordered_map<uint64_t, int> streaks_;  // group -> consecutive saturations.
-};
 
 }  // namespace snowboard
 

@@ -707,27 +707,26 @@ uint64_t DetectorFingerprint(const DetectorResult& result) {
   return h;
 }
 
-std::vector<FindingKey> FindingKeys(const DetectorResult& result) {
-  std::vector<FindingKey> keys;
-  for (const RaceReport& race : result.races) {
-    keys.push_back({FindingKind::kRace, race.Signature()});
+void FindingKeys(const DetectorResult& result, std::vector<FindingKey>* keys) {
+  keys->clear();
+  for (uint32_t i = 0; i < result.races.size(); i++) {
+    keys->push_back({FindingKind::kRace, result.races[i].Signature(), i});
   }
-  for (const std::string& line : result.console_hits) {
-    keys.push_back({FindingKind::kConsole, Fnv1a(line)});
+  for (uint32_t i = 0; i < result.console_hits.size(); i++) {
+    keys->push_back({FindingKind::kConsole, Fnv1a(result.console_hits[i]), i});
   }
   if (result.panicked) {
-    keys.push_back({FindingKind::kPanic, Fnv1a(result.panic_message)});
+    keys->push_back({FindingKind::kPanic, Fnv1a(result.panic_message), 0});
   }
-  for (const DeadlockReport& deadlock : result.deadlocks) {
-    keys.push_back({FindingKind::kDeadlock, deadlock.Signature()});
+  for (uint32_t i = 0; i < result.deadlocks.size(); i++) {
+    keys->push_back({FindingKind::kDeadlock, result.deadlocks[i].Signature(), i});
   }
-  for (const LostWakeupReport& lost : result.lost_wakeups) {
-    keys.push_back({FindingKind::kLostWakeup, lost.Signature()});
+  for (uint32_t i = 0; i < result.lost_wakeups.size(); i++) {
+    keys->push_back({FindingKind::kLostWakeup, result.lost_wakeups[i].Signature(), i});
   }
-  for (const LivelockReport& livelock : result.livelocks) {
-    keys.push_back({FindingKind::kLivelock, livelock.Signature()});
+  for (uint32_t i = 0; i < result.livelocks.size(); i++) {
+    keys->push_back({FindingKind::kLivelock, result.livelocks[i].Signature(), i});
   }
-  return keys;
 }
 
 std::vector<RaceReport> DetectRaces(const Trace& trace) {

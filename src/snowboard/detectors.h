@@ -262,7 +262,6 @@ class DetectorSuite {
   explicit DetectorSuite(uint32_t enabled = kDetectorAll) : enabled_(enabled) {}
 
   uint32_t enabled() const { return enabled_; }
-  void set_enabled(uint32_t mask) { enabled_ = mask; }
 
   void Run(const Engine::RunResult& run, DetectorResult* out);
 
@@ -301,21 +300,23 @@ enum class FindingKind : uint8_t {
 // SARIF, and the CLI.
 const char* FindingKindName(FindingKind kind);
 
-// One finding of a trial's detector output, by kind and dedup key.
+inline constexpr size_t kFindingKindCount = 6;  // FindingKind values are 0..5.
+
+// One finding of a trial's detector output: its kind, its dedup key, and where its report
+// sits in `result` (index within the kind's section; 0 for the panic).
 struct FindingKey {
   FindingKind kind = FindingKind::kRace;
   uint64_t key = 0;
-
-  bool operator==(const FindingKey&) const = default;
+  uint32_t index = 0;
 };
 
-// Every finding in `result` as its (kind, dedup key), section by section in DetectorResult
-// order. The minimizer's acceptance test ("does the finding of interest still fire?")
-// looks its capture up in this list.
-std::vector<FindingKey> FindingKeys(const DetectorResult& result);
+// Replaces `keys` with every finding in `result`, section by section in DetectorResult
+// order. The caller owns `keys`, so a trial loop that reuses one vector walks each trial's
+// findings without allocating.
+void FindingKeys(const DetectorResult& result, std::vector<FindingKey>* keys);
 
 // Runs the full detector suite over a finished trial (fresh scratch; convenience for
-// replay, tests, and one-shot callers). The trial hot loop keeps one DetectorSuite and
+// one-shot callers). The trial hot loop keeps one DetectorSuite and
 // calls its Run instead.
 DetectorResult RunDetectors(const Engine::RunResult& result);
 

@@ -1,9 +1,9 @@
 #include "src/snowboard/explorer.h"
 
 #include <algorithm>
+#include <array>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "src/snowboard/minimize.h"
 #include "src/snowboard/profile.h"
@@ -199,29 +199,6 @@ bool PmcScheduler::AfterAccess(VcpuId vcpu, const Access& access) {
 
 namespace {
 
-// True when some finding in `detectors` classifies to Table 2 issue `issue_id`.
-bool HasIssue(const DetectorResult& detectors, int issue_id) {
-  for (const RaceReport& race : detectors.races) {
-    if (ClassifyRace(race) == issue_id) return true;
-  }
-  for (const std::string& line : detectors.console_hits) {
-    if (ClassifyConsoleLine(line) == issue_id) return true;
-  }
-  if (detectors.panicked && ClassifyConsoleLine(detectors.panic_message) == issue_id) {
-    return true;
-  }
-  for (const DeadlockReport& deadlock : detectors.deadlocks) {
-    if (ClassifyDeadlock(deadlock) == issue_id) return true;
-  }
-  for (const LostWakeupReport& lost : detectors.lost_wakeups) {
-    if (ClassifyLostWakeup(lost) == issue_id) return true;
-  }
-  for (const LivelockReport& livelock : detectors.livelocks) {
-    if (ClassifyLivelock(livelock) == issue_id) return true;
-  }
-  return false;
-}
-
 // One PMC channel the trial loop checks (§5.3.2): did `hint` carry data from the writer
 // vCPU to the reader vCPU in some trial?
 struct ChannelCheck {
@@ -245,12 +222,8 @@ ExploreOutcome RunTrialLoop(KernelVm& vm, const std::vector<const Program*>& pro
       current_keys.Insert(key.Hash());
     }
   }
-  std::unordered_set<uint64_t> race_signatures;
-  std::unordered_set<uint64_t> console_hashes;
-  std::unordered_set<uint64_t> panic_hashes;
-  std::unordered_set<uint64_t> deadlock_signatures;
-  std::unordered_set<uint64_t> lost_wakeup_signatures;
-  std::unordered_set<uint64_t> livelock_signatures;
+  // Cross-trial dedup: the keys of the findings already recorded, one set per kind.
+  std::array<FlatSet<uint64_t>, kFindingKindCount> seen_findings;
   Rng adoption_rng(options.seed ^ 0xadadadadull);
 
   // Trial-scoped buffers, hoisted: the guest functions, run result (trace storage), race
@@ -272,6 +245,7 @@ ExploreOutcome RunTrialLoop(KernelVm& vm, const std::vector<const Program*>& pro
   Engine::RunResult result;
   DetectorSuite detector_suite(options.detectors);
   DetectorResult detectors;
+  std::vector<FindingKey> trial_findings;
   PmcMatcher::Search incidental;
 
   // Schedule-equivalence pruning state (equiv.h). The fingerprint scratch and seen-set
@@ -295,24 +269,6 @@ ExploreOutcome RunTrialLoop(KernelVm& vm, const std::vector<const Program*>& pro
   // the budget. Extending the budget for duplicates instead was measured to run MORE
   // executions than the unpruned loop on the reference campaign, inverting the win.
   int consecutive_duplicates = 0;
-
-  uint64_t trial_fingerprint = 0;  // Computed lazily, at most once per trial.
-  int fingerprint_trial = -1;
-  auto capture_finding = [&](FindingKind kind, uint64_t key, int trial) {
-    if (fingerprint_trial != trial) {
-      trial_fingerprint = DetectorFingerprint(detectors);
-      fingerprint_trial = trial;
-    }
-    TrialCapture capture;
-    capture.kind = static_cast<uint8_t>(kind);
-    capture.finding_key = key;
-    capture.trial = trial;
-    capture.fingerprint = trial_fingerprint;
-    capture.schedule = recorder.schedule().ToString();
-    capture.orig_switches = static_cast<uint32_t>(recorder.schedule().SwitchCount());
-    capture.min_switches = capture.orig_switches;
-    outcome.captures.push_back(std::move(capture));
-  };
 
   for (int trial = 0; trial < options.num_trials; trial++) {
     if (options.fault != nullptr && options.fault->At("explorer.trial")) {
@@ -361,7 +317,6 @@ ExploreOutcome RunTrialLoop(KernelVm& vm, const std::vector<const Program*>& pro
       uint64_t hb = HbFingerprint(result.trace, &hb_scratch);
       if (!seen_fingerprints.Insert(hb)) {
         outcome.trials_pruned++;
-        ActiveCounters().trials_pruned.fetch_add(1, std::memory_order_relaxed);
         TRACE_INSTANT("explore.trial_pruned", static_cast<uint64_t>(trial));
         if (++consecutive_duplicates >= options.prune.saturation_window) {
           outcome.saturated = true;
@@ -380,53 +335,39 @@ ExploreOutcome RunTrialLoop(KernelVm& vm, const std::vector<const Program*>& pro
                                                       channels[c].writer, channels[c].reader);
     }
 
+    // Each finding is triaged once, by the trial that first reports it: the record takes
+    // its classification, its evidence and the schedule that produced it.
     detector_suite.Run(result, &detectors);
-    bool bug_this_trial = detectors.panicked || !detectors.console_hits.empty() ||
-                          !detectors.races.empty() || !detectors.deadlocks.empty() ||
-                          !detectors.lost_wakeups.empty() || !detectors.livelocks.empty();
-    for (const RaceReport& race : detectors.races) {
-      if (race_signatures.insert(race.Signature()).second) {
-        outcome.races.push_back(race);
-        capture_finding(FindingKind::kRace, race.Signature(), trial);
+    FindingKeys(detectors, &trial_findings);
+    std::optional<uint64_t> fingerprint;  // Of this trial, once it records a finding.
+    bool target_hit = false;
+    for (const FindingKey& finding : trial_findings) {
+      if (!seen_findings[static_cast<size_t>(finding.kind)].Insert(finding.key)) {
+        continue;
       }
-    }
-    for (const std::string& line : detectors.console_hits) {
-      if (console_hashes.insert(Fnv1a(line)).second) {
-        outcome.console_hits.push_back(line);
-        capture_finding(FindingKind::kConsole, Fnv1a(line), trial);
+      if (!fingerprint.has_value()) {
+        fingerprint = DetectorFingerprint(detectors);
       }
+      FindingRecord& record = outcome.findings.emplace_back();
+      record.kind = finding.kind;
+      record.key = finding.key;
+      record.issue_id = ClassifyFinding(detectors, finding);
+      record.evidence = DescribeFinding(detectors, finding);
+      record.trial = trial;
+      record.fingerprint = *fingerprint;
+      record.schedule = recorder.schedule().ToString();
+      record.orig_switches = static_cast<uint32_t>(recorder.schedule().SwitchCount());
+      record.min_switches = record.orig_switches;
+      // A classification is a function of the dedup key, so the first trial that reports
+      // the target issue is the trial that records it.
+      target_hit = target_hit ||
+                   (options.target_issue != 0 && record.issue_id == options.target_issue);
     }
-    if (detectors.panicked) {
-      if (panic_hashes.insert(Fnv1a(detectors.panic_message)).second) {
-        outcome.panic_messages.push_back(detectors.panic_message);
-        capture_finding(FindingKind::kPanic, Fnv1a(detectors.panic_message), trial);
-      }
-    }
-    for (const DeadlockReport& deadlock : detectors.deadlocks) {
-      if (deadlock_signatures.insert(deadlock.Signature()).second) {
-        outcome.deadlocks.push_back(deadlock);
-        capture_finding(FindingKind::kDeadlock, deadlock.Signature(), trial);
-      }
-    }
-    for (const LostWakeupReport& lost : detectors.lost_wakeups) {
-      if (lost_wakeup_signatures.insert(lost.Signature()).second) {
-        outcome.lost_wakeups.push_back(lost);
-        capture_finding(FindingKind::kLostWakeup, lost.Signature(), trial);
-      }
-    }
-    for (const LivelockReport& livelock : detectors.livelocks) {
-      if (livelock_signatures.insert(livelock.Signature()).second) {
-        outcome.livelocks.push_back(livelock);
-        capture_finding(FindingKind::kLivelock, livelock.Signature(), trial);
-      }
-    }
-    if (bug_this_trial && !outcome.bug_found) {
+    if (!trial_findings.empty() && !outcome.bug_found) {
       outcome.bug_found = true;
       outcome.first_bug_trial = trial;
     }
-    // Classification takes the site-registry lock per finding, so it runs only when a
-    // target issue can end the test.
-    if (options.target_issue != 0 && HasIssue(detectors, options.target_issue)) {
+    if (target_hit) {
       outcome.target_found = true;
       outcome.first_target_trial = trial;
       break;
@@ -447,57 +388,53 @@ ExploreOutcome RunTrialLoop(KernelVm& vm, const std::vector<const Program*>& pro
   }
 
   outcome.switch_decisions = scheduler.switch_decisions() - switch_base - discarded_switches;
-  ActiveCounters().scheduler_switch_decisions.fetch_add(outcome.switch_decisions,
-                                                        std::memory_order_relaxed);
   if (prune) {
     scheduler.set_adaptive_sites(nullptr);  // The table dies with this test.
   }
   if (outcome.saturated) {
-    ActiveCounters().tests_saturated.fetch_add(1, std::memory_order_relaxed);
     TRACE_INSTANT("explore.test_saturated", static_cast<uint64_t>(outcome.trials_run));
   }
 
-  // Shrink each captured schedule toward the 2-preemption ideal. This runs after the trial
+  // Kind first, then first sighting (ExploreOutcome::findings).
+  std::stable_sort(
+      outcome.findings.begin(), outcome.findings.end(),
+      [](const FindingRecord& a, const FindingRecord& b) { return a.kind < b.kind; });
+
+  // Shrink each recorded schedule toward the 2-preemption ideal. This runs after the trial
   // loop so it adds no fault points or hang ordinals (the crash-sweep's point count stays a
   // function of the campaign shape alone); under an injected crash the partial outcome is
   // discarded anyway, so the replays are skipped. Each probe is a deterministic replay, so
   // the minimized schedules — and everything serialized from them — are identical on any
   // worker count or engine configuration.
-  if (options.minimize_schedules && !outcome.captures.empty() &&
+  if (options.minimize_schedules && !outcome.findings.empty() &&
       !(options.fault != nullptr && options.fault->crashed())) {
-    Engine::RunOptions replay_opts;
-    replay_opts.max_instructions = options.max_instructions;
     // A replay is a pure function of the schedule string (same programs, same snapshot), so
-    // each distinct candidate runs once per test: the captures of one trial share their
-    // first probe, and most captures probe the switch-free schedule. A memo hit still
+    // each distinct candidate runs once per test: the findings of one trial share their
+    // first probe, and most findings probe the switch-free schedule. A memo hit still
     // spends a probe of the minimizer's budget, so every search path is unchanged.
     struct ProbeResult {
       uint64_t fingerprint = 0;
       std::vector<FindingKey> findings;
     };
     std::unordered_map<std::string, ProbeResult> probe_memo;
-    for (TrialCapture& capture : outcome.captures) {
-      std::optional<RecordedSchedule> recorded =
-          RecordedSchedule::FromString(capture.schedule);
+    for (FindingRecord& record : outcome.findings) {
+      std::optional<RecordedSchedule> recorded = RecordedSchedule::FromString(record.schedule);
       if (!recorded.has_value()) {
         continue;
       }
-      const FindingKey wanted{static_cast<FindingKind>(capture.kind), capture.finding_key};
       uint64_t last_fingerprint = 0;
       auto probe = [&](const RecordedSchedule& candidate) {
         auto [memo, fresh] = probe_memo.try_emplace(candidate.ToString());
         if (fresh) {
-          ReplayScheduler replayer(candidate);
-          replayer.SeedTrial(0);
-          replay_opts.scheduler = &replayer;
-          vm.RestoreSnapshot();
-          vm.engine().RunInto(vcpu_fns, replay_opts, &result);
-          detector_suite.Run(result, &detectors);
+          ReplaySchedule(vm, vcpu_fns, candidate, options.max_instructions, &detector_suite,
+                         &result, &detectors);
           memo->second.fingerprint = DetectorFingerprint(detectors);
-          memo->second.findings = FindingKeys(detectors);
+          FindingKeys(detectors, &memo->second.findings);
         }
         const std::vector<FindingKey>& findings = memo->second.findings;
-        if (std::find(findings.begin(), findings.end(), wanted) == findings.end()) {
+        if (std::none_of(findings.begin(), findings.end(), [&](const FindingKey& f) {
+              return f.kind == record.kind && f.key == record.key;
+            })) {
           return false;
         }
         last_fingerprint = memo->second.fingerprint;
@@ -507,10 +444,10 @@ ExploreOutcome RunTrialLoop(KernelVm& vm, const std::vector<const Program*>& pro
       RecordedSchedule minimized = MinimizeSchedule(*recorded, probe, MinimizeOptions(), &stats);
       if (stats.reproduced) {
         // The final successful probe ran exactly `minimized`, so its fingerprint is the
-        // one a replay of this capture will produce.
-        capture.schedule = minimized.ToString();
-        capture.fingerprint = last_fingerprint;
-        capture.min_switches = static_cast<uint32_t>(stats.min_switches);
+        // one a replay of this record will produce.
+        record.schedule = minimized.ToString();
+        record.fingerprint = last_fingerprint;
+        record.min_switches = static_cast<uint32_t>(stats.min_switches);
       }
     }
   }

@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "src/kernel/kernel.h"
@@ -216,9 +217,9 @@ struct ExplorerOptions {
   uint64_t seed = 2021;
   uint64_t max_instructions = 400'000;
   // If nonzero, stop as soon as a finding classifies to this Table 2 issue id — used by the
-  // §5.4 trials-to-expose comparison against SKI. Only then are findings classified inside
-  // the trial loop. Otherwise Algorithm 2 records findings and keeps exploring (an early
-  // ubiquitous finding, the #13 allocator race, would mask rarer bugs in the same test).
+  // §5.4 trials-to-expose comparison against SKI. Otherwise Algorithm 2 records findings and
+  // keeps exploring (an early ubiquitous finding, the #13 allocator race, would mask rarer
+  // bugs in the same test).
   int target_issue = 0;
   // Hung-trial policy: a trial attempt that trips the liveness monitor (or an injected
   // hang) is discarded — before detectors see it — and re-run up to this many times, with
@@ -229,7 +230,7 @@ struct ExplorerOptions {
   // Crash/hang fault-injection hook (crash-sweep harness); nullptr = off. A crash makes
   // the trial loop unwind immediately with a partial outcome the caller must discard.
   FaultInjector* fault = nullptr;
-  // Record the schedule of every first-seen finding and shrink it with the delta-debugging
+  // Shrink the recorded schedule of every first-seen finding with the delta-debugging
   // minimizer (minimize.h; MinimizeOptions sets the per-finding replay budget) after the
   // trial loop, so findings ship with a minimal replay token. Minimization replays are
   // extra engine runs; disable for raw-throughput runs.
@@ -243,22 +244,24 @@ struct ExplorerOptions {
   PruneOptions prune;
 };
 
-// The recorded reproducer of one first-seen finding: enough to rebuild a replay token
-// (serialize.h) once the pipeline layer attaches the program pair and issue id. `key` is
-// the same dedup key the explorer's first-seen sets use (race Signature(), FNV-1a of the
-// console line / panic message), so findings classified later can be joined back to their
-// capture. `fingerprint` is DetectorFingerprint() of the replayed trial that the final
-// (minimized) schedule was verified against.
-struct TrialCapture {
-  uint8_t kind = 0;  // FindingKind.
-  uint64_t finding_key = 0;
+// One first-seen finding of a test, recorded by the trial that first reported it. `key` is
+// its dedup key within its kind (FindingKind). The record carries the finding's triage —
+// issue id and evidence line (ClassifyFinding / DescribeFinding, report.h) — and its
+// reproducer: the trial's recorded schedule, shrunk by the minimizer when enabled, plus
+// `fingerprint`, the DetectorFingerprint() of the replayed trial that the final schedule
+// was verified against. MakeReplayToken (replay.h) turns a record into a shippable token.
+struct FindingRecord {
+  FindingKind kind = FindingKind::kRace;
+  uint64_t key = 0;
+  int issue_id = 0;  // 0 = unclassified.
+  std::string evidence;
   int trial = -1;
   uint64_t fingerprint = 0;
   std::string schedule;        // RecordedSchedule::ToString() of the (minimized) schedule.
   uint32_t orig_switches = 0;  // Switches in the raw recording.
   uint32_t min_switches = 0;   // Switches surviving minimization.
 
-  bool operator==(const TrialCapture&) const = default;
+  bool operator==(const FindingRecord&) const = default;
 };
 
 struct ExploreOutcome {
@@ -273,13 +276,10 @@ struct ExploreOutcome {
   int first_target_trial = -1;
   bool channel_exercised = false;  // §5.3.2: the predicted PMC carried data in >= 1 trial.
   bool any_hang = false;
-  std::vector<RaceReport> races;            // Deduped across trials.
-  std::vector<std::string> console_hits;    // Deduped.
-  std::vector<std::string> panic_messages;  // Deduped.
-  std::vector<DeadlockReport> deadlocks;         // Deduped by witness signature.
-  std::vector<LostWakeupReport> lost_wakeups;    // Deduped.
-  std::vector<LivelockReport> livelocks;         // Deduped.
-  std::vector<TrialCapture> captures;       // One per first-seen finding (replay tokens).
+  // One record per distinct (kind, key), ordered by FindingKind and then by first sighting.
+  // That is the order a test's findings reach its FindingsLog, so it decides which finding
+  // represents an issue that two kinds report in one test.
+  std::vector<FindingRecord> findings;
 
   bool operator==(const ExploreOutcome&) const = default;
 };

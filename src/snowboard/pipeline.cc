@@ -8,7 +8,6 @@
 #include <mutex>
 #include <optional>
 
-#include "src/sim/site.h"
 #include "src/snowboard/artifact.h"
 #include "src/snowboard/checkpoint.h"
 #include "src/snowboard/profile.h"
@@ -31,97 +30,6 @@ double SecondsBetween(std::chrono::steady_clock::time_point a,
   double seconds = std::chrono::duration<double>(b - a).count();
   return seconds > 0 ? seconds : 0;
 }
-
-// Classifies one test's raw outcome into its findings log. This must run in the process
-// that executed the test: race classification and evidence rendering resolve site IDs
-// through the in-process site-name registry, which a cold resumed process has not
-// populated for tests it never re-executes. The log therefore travels in the test's
-// execution-journal record, and journal replay merges it verbatim instead of
-// re-classifying.
-FindingsLog ExtractFindings(const ConcurrentTest& test, const ExploreOutcome& outcome,
-                            size_t test_index, const ExplorerOptions& explorer) {
-  FindingsLog findings;
-  bool duplicate_input = test.write_test == test.read_test;
-  // Joins a finding back to its trial capture by the shared dedup key, and renders the
-  // capture as a shippable replay token. `explorer` must be the per-test options the
-  // outcome was executed with — the token's trial seed comes from it.
-  auto token_for = [&](int issue_id, FindingKind kind, uint64_t key) -> std::string {
-    for (const TrialCapture& capture : outcome.captures) {
-      if (capture.kind != static_cast<uint8_t>(kind) || capture.finding_key != key) {
-        continue;
-      }
-      std::optional<RecordedSchedule> schedule =
-          RecordedSchedule::FromString(capture.schedule);
-      if (!schedule.has_value()) {
-        break;
-      }
-      ReplayToken token;
-      token.issue_id = issue_id;
-      token.write_test = test.write_test;
-      token.read_test = test.read_test;
-      token.trial_seed = explorer.seed + static_cast<uint64_t>(capture.trial);
-      token.max_instructions = explorer.max_instructions;
-      token.fingerprint = capture.fingerprint;
-      token.schedule = std::move(*schedule);
-      token.hint = test.hint;
-      token.writer = test.writer;
-      token.reader = test.reader;
-      return FormatReplayToken(token);
-    }
-    return std::string();
-  };
-  auto record = [&](int issue_id, const std::string& evidence, FindingKind kind,
-                    uint64_t key) {
-    Finding finding;
-    finding.issue_id = issue_id;
-    finding.kind = kind;
-    finding.evidence = evidence;
-    finding.test_index = test_index;
-    finding.trial = outcome.first_bug_trial;
-    finding.duplicate_input = duplicate_input;
-    finding.replay_token = token_for(issue_id, kind, key);
-    findings.Record(finding);
-  };
-  for (const RaceReport& race : outcome.races) {
-    std::string evidence =
-        StrPrintf("data race: %s / %s @0x%x", SiteName(race.write_site).c_str(),
-                  SiteName(race.other_site).c_str(), race.addr);
-    record(ClassifyRace(race), evidence, FindingKind::kRace, race.Signature());
-  }
-  for (const std::string& line : outcome.console_hits) {
-    record(ClassifyConsoleLine(line), line, FindingKind::kConsole, Fnv1a(line));
-  }
-  for (const std::string& line : outcome.panic_messages) {
-    record(ClassifyConsoleLine(line), line, FindingKind::kPanic, Fnv1a(line));
-  }
-  for (const DeadlockReport& deadlock : outcome.deadlocks) {
-    std::string evidence = "deadlock: cycle";
-    for (size_t i = 0; i < deadlock.locks.size(); i++) {
-      evidence += StrPrintf(" 0x%x[%s]", deadlock.locks[i],
-                            SiteName(deadlock.sites[i]).c_str());
-    }
-    record(ClassifyDeadlock(deadlock), evidence, FindingKind::kDeadlock,
-           deadlock.Signature());
-  }
-  for (const LostWakeupReport& lost : outcome.lost_wakeups) {
-    std::string evidence =
-        StrPrintf("lost wakeup: vcpu %u blocked at %s @0x%x, missed notify %s",
-                  static_cast<uint32_t>(lost.vcpu), SiteName(lost.wait_site).c_str(),
-                  lost.channel, SiteName(lost.notify_site).c_str());
-    record(ClassifyLostWakeup(lost), evidence, FindingKind::kLostWakeup, lost.Signature());
-  }
-  for (const LivelockReport& livelock : outcome.livelocks) {
-    std::string evidence = StrPrintf("livelock: no progress over %llu events, spinning at",
-                                     static_cast<unsigned long long>(livelock.window_events));
-    for (SiteId site : livelock.spin_sites) {
-      evidence += " " + SiteName(site);
-    }
-    record(ClassifyLivelock(livelock), evidence, FindingKind::kLivelock,
-           livelock.Signature());
-  }
-  return findings;
-}
-
 
 // Opens the campaign's checkpoint store, or null when checkpointing is off/unavailable.
 // The store is internally synchronized, so one handle may serve every stage and worker.
@@ -154,12 +62,6 @@ uint64_t OptionsFingerprint(const PipelineOptions& o) {
                  o.explorer.target_issue, o.explorer.max_trial_retries,
                  o.explorer.minimize_schedules, o.explorer.detectors,
                  o.explorer.prune.enabled, o.explorer.prune.saturation_window);
-}
-
-// The worker count the identify stage actually uses: its own option, or the pipeline-wide
-// count when unset.
-int IdentifyWorkers(const PipelineOptions& options) {
-  return options.pmc.num_workers > 0 ? options.pmc.num_workers : options.ResolvedWorkers();
 }
 
 // --- Stage computations -----------------------------------------------------------------
@@ -326,9 +228,9 @@ std::optional<OutcomeRecord> RunOneExploreTest(KernelVm& vm, const ConcurrentTes
   record.switch_decisions = outcome.switch_decisions;
   record.bug_found = outcome.bug_found;
   record.channel_exercised = outcome.channel_exercised;
-  for (const TrialCapture& capture : outcome.captures) {
-    record.schedule_switches_orig += capture.orig_switches;
-    record.schedule_switches_min += capture.min_switches;
+  for (const FindingRecord& finding : outcome.findings) {
+    record.schedule_switches_orig += finding.orig_switches;
+    record.schedule_switches_min += finding.min_switches;
   }
   record.findings = ExtractFindings(test, outcome, index, explorer);
   if (runner.store() != nullptr) {
@@ -405,7 +307,7 @@ void FoldExploreOutcomes(const std::vector<std::optional<OutcomeRecord>>& outcom
 //
 // Fault injection: claiming a pre-explore item passes the "pool.claim" fault point,
 // executing an explore item passes "execute.claim" (once per executed test, never per
-// claim attempt or deferral), and explorer trials pass their own sites inside the explorer.
+// claim attempt), and explorer trials pass their own sites inside the explorer.
 // An injected crash flips `crashed_`; every worker unwinds at its next claim, exactly as a
 // SIGKILL would.
 class CampaignEngine {
@@ -616,12 +518,6 @@ class CampaignEngine {
   // The steady-state explore loop, entered once explore_only_ holds: claim by atomic
   // fetch_add, no mutex anywhere on the per-test path. Overshooting cursors are harmless —
   // every claim is bounds-checked, and an index past the list just ends the worker's loop.
-  //
-  // Cluster-priority feedback (prune): a claimed test whose feedback group keeps
-  // saturating is pushed to the deferred queue instead of executed, so fresher groups get
-  // the workers first; the queue drains after the cursor exhausts. Deferral changes only
-  // execution ORDER (every test still runs exactly once, outcomes fold by index). Every
-  // worker that pushes later drains until empty, so the queue cannot strand a test.
   void DrainExplore(PoolWorker& worker) {
     for (;;) {
       if (crashed_.load(std::memory_order_acquire)) {
@@ -629,13 +525,7 @@ class CampaignEngine {
       }
       size_t index = explore_next_.fetch_add(1, std::memory_order_relaxed);
       if (index >= tests_.size()) {
-        break;  // Cursor exhausted: fall through to the deferred drain.
-      }
-      if (options_.explorer.prune.enabled && !journaled_[index].has_value() &&
-          feedback_.IsDeprioritized(TestFeedbackGroup(tests_[index]))) {
-        std::lock_guard<std::mutex> lock(deferred_mu_);
-        deferred_.push_back(index);
-        continue;
+        return;
       }
       if (!ExploreClaimed(worker, index)) {
         CrashOut();
@@ -643,35 +533,14 @@ class CampaignEngine {
       }
       FlushCounterShard();  // Item boundary, as in the locked loop.
     }
-    for (;;) {
-      if (crashed_.load(std::memory_order_acquire)) {
-        return;
-      }
-      size_t index;
-      {
-        std::lock_guard<std::mutex> lock(deferred_mu_);
-        if (deferred_.empty()) {
-          return;
-        }
-        index = deferred_.back();
-        deferred_.pop_back();
-      }
-      if (!ExploreClaimed(worker, index)) {
-        CrashOut();
-        return;
-      }
-      FlushCounterShard();
-    }
   }
 
   // Executes (or replays from the journal) one claimed explore test into its slot. Writes
   // only slot `index` of outcomes_/resumed_ (slot-exclusive, so no locking). The
   // "execute.claim" kill point fires here, before an actual execution — never on a claim
-  // attempt or a deferral, whose timing-dependent occurrence would make the fault-point
-  // count depend on the worker count. False means the worker must unwind (crash raised
-  // here or elsewhere). With prune on, the test's saturation verdict feeds the
-  // cluster-priority tracker — journaled replays feed it too, so a resumed campaign
-  // rebuilds the same deprioritization state without re-executing anything.
+  // attempt, whose timing-dependent occurrence would make the fault-point count depend on
+  // the worker count. False means the worker must unwind (crash raised here or
+  // elsewhere).
   bool ExploreClaimed(PoolWorker& worker, size_t index) {
     FaultInjector* fault = runner_.fault();
     if (fault != nullptr && fault->At("execute.claim")) {
@@ -692,9 +561,6 @@ class CampaignEngine {
         return false;
       }
       outcomes_[index] = std::move(*record);
-    }
-    if (options_.explorer.prune.enabled) {
-      feedback_.RecordOutcome(TestFeedbackGroup(tests_[index]), outcomes_[index]->saturated);
     }
     // No wake-up needed: explore_only_ (set, with a notify, before the last explore can
     // finish) keeps every worker out of cv_.wait, and each re-checks AllDone on its own.
@@ -764,7 +630,6 @@ class CampaignEngine {
       // fetch_add (not load-then-store) because lock-free drainers may be bumping the
       // cursor concurrently with this locked path during the handover window. A claim past
       // the end is not an item; the cursor only ever moves forward, so overshoot is safe.
-      // The locked path never defers — deferral lives in DrainExplore only.
       size_t index = explore_next_.fetch_add(1, std::memory_order_relaxed);
       if (index < tests_.size()) {
         return {Kind::kExplore, index};
@@ -868,7 +733,7 @@ class CampaignEngine {
     size_t num_partitions = 0;
     if (fold_into_accumulator_) {
       accumulator_.Seal();
-      num_partitions = accumulator_.PlanPartitions(IdentifyWorkers(options_));
+      num_partitions = accumulator_.PlanPartitions(options_.ResolvedWorkers());
     }
     std::lock_guard<std::mutex> lock(mu_);
     profiles_complete_ = true;
@@ -1020,11 +885,6 @@ class CampaignEngine {
   bool explore_only_ = false;
   std::vector<std::optional<OutcomeRecord>> outcomes_;
   std::vector<uint8_t> resumed_;
-  // Cluster-priority feedback (consulted only when prune is enabled): saturation streaks
-  // per feedback group, plus the deferred-index queue the drain loop empties last.
-  ClusterPriorityTracker feedback_;
-  std::mutex deferred_mu_;
-  std::vector<size_t> deferred_;
 
   // Event timestamps (stage-attribution windows; see Fill).
   std::chrono::steady_clock::time_point t_start_, t_corpus_, t_profiles_, t_pmcs_, t_tests_;
@@ -1126,6 +986,25 @@ PipelineResult RunSnowboardPipeline(const PipelineOptions& options) {
                 << " tests executed, " << result.findings.first_findings().size()
                 << " distinct findings";
   return result;
+}
+
+FindingsLog ExtractFindings(const ConcurrentTest& test, const ExploreOutcome& outcome,
+                            size_t test_index, const ExplorerOptions& explorer) {
+  FindingsLog findings;
+  for (const FindingRecord& record : outcome.findings) {
+    Finding finding;
+    finding.issue_id = record.issue_id;
+    finding.kind = record.kind;
+    finding.evidence = record.evidence;
+    finding.test_index = test_index;
+    finding.trial = outcome.first_bug_trial;
+    finding.duplicate_input = test.write_test == test.read_test;
+    if (std::optional<ReplayToken> token = MakeReplayToken(test, record, explorer)) {
+      finding.replay_token = FormatReplayToken(*token);
+    }
+    findings.Record(finding);
+  }
+  return findings;
 }
 
 }  // namespace snowboard

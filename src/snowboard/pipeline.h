@@ -147,6 +147,16 @@ void ExecuteCampaign(const std::vector<ConcurrentTest>& tests, bool use_pmc_hint
                      const PmcMatcher* matcher, const PipelineOptions& options,
                      PipelineResult* result);
 
+// One explored test's findings log: each record of `outcome` as a Finding at `test_index`,
+// with its replay token. `explorer` must be the per-test options the outcome was executed
+// with: the tokens' trial seeds come from it. The records were classified and described by
+// the explorer in the process that executed the test (both resolve site ids through the
+// in-process site-name registry, which a cold resumed process has not populated for tests
+// it never re-executes), so stage 4 journals this log per test and journal replay merges it
+// verbatim.
+FindingsLog ExtractFindings(const ConcurrentTest& test, const ExploreOutcome& outcome,
+                            size_t test_index, const ExplorerOptions& explorer);
+
 }  // namespace snowboard
 
 #endif  // SRC_SNOWBOARD_PIPELINE_H_

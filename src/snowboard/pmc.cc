@@ -4,7 +4,6 @@
 
 #include "src/util/assert.h"
 #include "src/util/hash.h"
-#include "src/util/workpool.h"
 
 namespace snowboard {
 
@@ -232,24 +231,10 @@ std::vector<Pmc> IdentifyPmcs(const std::vector<SequentialProfile>& profiles,
   }
   accumulator.Seal();
 
-  int num_workers = options.num_workers > 0 ? options.num_workers : 1;
-  size_t num_partitions = accumulator.PlanPartitions(num_workers);
-  if (num_workers == 1 || num_partitions <= 1) {
-    for (size_t p = 0; p < num_partitions; p++) {
-      accumulator.ScanPartition(p);
-    }
-    return accumulator.Merge();
+  size_t num_partitions = accumulator.PlanPartitions(1);
+  for (size_t p = 0; p < num_partitions; p++) {
+    accumulator.ScanPartition(p);
   }
-
-  // Fan the partition scans out over the shared worker pool (claimed dynamically so dense
-  // partitions balance); each partition emits into its own slice.
-  IndexClaim claim(num_partitions);
-  WorkerPool::Global().Run(num_workers, [&](PoolWorker& worker) {
-    size_t p = 0;
-    while (claim.Next(&p)) {
-      accumulator.ScanPartition(p);
-    }
-  });
   return accumulator.Merge();
 }
 

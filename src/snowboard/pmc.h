@@ -71,10 +71,6 @@ struct PmcIdentifyOptions {
   // Hard cap on materialized PMCs (the paper stores S-FULL's 169B PMC *keys* on disk; we
   // cap in memory). Identification stops adding past this.
   size_t max_pmcs = 50'000'000;
-  // Worker threads for the overlap scan. 0 = unset: direct IdentifyPmcs callers get a
-  // sequential scan, the campaign engine substitutes its pipeline num_workers. The
-  // identified table is invariant under this value.
-  int num_workers = 0;
 };
 
 // Algorithm 1: index all profiled shared accesses, scan read/write overlaps, keep pairs

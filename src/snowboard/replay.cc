@@ -34,65 +34,51 @@ size_t RecordedSchedule::SwitchCount() const {
   return count;
 }
 
-Engine::RunResult ReproduceTrial(KernelVm& vm, const ConcurrentTest& test, uint64_t seed,
-                                 int trial, BugCapsule* capsule) {
-  PmcScheduler pmc_scheduler;
-  pmc_scheduler.ResetForTest(test.hint);
-  RecordingScheduler recorder(&pmc_scheduler);
-  recorder.SeedTrial(seed + static_cast<uint64_t>(trial));
-
-  vm.RestoreSnapshot();
-  Engine::RunOptions opts;
-  opts.scheduler = &recorder;
-  Engine::RunResult result = vm.engine().Run(
-      {MakeProgramRunner(vm.globals(), test.writer, 0),
-       MakeProgramRunner(vm.globals(), test.reader, 1)},
-      opts);
-
-  if (capsule != nullptr) {
-    capsule->test = test;
-    capsule->schedule = recorder.schedule();
-    capsule->panic_message = result.panic_message;
-  }
-  return result;
-}
-
-bool ReplayCapsule(KernelVm& vm, const BugCapsule& capsule) {
-  ReplayScheduler replayer(capsule.schedule);
+void ReplaySchedule(KernelVm& vm, const std::vector<Engine::GuestFn>& programs,
+                    const RecordedSchedule& schedule, uint64_t max_instructions,
+                    DetectorSuite* detectors, Engine::RunResult* run, DetectorResult* out) {
+  ReplayScheduler replayer(schedule);
   replayer.SeedTrial(0);
-
-  vm.RestoreSnapshot();
   Engine::RunOptions opts;
   opts.scheduler = &replayer;
-  Engine::RunResult result = vm.engine().Run(
-      {MakeProgramRunner(vm.globals(), capsule.test.writer, 0),
-       MakeProgramRunner(vm.globals(), capsule.test.reader, 1)},
-      opts);
+  opts.max_instructions = max_instructions;
+  vm.RestoreSnapshot();
+  vm.engine().RunInto(programs, opts, run);
+  detectors->Run(*run, out);
+}
 
-  if (!capsule.panic_message.empty()) {
-    return result.panicked && result.panic_message == capsule.panic_message;
+std::optional<ReplayToken> MakeReplayToken(const ConcurrentTest& test,
+                                           const FindingRecord& record,
+                                           const ExplorerOptions& options) {
+  std::optional<RecordedSchedule> schedule = RecordedSchedule::FromString(record.schedule);
+  if (!schedule.has_value()) {
+    return std::nullopt;
   }
-  return result.completed;
+  ReplayToken token;
+  token.issue_id = record.issue_id;
+  token.write_test = test.write_test;
+  token.read_test = test.read_test;
+  token.trial_seed = options.seed + static_cast<uint64_t>(record.trial);
+  token.max_instructions = options.max_instructions;
+  token.fingerprint = record.fingerprint;
+  token.schedule = std::move(*schedule);
+  token.hint = test.hint;
+  token.writer = test.writer;
+  token.reader = test.reader;
+  return token;
 }
 
 ReplayVerdict ReplayTokenTrial(KernelVm& vm, const ReplayToken& token) {
-  ReplayScheduler replayer(token.schedule);
-  replayer.SeedTrial(token.trial_seed);
-
-  vm.RestoreSnapshot();
-  Engine::RunOptions opts;
-  opts.scheduler = &replayer;
-  if (token.max_instructions > 0) {
-    opts.max_instructions = token.max_instructions;
-  }
-  Engine::RunResult result = vm.engine().Run(
-      {MakeProgramRunner(vm.globals(), token.writer, 0),
-       MakeProgramRunner(vm.globals(), token.reader, 1)},
-      opts);
-
+  const std::vector<Engine::GuestFn> programs = {
+      MakeProgramRunner(vm.globals(), token.writer, 0),
+      MakeProgramRunner(vm.globals(), token.reader, 1)};
+  const uint64_t budget = token.max_instructions > 0 ? token.max_instructions
+                                                     : Engine::RunOptions().max_instructions;
+  Engine::RunResult result;
+  DetectorSuite detectors;
   ReplayVerdict verdict;
+  ReplaySchedule(vm, programs, token.schedule, budget, &detectors, &result, &verdict.detectors);
   verdict.completed = result.completed || result.panicked || result.hang;
-  verdict.detectors = RunDetectors(result);
   verdict.fingerprint = DetectorFingerprint(verdict.detectors);
   verdict.fingerprint_match = verdict.fingerprint == token.fingerprint;
   return verdict;

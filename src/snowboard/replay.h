@@ -3,13 +3,12 @@
 // "Snowboard has the benefit of providing a reliable environment to replicate bugs once they
 // are found ... in all cases we evaluated, Snowboard was able to reproduce found bugs."
 //
-// Two mechanisms, composable:
-//   * Seed replay — Algorithm 2's per-trial reseeding already makes any (test, seed, trial)
-//     triple re-runnable; ReproduceTrial() packages that.
-//   * Schedule recording — RecordingScheduler wraps any scheduler and logs its switch
-//     decisions as a compact decision string; ReplayScheduler re-applies the exact decision
-//     sequence with NO dependence on the original scheduler's internals. A recorded schedule
-//     survives scheduler-algorithm changes and can be attached to a bug report.
+// Schedule recording is the one mechanism: RecordingScheduler wraps any scheduler and logs
+// its switch decisions as a compact decision string; ReplayScheduler re-applies the exact
+// decision sequence with NO dependence on the original scheduler's internals, so a recorded
+// schedule survives scheduler-algorithm changes and can be attached to a bug report.
+// ReplaySchedule is the one replay: the minimizer's probes and ReplayTokenTrial both run
+// through it.
 #ifndef SRC_SNOWBOARD_REPLAY_H_
 #define SRC_SNOWBOARD_REPLAY_H_
 
@@ -87,20 +86,13 @@ class ReplayScheduler : public TrialScheduler {
   size_t next_ = 0;
 };
 
-// A reproducible bug capsule: everything needed to re-trigger a finding.
-struct BugCapsule {
-  ConcurrentTest test;
-  RecordedSchedule schedule;
-  std::string panic_message;        // Expected console signature (may be empty for races).
-};
-
-// Re-runs one PMC-guided trial (test, seed, trial index) and captures its schedule.
-// Returns the trial's raw result; `capsule` (optional) receives the recording.
-Engine::RunResult ReproduceTrial(KernelVm& vm, const ConcurrentTest& test, uint64_t seed,
-                                 int trial, BugCapsule* capsule);
-
-// Replays a capsule and reports whether the original signature reproduced.
-bool ReplayCapsule(KernelVm& vm, const BugCapsule& capsule);
+// The one replay of a recorded schedule: restores the snapshot, runs `programs` (guest
+// function i on vCPU i) under a ReplayScheduler over `schedule` with an instruction budget
+// of `max_instructions`, and runs `detectors` over the finished trial into `out`. `run` and
+// `out` are caller-owned, so a caller replaying many schedules recycles their capacity.
+void ReplaySchedule(KernelVm& vm, const std::vector<Engine::GuestFn>& programs,
+                    const RecordedSchedule& schedule, uint64_t max_instructions,
+                    DetectorSuite* detectors, Engine::RunResult* run, DetectorResult* out);
 
 // --- Replay tokens: a finding as a shippable artifact. ---
 //
@@ -132,10 +124,18 @@ struct ReplayVerdict {
   DetectorResult detectors;        // Full detector output, for reporting divergence.
 };
 
-// Deterministically re-executes the token's trial (ReplayScheduler over the recorded
-// decisions, programs on vCPU 0/1 from the fixed snapshot) and verifies the detector
-// fingerprint. The token's schedule fully determines the interleaving, so the verdict is
-// identical on any machine, worker count, or engine configuration.
+// The token of `record`, a finding of `test` explored under the per-test `options` (the
+// trial seed and instruction budget come from them). Nullopt when the recorded schedule
+// does not parse.
+std::optional<ReplayToken> MakeReplayToken(const ConcurrentTest& test,
+                                           const FindingRecord& record,
+                                           const ExplorerOptions& options);
+
+// Deterministically re-executes the token's trial (ReplaySchedule over the recorded
+// decisions, programs on vCPU 0/1, the full detector suite; a zero budget means the
+// engine's default) and verifies the detector fingerprint. The token's schedule fully
+// determines the interleaving, so the verdict is identical on any machine, worker count,
+// or engine configuration.
 ReplayVerdict ReplayTokenTrial(KernelVm& vm, const ReplayToken& token);
 
 }  // namespace snowboard

@@ -261,6 +261,64 @@ int ClassifyLivelock(const LivelockReport& livelock) {
   return 0;
 }
 
+int ClassifyFinding(const DetectorResult& result, const FindingKey& finding) {
+  switch (finding.kind) {
+    case FindingKind::kRace:
+      return ClassifyRace(result.races[finding.index]);
+    case FindingKind::kConsole:
+      return ClassifyConsoleLine(result.console_hits[finding.index]);
+    case FindingKind::kPanic:
+      return ClassifyConsoleLine(result.panic_message);
+    case FindingKind::kDeadlock:
+      return ClassifyDeadlock(result.deadlocks[finding.index]);
+    case FindingKind::kLostWakeup:
+      return ClassifyLostWakeup(result.lost_wakeups[finding.index]);
+    case FindingKind::kLivelock:
+      return ClassifyLivelock(result.livelocks[finding.index]);
+  }
+  return 0;
+}
+
+std::string DescribeFinding(const DetectorResult& result, const FindingKey& finding) {
+  switch (finding.kind) {
+    case FindingKind::kRace: {
+      const RaceReport& race = result.races[finding.index];
+      return StrPrintf("data race: %s / %s @0x%x", SiteName(race.write_site).c_str(),
+                       SiteName(race.other_site).c_str(), race.addr);
+    }
+    case FindingKind::kConsole:
+      return result.console_hits[finding.index];
+    case FindingKind::kPanic:
+      return result.panic_message;
+    case FindingKind::kDeadlock: {
+      const DeadlockReport& deadlock = result.deadlocks[finding.index];
+      std::string evidence = "deadlock: cycle";
+      for (size_t i = 0; i < deadlock.locks.size(); i++) {
+        evidence += StrPrintf(" 0x%x[%s]", deadlock.locks[i],
+                              SiteName(deadlock.sites[i]).c_str());
+      }
+      return evidence;
+    }
+    case FindingKind::kLostWakeup: {
+      const LostWakeupReport& lost = result.lost_wakeups[finding.index];
+      return StrPrintf("lost wakeup: vcpu %u blocked at %s @0x%x, missed notify %s",
+                       static_cast<uint32_t>(lost.vcpu), SiteName(lost.wait_site).c_str(),
+                       lost.channel, SiteName(lost.notify_site).c_str());
+    }
+    case FindingKind::kLivelock: {
+      const LivelockReport& livelock = result.livelocks[finding.index];
+      std::string evidence =
+          StrPrintf("livelock: no progress over %llu events, spinning at",
+                    static_cast<unsigned long long>(livelock.window_events));
+      for (SiteId site : livelock.spin_sites) {
+        evidence += " " + SiteName(site);
+      }
+      return evidence;
+    }
+  }
+  return std::string();
+}
+
 void FindingsLog::Record(const Finding& finding) {
   total_++;
   auto it = first_findings_.find(finding.issue_id);

@@ -51,6 +51,13 @@ int ClassifyDeadlock(const DeadlockReport& deadlock);
 int ClassifyLostWakeup(const LostWakeupReport& lost);
 int ClassifyLivelock(const LivelockReport& livelock);
 
+// Triage of one finding of a trial's detector output, as FindingKeys lists it: the issue id
+// from its kind's classifier, and the evidence line a report shows for it. Both resolve
+// site ids through the in-process registry, so they run in the process that executed the
+// trial.
+int ClassifyFinding(const DetectorResult& result, const FindingKey& finding);
+std::string DescribeFinding(const DetectorResult& result, const FindingKey& finding);
+
 // A triaged finding attributed to a tested input.
 struct Finding {
   int issue_id = 0;  // 0 = unclassified.
@@ -60,8 +67,8 @@ struct Finding {
   int trial = -1;
   bool duplicate_input = false;  // writer test == reader test ("Duplicate" in Table 2).
   // Self-contained single-line reproducer (FormatReplayToken, serialize.h): feed it to
-  // `snowboard_cli replay` to deterministically re-trigger the finding. Empty when the
-  // explorer ran with schedule capture disabled or no capture matched.
+  // `snowboard_cli replay` to deterministically re-trigger the finding. Empty only when the
+  // recorded schedule does not parse (MakeReplayToken, replay.h).
   std::string replay_token;
 };
 

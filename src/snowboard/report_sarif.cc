@@ -8,34 +8,6 @@ namespace snowboard {
 
 namespace {
 
-std::string SarifJsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          StrAppendf(&out, "\\u%04x", c);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 // Stable rule id per catalog issue; SB0000 is the unclassified bucket.
 std::string RuleId(int issue_id) { return StrPrintf("SB%04d", issue_id); }
 
@@ -67,10 +39,10 @@ std::string RenderReportSarif(const CampaignReport& report) {
                "        {\"id\": \"%s\", \"name\": \"%s\", "
                "\"shortDescription\": {\"text\": \"%s\"}}%s\n",
                RuleId(f.issue_id).c_str(),
-               SarifJsonEscape(f.issue_id == 0 ? "Unclassified"
-                                               : "Issue" + std::to_string(f.issue_id))
+               JsonEscape(f.issue_id == 0 ? "Unclassified"
+                                          : "Issue" + std::to_string(f.issue_id))
                    .c_str(),
-               SarifJsonEscape(f.summary).c_str(),
+               JsonEscape(f.summary).c_str(),
                i + 1 == report.findings.size() ? "" : ",");
   }
   out += "      ]\n";
@@ -82,22 +54,22 @@ std::string RenderReportSarif(const CampaignReport& report) {
     StrAppendf(&out, "        \"ruleId\": \"%s\",\n", RuleId(f.issue_id).c_str());
     StrAppendf(&out, "        \"level\": \"%s\",\n", SarifLevel(f));
     StrAppendf(&out, "        \"message\": {\"text\": \"%s\"},\n",
-               SarifJsonEscape(f.evidence).c_str());
+               JsonEscape(f.evidence).c_str());
     // The seeded kernel is synthetic (no source files), so the finding is anchored to a
     // logical location: the subsystem the catalog attributes the issue to.
     StrAppendf(&out,
                "        \"locations\": [{\"logicalLocations\": "
                "[{\"name\": \"%s\", \"kind\": \"module\"}]}],\n",
-               SarifJsonEscape(f.subsystem).c_str());
+               JsonEscape(f.subsystem).c_str());
     out += "        \"properties\": {\n";
-    StrAppendf(&out, "          \"detector\": \"%s\",\n", SarifJsonEscape(f.kind).c_str());
-    StrAppendf(&out, "          \"issue_type\": \"%s\",\n", SarifJsonEscape(f.type).c_str());
+    StrAppendf(&out, "          \"detector\": \"%s\",\n", JsonEscape(f.kind).c_str());
+    StrAppendf(&out, "          \"issue_type\": \"%s\",\n", JsonEscape(f.type).c_str());
     StrAppendf(&out, "          \"trial\": %d,\n", f.trial);
     StrAppendf(&out, "          \"test_index\": %zu,\n", f.test_index);
     StrAppendf(&out, "          \"duplicate_input\": %s,\n",
                f.duplicate_input ? "true" : "false");
     StrAppendf(&out, "          \"replay_token\": \"%s\"\n",
-               SarifJsonEscape(f.replay_token).c_str());
+               JsonEscape(f.replay_token).c_str());
     out += "        }\n";
     StrAppendf(&out, "      }%s\n", i + 1 == report.findings.size() ? "" : ",");
   }

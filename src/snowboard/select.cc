@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "src/util/assert.h"
-#include "src/util/hash.h"
 
 namespace snowboard {
 
@@ -83,13 +82,6 @@ std::vector<ConcurrentTest> GenerateRandomPairs(const std::vector<Program>& corp
     tests.push_back(std::move(test));
   }
   return tests;
-}
-
-uint64_t TestFeedbackGroup(const ConcurrentTest& test) {
-  if (test.hint.write.site != 0) {
-    return HashAll(uint64_t{0x5b}, static_cast<uint64_t>(test.hint.write.site));
-  }
-  return HashAll(uint64_t{0xb5}, static_cast<uint64_t>(test.write_test));
 }
 
 std::vector<ConcurrentTest> GenerateDuplicatePairs(const std::vector<Program>& corpus,

@@ -49,13 +49,6 @@ std::vector<ConcurrentTest> SelectConcurrentTests(const std::vector<Pmc>& pmcs,
 std::vector<size_t> OrderClusters(const std::vector<PmcCluster>& clusters,
                                   bool randomize, Rng& rng);
 
-// Feedback group of a test for cluster-priority deprioritization (ClusterPriorityTracker).
-// PMC-derived tests group by the hinted write instruction — tests sharing a write site tend
-// to exercise the same communication and thus saturate together — while the baselines
-// (no hint) group by their writer corpus program. Chosen over cluster_key because exemplar
-// selection gives almost every test a unique cluster, which would make feedback vacuous.
-uint64_t TestFeedbackGroup(const ConcurrentTest& test);
-
 // --- Baseline generation methods (Table 3), no PMC analysis involved. ---
 
 // Random pairing: "randomly selects two kernel sequential tests and combines them".

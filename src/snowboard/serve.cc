@@ -20,36 +20,6 @@ constexpr const char* kSpecHeader = "snowboard-campaign-spec-v2";
 // written before v2 re-adopts its campaigns; the key is accepted there and dropped.
 constexpr const char* kSpecHeaderV1 = "snowboard-campaign-spec-v1";
 
-// Minimal JSON string escaping for status documents (ids and error strings are the only
-// free-form values; everything else is numeric or boolean).
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          StrAppendf(&out, "\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 bool ParseU64(const std::string& text, uint64_t* out) {
   if (text.empty()) {
     return false;
@@ -521,30 +491,42 @@ CampaignStatus FleetServer::StatusLocked(const Campaign& campaign) const {
     status.findings = campaign.findings;
   }
   status.report_ready = PathExists(DirFor(campaign.spec.name) + "/report.json");
-  // Durable progress: what the journal holds right now (readable concurrently with the
-  // live run — checksummed lines make a torn tail drop, not lie).
-  CheckpointStore store(CheckpointDirFor(campaign.spec.name));
-  status.tests_journaled =
-      store.ReadJournal(std::string("execute.") + StrategyName(campaign.spec.strategy))
-          .size();
   return status;
 }
 
+size_t FleetServer::JournaledTests(const std::string& id, Strategy strategy) const {
+  return ReadJournalFile(CheckpointDirFor(id), std::string("execute.") + StrategyName(strategy))
+      .size();
+}
+
 std::optional<CampaignStatus> FleetServer::Status(const std::string& id) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = by_id_.find(id);
-  if (it == by_id_.end()) {
-    return std::nullopt;
+  CampaignStatus status;
+  Strategy strategy;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = by_id_.find(id);
+    if (it == by_id_.end()) {
+      return std::nullopt;
+    }
+    status = StatusLocked(*it->second);
+    strategy = it->second->spec.strategy;
   }
-  return StatusLocked(*it->second);
+  status.tests_journaled = JournaledTests(id, strategy);
+  return status;
 }
 
 std::vector<CampaignStatus> FleetServer::List() {
-  std::lock_guard<std::mutex> lock(mutex_);
   std::vector<CampaignStatus> out;
-  out.reserve(campaigns_.size());
-  for (std::unique_ptr<Campaign>& campaign : campaigns_) {
-    out.push_back(StatusLocked(*campaign));
+  std::vector<Strategy> strategies;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (std::unique_ptr<Campaign>& campaign : campaigns_) {
+      out.push_back(StatusLocked(*campaign));
+      strategies.push_back(campaign->spec.strategy);
+    }
+  }
+  for (size_t i = 0; i < out.size(); i++) {
+    out[i].tests_journaled = JournaledTests(out[i].id, strategies[i]);
   }
   return out;
 }

@@ -215,7 +215,12 @@ class FleetServer {
   // Marks the daemon dead after a serve-layer injected crash: kills every stopper so all
   // campaigns unwind. Caller holds mutex_.
   void DeclareDeadLocked();
+  // Everything but tests_journaled, which JournaledTests reads after mutex_ is released.
   CampaignStatus StatusLocked(const Campaign& campaign) const;
+  // Durable progress: the outcome records campaign `id`'s journal holds right now. The
+  // read creates nothing (a queued campaign has no checkpoint directory yet), and a group
+  // commit in flight shows as a torn tail that drops silently.
+  size_t JournaledTests(const std::string& id, Strategy strategy) const;
   // True when the daemon injector crashed (checked at API entry; promotes to dead state).
   bool CheckDeadLocked();
 

@@ -31,9 +31,6 @@ void DrainInto(PipelineCounters* from, PipelineCounters* into) {
   drain(from->tests_resumed, into->tests_resumed);
   drain(from->journal_records_dropped, into->journal_records_dropped);
   drain(from->trials_retried, into->trials_retried);
-  drain(from->trials_pruned, into->trials_pruned);
-  drain(from->tests_saturated, into->tests_saturated);
-  drain(from->scheduler_switch_decisions, into->scheduler_switch_decisions);
   drain(from->checkpoint_writes, into->checkpoint_writes);
   drain(from->checkpoint_bytes, into->checkpoint_bytes);
   drain(from->checkpoint_loads, into->checkpoint_loads);
@@ -65,9 +62,6 @@ void ResetPipelineCounters() {
   counters.tests_resumed = 0;
   counters.journal_records_dropped = 0;
   counters.trials_retried = 0;
-  counters.trials_pruned = 0;
-  counters.tests_saturated = 0;
-  counters.scheduler_switch_decisions = 0;
   counters.checkpoint_writes = 0;
   counters.checkpoint_bytes = 0;
   counters.checkpoint_loads = 0;

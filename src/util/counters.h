@@ -58,15 +58,6 @@ struct PipelineCounters {
   // warned about.
   std::atomic<uint64_t> journal_records_dropped{0};
   std::atomic<uint64_t> trials_retried{0};        // Hung-trial retries in the explorer.
-  // --- Schedule-equivalence pruning (equiv.h; explorer trial loop). ---
-  // Pruned-vs-run efficacy is stated in these terms: `trials_pruned` executions were cut
-  // short at the fingerprint check instead of running detectors, and `tests_saturated`
-  // tests forfeited their remaining budget entirely.
-  std::atomic<uint64_t> trials_pruned{0};     // Duplicate-fingerprint trials skipped.
-  std::atomic<uint64_t> tests_saturated{0};   // Tests ended early by saturation.
-  // Scheduler switch decisions summed per test (steering activity; pairs with the pruning
-  // counters so a prune run shows *how* the budget it kept was spent).
-  std::atomic<uint64_t> scheduler_switch_decisions{0};
   std::atomic<uint64_t> checkpoint_writes{0};     // CheckpointStore::Put commits.
   std::atomic<uint64_t> checkpoint_bytes{0};      // Payload bytes across those commits.
   std::atomic<uint64_t> checkpoint_loads{0};      // Verified Get hits (stage skips).

@@ -46,6 +46,29 @@ inline void StrAppendf(std::string* out, const char* fmt, ...) {
   va_end(args_copy);
 }
 
+// `text` escaped for the inside of a JSON string literal: quote, backslash and control
+// characters (named escapes for \n, \r and \t, \u00XX for the rest).
+inline std::string JsonEscape(const std::string& text) {
+  std::string out;
+  out.reserve(text.size() + 8);
+  for (char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          StrAppendf(&out, "\\u%04x", c);
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
 }  // namespace snowboard
 
 #endif  // SRC_UTIL_STRINGS_H_

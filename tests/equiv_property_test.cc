@@ -1,5 +1,5 @@
 // Schedule-equivalence pruning (src/snowboard/equiv.h): property tests for the
-// happens-before fingerprint, units for the adaptive/feedback components, and the
+// happens-before fingerprint, units for the adaptive site table, and the
 // prune-on vs prune-off A/B over the reference campaign.
 //
 // The fingerprint's contract is an iff: two trials hash equal exactly when they realize
@@ -13,11 +13,9 @@
 #include <string>
 #include <vector>
 
-#include "src/snowboard/cluster.h"
 #include "src/snowboard/equiv.h"
 #include "src/snowboard/pipeline.h"
 #include "src/snowboard/report_html.h"
-#include "src/snowboard/select.h"
 #include "src/util/counters.h"
 #include "src/util/rng.h"
 #include "src/util/strings.h"
@@ -228,7 +226,7 @@ TEST(HbFingerprintTest, EdgesOutDecodesTheEdgeList) {
   EXPECT_EQ(scratch.edge_sites, (std::vector<SiteId>{101, 202, 203, 104}));
 }
 
-// --- AdaptiveSiteTable / ClusterPriorityTracker / TestFeedbackGroup units. ---
+// --- AdaptiveSiteTable units. ---
 
 TEST(AdaptiveSiteTableTest, RecordedSitesAreHotUntilClear) {
   AdaptiveSiteTable table;
@@ -248,45 +246,6 @@ TEST(AdaptiveSiteTableTest, RecordedSitesAreHotUntilClear) {
   table.Record(8);  // A cleared table learns afresh.
   EXPECT_TRUE(table.IsHot(8));
   EXPECT_FALSE(table.IsHot(7));
-}
-
-TEST(ClusterPriorityTrackerTest, DeprioritizesAfterConsecutiveSaturationsOnly) {
-  ClusterPriorityTracker tracker(2);
-  EXPECT_FALSE(tracker.IsDeprioritized(5));
-  tracker.RecordOutcome(5, true);
-  EXPECT_FALSE(tracker.IsDeprioritized(5));
-  tracker.RecordOutcome(5, false);  // Streak resets: not *consecutive* anymore.
-  tracker.RecordOutcome(5, true);
-  EXPECT_FALSE(tracker.IsDeprioritized(5));
-  tracker.RecordOutcome(5, true);
-  EXPECT_TRUE(tracker.IsDeprioritized(5));
-  EXPECT_FALSE(tracker.IsDeprioritized(6));  // Other groups unaffected.
-  EXPECT_EQ(tracker.deprioritized_groups(), 1u);
-  tracker.RecordOutcome(5, false);  // A fresh schedule rehabilitates the group.
-  EXPECT_FALSE(tracker.IsDeprioritized(5));
-  EXPECT_EQ(tracker.deprioritized_groups(), 0u);
-}
-
-TEST(TestFeedbackGroupTest, GroupsByHintedWriteSiteOrWriterProgram) {
-  ConcurrentTest a, b, c;
-  a.hint.write.site = 0x111;
-  b.hint.write.site = 0x111;
-  c.hint.write.site = 0x222;
-  EXPECT_EQ(TestFeedbackGroup(a), TestFeedbackGroup(b));
-  EXPECT_NE(TestFeedbackGroup(a), TestFeedbackGroup(c));
-
-  // Baselines carry no hint: group by the writer corpus program instead.
-  ConcurrentTest d, e, f;
-  d.write_test = 3;
-  e.write_test = 3;
-  e.read_test = 9;  // Reader does not influence the group.
-  f.write_test = 4;
-  EXPECT_EQ(TestFeedbackGroup(d), TestFeedbackGroup(e));
-  EXPECT_NE(TestFeedbackGroup(d), TestFeedbackGroup(f));
-  // The hinted and unhinted domains must not alias each other.
-  ConcurrentTest g;
-  g.write_test = static_cast<int>(a.hint.write.site);
-  EXPECT_NE(TestFeedbackGroup(a), TestFeedbackGroup(g));
 }
 
 // --- Prune-on vs prune-off A/B over the reference campaign. ---

@@ -182,11 +182,11 @@ TEST_F(ExplorerE2eTest, PmcHintExposesL2tpBugWithinBudget) {
   ExploreOutcome outcome = ExploreConcurrentTest(vm, test, nullptr, options);
   EXPECT_TRUE(outcome.bug_found);
   EXPECT_TRUE(outcome.target_found);
-  ASSERT_FALSE(outcome.panic_messages.empty());
   bool saw_null_deref = false;
-  for (const std::string& message : outcome.panic_messages) {
-    saw_null_deref =
-        saw_null_deref || message.find("NULL pointer dereference") != std::string::npos;
+  for (const FindingRecord& finding : outcome.findings) {
+    saw_null_deref = saw_null_deref || (finding.kind == FindingKind::kPanic &&
+                                        finding.evidence.find("NULL pointer dereference") !=
+                                            std::string::npos);
   }
   EXPECT_TRUE(saw_null_deref);
   EXPECT_LT(outcome.first_target_trial, 64);

@@ -2,13 +2,14 @@
 // randomized synthetic profiles — overlapping ranges, partial-width reads, equal-value
 // non-communications, failed tests, double-fetch flags — the sharded scan must agree with a
 // naive O(n²) reference enumerator on the full PMC relation (keys AND test-pair
-// multiplicities), and must be element-for-element identical at every shard count,
-// max_pmcs truncation included.
+// multiplicities), and must be element-for-element identical at every shard count and
+// partition scan order, max_pmcs truncation included.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
 #include <tuple>
+#include <utility>
 
 #include "src/snowboard/pmc.h"
 #include "src/snowboard/stats.h"
@@ -117,6 +118,29 @@ PmcRelation ToRelation(const std::vector<Pmc>& pmcs) {
   return relation;
 }
 
+// Runs the accumulator protocol the campaign engine drives: partitions planned for
+// `workers`, then scanned in a shuffled order (any interleaving of concurrent scans
+// writes the same partition-exclusive slices), then merged.
+std::vector<Pmc> ShardedIdentify(const std::vector<SequentialProfile>& profiles,
+                                 const PmcIdentifyOptions& options, int workers, Rng& rng) {
+  PmcAccumulator accumulator(options);
+  for (const SequentialProfile& profile : profiles) {
+    accumulator.AddProfile(profile);
+  }
+  accumulator.Seal();
+  std::vector<size_t> order(accumulator.PlanPartitions(workers));
+  for (size_t p = 0; p < order.size(); p++) {
+    order[p] = p;
+  }
+  for (size_t i = order.size(); i > 1; i--) {
+    std::swap(order[i - 1], order[rng.Below(i)]);
+  }
+  for (size_t p : order) {
+    accumulator.ScanPartition(p);
+  }
+  return accumulator.Merge();
+}
+
 class PmcShardProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(PmcShardProperty, ShardedScanMatchesNaiveReference) {
@@ -125,15 +149,11 @@ TEST_P(PmcShardProperty, ShardedScanMatchesNaiveReference) {
     std::vector<SequentialProfile> profiles = RandomProfiles(rng);
     PmcRelation expected = NaiveReference(profiles);
 
-    PmcIdentifyOptions sequential_options;
-    sequential_options.num_workers = 1;
-    std::vector<Pmc> sequential = IdentifyPmcs(profiles, sequential_options);
+    std::vector<Pmc> sequential = IdentifyPmcs(profiles);
     ASSERT_EQ(ToRelation(sequential), expected) << "round " << round;
 
     for (int workers : {2, 3, 8}) {
-      PmcIdentifyOptions options;
-      options.num_workers = workers;
-      std::vector<Pmc> sharded = IdentifyPmcs(profiles, options);
+      std::vector<Pmc> sharded = ShardedIdentify(profiles, PmcIdentifyOptions(), workers, rng);
       // Byte-identity with the sequential scan, not just the same relation: order,
       // multiplicities, and sampled exemplar pairs all survive the shard merge.
       ASSERT_EQ(sharded.size(), sequential.size())
@@ -148,21 +168,17 @@ TEST_P(PmcShardProperty, TruncationPointInvariantAcrossShardCounts) {
   Rng rng(GetParam() ^ 0xbeef);
   std::vector<SequentialProfile> profiles = RandomProfiles(rng);
 
-  PmcIdentifyOptions unbounded;
-  unbounded.num_workers = 1;
-  size_t full_size = IdentifyPmcs(profiles, unbounded).size();
+  size_t full_size = IdentifyPmcs(profiles).size();
   if (full_size < 2) {
     GTEST_SKIP() << "profile draw produced too few PMCs to truncate";
   }
 
   PmcIdentifyOptions capped;
   capped.max_pmcs = full_size / 2;
-  capped.num_workers = 1;
   std::vector<Pmc> sequential = IdentifyPmcs(profiles, capped);
   ASSERT_EQ(sequential.size(), capped.max_pmcs);
   for (int workers : {2, 3, 8}) {
-    capped.num_workers = workers;
-    std::vector<Pmc> sharded = IdentifyPmcs(profiles, capped);
+    std::vector<Pmc> sharded = ShardedIdentify(profiles, capped, workers, rng);
     ASSERT_EQ(sharded.size(), sequential.size()) << "workers " << workers;
     EXPECT_EQ(PmcTableDigest(sharded), PmcTableDigest(sequential)) << "workers " << workers;
   }

@@ -7,6 +7,7 @@
 #include "src/snowboard/explorer.h"
 #include "src/snowboard/pipeline.h"
 #include "src/snowboard/postmortem.h"
+#include "src/snowboard/replay.h"
 
 namespace snowboard {
 namespace {
@@ -151,10 +152,21 @@ TEST(PostmortemE2eTest, CampaignRaceIsPmcPredicted) {
   ExplorerOptions options;
   options.num_trials = 16;
   ExploreOutcome outcome = ExploreConcurrentTest(vm, test, nullptr, options);
+  // Each #9 race record's witness comes from replaying the record, which must reproduce
+  // the record's detector fingerprint.
   bool verified = false;
-  for (const RaceReport& race : outcome.races) {
-    if (ClassifyRace(race) == 9) {
-      verified = VerifyRaceAgainstPmcs(race, pmcs).predicted;
+  for (const FindingRecord& record : outcome.findings) {
+    if (record.kind != FindingKind::kRace || record.issue_id != 9) {
+      continue;
+    }
+    std::optional<ReplayToken> token = MakeReplayToken(test, record, options);
+    ASSERT_TRUE(token.has_value());
+    ReplayVerdict verdict = ReplayTokenTrial(vm, *token);
+    EXPECT_EQ(verdict.fingerprint, record.fingerprint);
+    for (const RaceReport& race : verdict.detectors.races) {
+      if (race.Signature() == record.key) {
+        verified = VerifyRaceAgainstPmcs(race, pmcs).predicted;
+      }
     }
   }
   EXPECT_TRUE(verified);

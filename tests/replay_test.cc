@@ -1,5 +1,5 @@
 // Tests for deterministic bug reproduction (§6): schedule recording, the compact string
-// form, replay fidelity, and end-to-end capsule replay of the Figure 1 panic.
+// form, replay fidelity, and end-to-end token replay of the Figure 1 panic.
 #include <gtest/gtest.h>
 
 #include "src/fuzz/generator.h"
@@ -88,75 +88,30 @@ class ReplayE2eTest : public ::testing::Test {
   }
 };
 
-TEST_F(ReplayE2eTest, SeedReplayIsExact) {
-  KernelVm vm;
-  ConcurrentTest test = BuildL2tpTest(vm);
-  BugCapsule first;
-  Engine::RunResult a = ReproduceTrial(vm, test, /*seed=*/2021, /*trial=*/5, &first);
-  BugCapsule second;
-  Engine::RunResult b = ReproduceTrial(vm, test, /*seed=*/2021, /*trial=*/5, &second);
-  EXPECT_EQ(a.panicked, b.panicked);
-  EXPECT_EQ(a.panic_message, b.panic_message);
-  EXPECT_EQ(a.instructions, b.instructions);
-  EXPECT_EQ(first.schedule, second.schedule);
-}
-
-TEST_F(ReplayE2eTest, CapsuleReplaysThePanic) {
-  KernelVm vm;
-  ConcurrentTest test = BuildL2tpTest(vm);
-  // Find a panicking trial with the per-trial seed sweep (Algorithm 2's reseeding).
-  BugCapsule capsule;
-  bool captured = false;
-  for (int trial = 0; trial < 64 && !captured; trial++) {
-    Engine::RunResult result = ReproduceTrial(vm, test, 2021, trial, &capsule);
-    captured = result.panicked;
-  }
-  ASSERT_TRUE(captured) << "no panicking trial within the sweep";
-  ASSERT_FALSE(capsule.panic_message.empty());
-
-  // The capsule replays the identical panic — through the RECORDED schedule, independent of
-  // the PMC scheduler's internals.
-  EXPECT_TRUE(ReplayCapsule(vm, capsule));
-
-  // And the string round-trip preserves it (a bug report attachment).
-  BugCapsule from_text = capsule;
-  from_text.schedule = *RecordedSchedule::FromString(capsule.schedule.ToString());
-  EXPECT_TRUE(ReplayCapsule(vm, from_text));
-}
-
-// The shippable-reproducer property: every capture the explorer records — after
+// The shippable-reproducer property: every finding the explorer records — after
 // delta-debugging minimization — renders to a token whose textual round trip is the
-// identity and whose replay produces the exact captured detector fingerprint.
+// identity and whose replay produces the exact recorded detector fingerprint.
 TEST_F(ReplayE2eTest, TokenRoundTripReproducesFingerprint) {
   KernelVm vm;
   ConcurrentTest test = BuildL2tpTest(vm);
   ExplorerOptions options;
   options.num_trials = 24;
   ExploreOutcome outcome = ExploreConcurrentTest(vm, test, /*matcher=*/nullptr, options);
-  ASSERT_FALSE(outcome.captures.empty()) << "no finding captured within the trial budget";
-  for (const TrialCapture& capture : outcome.captures) {
-    EXPECT_LE(capture.min_switches, capture.orig_switches);
-    ReplayToken token;
-    token.issue_id = 1;
-    token.write_test = test.write_test;
-    token.read_test = test.read_test;
-    token.trial_seed = options.seed + static_cast<uint64_t>(capture.trial);
-    token.max_instructions = options.max_instructions;
-    token.fingerprint = capture.fingerprint;
-    token.schedule = *RecordedSchedule::FromString(capture.schedule);
-    token.hint = test.hint;
-    token.writer = test.writer;
-    token.reader = test.reader;
+  ASSERT_FALSE(outcome.findings.empty()) << "no finding recorded within the trial budget";
+  for (const FindingRecord& record : outcome.findings) {
+    EXPECT_LE(record.min_switches, record.orig_switches);
+    std::optional<ReplayToken> token = MakeReplayToken(test, record, options);
+    ASSERT_TRUE(token.has_value());
 
-    std::string text = FormatReplayToken(token);
+    std::string text = FormatReplayToken(*token);
     std::optional<ReplayToken> parsed = ParseReplayToken(text);
     ASSERT_TRUE(parsed.has_value()) << text;
-    EXPECT_EQ(*parsed, token);
+    EXPECT_EQ(*parsed, *token);
 
     ReplayVerdict verdict = ReplayTokenTrial(vm, *parsed);
     EXPECT_TRUE(verdict.fingerprint_match)
-        << "capture kind " << static_cast<int>(capture.kind) << " trial " << capture.trial
-        << ": expected " << capture.fingerprint << ", observed " << verdict.fingerprint;
+        << "record kind " << FindingKindName(record.kind) << " trial " << record.trial
+        << ": expected " << record.fingerprint << ", observed " << verdict.fingerprint;
   }
 }
 
@@ -210,17 +165,26 @@ TEST(MinimizeScheduleTest, ShrinksToTheTwoLoadBearingSwitches) {
 TEST_F(ReplayE2eTest, CorruptedScheduleDoesNotReproduce) {
   KernelVm vm;
   ConcurrentTest test = BuildL2tpTest(vm);
-  BugCapsule capsule;
-  bool captured = false;
-  for (int trial = 0; trial < 64 && !captured; trial++) {
-    captured = ReproduceTrial(vm, test, 2021, trial, &capsule).panicked;
+  ExplorerOptions options;
+  options.num_trials = 64;
+  options.target_issue = 12;
+  ExploreOutcome outcome = ExploreConcurrentTest(vm, test, /*matcher=*/nullptr, options);
+  std::optional<ReplayToken> token;
+  for (const FindingRecord& record : outcome.findings) {
+    if (record.kind == FindingKind::kPanic) {
+      token = MakeReplayToken(test, record, options);
+      break;
+    }
   }
-  ASSERT_TRUE(captured);
+  ASSERT_TRUE(token.has_value()) << "no panic recorded within the trial budget";
+  ASSERT_GT(token->schedule.SwitchCount(), 0u);
+  ASSERT_TRUE(ReplayTokenTrial(vm, *token).fingerprint_match);
   // Remove every switch: the serialized no-preemption run cannot hit the window.
-  BugCapsule broken = capsule;
-  broken.schedule = *RecordedSchedule::FromString(
-      std::string(capsule.schedule.switch_after.size(), '.'));
-  EXPECT_FALSE(ReplayCapsule(vm, broken));
+  ReplayToken broken = *token;
+  broken.schedule.switch_after.assign(token->schedule.switch_after.size(), false);
+  ReplayVerdict verdict = ReplayTokenTrial(vm, broken);
+  EXPECT_FALSE(verdict.fingerprint_match);
+  EXPECT_FALSE(verdict.detectors.panicked);
 }
 
 }  // namespace

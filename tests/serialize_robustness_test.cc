@@ -20,6 +20,7 @@
 #include "src/snowboard/serialize.h"
 #include "src/util/fault.h"
 #include "src/util/fs.h"
+#include "src/util/log.h"
 
 namespace snowboard {
 namespace {
@@ -601,6 +602,61 @@ TEST(SerializeRobustnessTest, JournalReplayStopsAtCorruptTail) {
   EXPECT_EQ(store.ReadJournal("exec"), (std::vector<std::string>{"record zero"}));
 
   EXPECT_FALSE(store.AppendJournal("exec", "two\nlines")) << "records must be single-line";
+}
+
+// A status poll reads a journal while its campaign group-commits to it: a final line cut
+// mid-record is a commit in flight, not corruption, so the read-only reader returns the
+// complete records and says nothing.
+TEST(SerializeRobustnessTest, TornJournalTailDropsWithoutWarning) {
+  std::string dir = TempPath("journal_torn");
+  {
+    CheckpointStore store(dir);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE(store.AppendJournal("exec", "record zero"));
+    ASSERT_TRUE(store.AppendJournal("exec", "record one"));
+  }
+  std::optional<std::string> raw = ReadFileContents(dir + "/exec.journal");
+  ASSERT_TRUE(raw.has_value());
+  // Cut inside the second line: its checksum prefix survives, its payload does not.
+  {
+    std::ofstream f(dir + "/exec.journal", std::ios::trunc | std::ios::binary);
+    f << raw->substr(0, raw->size() - 4);
+  }
+  LogLevel level = GetLogLevel();
+  SetLogLevel(LogLevel::kWarn);
+  ::testing::internal::CaptureStderr();
+  std::vector<std::string> records = ReadJournalFile(dir, "exec");
+  std::string logged = ::testing::internal::GetCapturedStderr();
+  SetLogLevel(level);
+  EXPECT_EQ(records, (std::vector<std::string>{"record zero"}));
+  EXPECT_EQ(logged, "");
+}
+
+// A complete line whose checksum fails is real corruption: the read stops there AND warns.
+TEST(SerializeRobustnessTest, CorruptJournalLineWarns) {
+  std::string dir = TempPath("journal_corrupt");
+  {
+    CheckpointStore store(dir);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE(store.AppendJournal("exec", "record zero"));
+    ASSERT_TRUE(store.AppendJournal("exec", "record one"));
+  }
+  std::optional<std::string> raw = ReadFileContents(dir + "/exec.journal");
+  ASSERT_TRUE(raw.has_value());
+  {
+    std::ofstream f(dir + "/exec.journal", std::ios::trunc | std::ios::binary);
+    std::string tampered = *raw;
+    tampered[tampered.find("record one")] = 'X';
+    f << tampered;
+  }
+  LogLevel level = GetLogLevel();
+  SetLogLevel(LogLevel::kWarn);
+  ::testing::internal::CaptureStderr();
+  std::vector<std::string> records = ReadJournalFile(dir, "exec");
+  std::string logged = ::testing::internal::GetCapturedStderr();
+  SetLogLevel(level);
+  EXPECT_EQ(records, (std::vector<std::string>{"record zero"}));
+  EXPECT_NE(logged.find("failed checksum"), std::string::npos) << logged;
 }
 
 TEST(SerializeRobustnessTest, TamperedManifestIsIgnoredWholesale) {

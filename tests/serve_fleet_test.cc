@@ -277,6 +277,27 @@ TEST(ServeFleetTest, PriorityOrdersStartsAndFairShareBoundsGrants) {
   std::filesystem::remove_all(options.root);
 }
 
+// A status poll is a read: on a queued campaign it must not create the checkpoint
+// directory that only the campaign's runner may create.
+TEST(ServeFleetTest, StatusOfQueuedCampaignCreatesNothing) {
+  FleetOptions options;
+  options.root = FreshDir("queued_status");
+  FleetServer server(options);
+  ASSERT_TRUE(server.ok());
+  server.SetPaused(true);
+  CampaignSpec spec = TinySpec("queued", 5, Strategy::kSInsPair);
+  std::string error;
+  ASSERT_EQ(server.Submit(spec, &error), FleetRc::kOk) << error;
+  std::optional<CampaignStatus> status = server.Status(spec.name);
+  ASSERT_TRUE(status.has_value());
+  EXPECT_EQ(status->state, CampaignState::kQueued);
+  EXPECT_EQ(status->tests_journaled, 0u);
+  ASSERT_EQ(server.List().size(), 1u);
+  EXPECT_FALSE(PathExists(options.root + "/" + spec.name + "/checkpoint"));
+  server.Drain();
+  std::filesystem::remove_all(options.root);
+}
+
 // Cancel is a cooperative kill with a durable marker, and the checkpoint it leaves behind
 // is valid: a standalone resume of the cancelled directory completes byte-identically to
 // an uninterrupted run (replaying, not re-executing, what was journaled).

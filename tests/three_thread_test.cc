@@ -121,8 +121,8 @@ TEST(ThreeThreadExploreTest, FanOutWriteTwoReads) {
   EXPECT_EQ(outcome.trials_run, 24);
   EXPECT_TRUE(outcome.bug_found);  // The #9 race fires with either reader.
   bool classified = false;
-  for (const RaceReport& race : outcome.races) {
-    classified = classified || ClassifyRace(race) == 9;
+  for (const FindingRecord& finding : outcome.findings) {
+    classified = classified || (finding.kind == FindingKind::kRace && finding.issue_id == 9);
   }
   EXPECT_TRUE(classified);
 }
@@ -158,8 +158,9 @@ TEST(ThreeThreadExploreTest, L2tpFanOutPanics) {
   options.num_trials = 96;
   ExploreOutcome outcome = ExploreThreeThreaded(vm, test, options);
   bool panicked = false;
-  for (const std::string& message : outcome.panic_messages) {
-    panicked = panicked || message.find("L2tpXmit") != std::string::npos;
+  for (const FindingRecord& finding : outcome.findings) {
+    panicked = panicked || (finding.kind == FindingKind::kPanic &&
+                            finding.evidence.find("L2tpXmit") != std::string::npos);
   }
   EXPECT_TRUE(panicked);
 }
@@ -178,7 +179,7 @@ TEST(ThreeThreadExploreTest, DeterministicForSeed) {
   ExploreOutcome b = ExploreThreeThreaded(vm, test, options);
   EXPECT_EQ(a.bug_found, b.bug_found);
   EXPECT_EQ(a.first_bug_trial, b.first_bug_trial);
-  EXPECT_EQ(a.races.size(), b.races.size());
+  EXPECT_EQ(a.findings, b.findings);
 }
 
 }  // namespace

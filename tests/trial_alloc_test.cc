@@ -3,8 +3,9 @@
 // This binary replaces the global operator new/delete with counting forwarders (which is
 // why it is built as its own test executable, separate from sb_tests) and asserts that the
 // distilled Algorithm 2 trial loop — restore snapshot, run both guest programs under the
-// PMC scheduler, run the detectors, search for incidental PMCs and adopt one — performs
-// ZERO heap allocations once warmed up.
+// PMC scheduler, run the detectors, walk their findings through the per-kind first-seen
+// sets, search for incidental PMCs and adopt one — performs ZERO heap allocations once
+// warmed up.
 //
 // Warm-up cycles the exact seed set that is later measured: identical seeds produce
 // identical traces, so every recycled buffer (trace storage, detector scratch, engine
@@ -12,6 +13,7 @@
 // capacity during warm-up and the measured cycle has nothing left to grow.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -63,6 +65,10 @@ TEST(TrialAllocTest, SteadyStateTrialLoopIsAllocationFree) {
   Engine::RunResult result;
   DetectorSuite suite;  // All five detectors enabled: the guarantee covers the full suite.
   DetectorResult detectors;
+  // The first-seen walk, as RunTrialLoop holds it: one reused key vector, one set per kind.
+  std::vector<FindingKey> trial_findings;
+  std::array<FlatSet<uint64_t>, kFindingKindCount> seen_findings;
+  size_t findings_walked = 0;
   PmcScheduler scheduler;
   opts.scheduler = &scheduler;
   std::vector<Engine::GuestFn> fns;
@@ -85,8 +91,8 @@ TEST(TrialAllocTest, SteadyStateTrialLoopIsAllocationFree) {
 
   // One test's trial loop, distilled from RunTrialLoop: reset the scheduler to the test's
   // PMC, then per trial open the attempt's flag journal, restore, run, (fingerprint and
-  // skip a duplicate,) detect, search for incidental PMCs and adopt one. Returns true when
-  // every trial ran clean.
+  // skip a duplicate,) detect, probe each finding's first-seen set, search for incidental
+  // PMCs and adopt one. Returns true when every trial ran clean.
   auto run_cycle = [&](bool prune) {
     scheduler.ResetForTest(pmcs[0].key);
     scheduler.set_adaptive_sites(prune ? &site_table : nullptr);
@@ -95,6 +101,9 @@ TEST(TrialAllocTest, SteadyStateTrialLoopIsAllocationFree) {
     adoption_rng.Seed(2021);
     seen_fingerprints.Clear();
     site_table.Clear();
+    for (FlatSet<uint64_t>& seen : seen_findings) {
+      seen.Clear();
+    }
     bool clean = true;
     for (uint64_t s = 0; s < kTrialSeeds; s++) {
       scheduler.BeginAttempt();
@@ -111,6 +120,11 @@ TEST(TrialAllocTest, SteadyStateTrialLoopIsAllocationFree) {
       }
       suite.Run(result, &detectors);
       clean = clean && detectors.console_hits.empty() && !result.panicked && !result.hang;
+      FindingKeys(detectors, &trial_findings);
+      for (const FindingKey& finding : trial_findings) {
+        seen_findings[static_cast<size_t>(finding.kind)].Insert(finding.key);
+        findings_walked++;
+      }
       matcher->FindIncidental(result.trace, current_keys, &search);
       const std::vector<uint32_t>& matches = search.matches();
       if (!matches.empty()) {
@@ -148,12 +162,14 @@ TEST(TrialAllocTest, SteadyStateTrialLoopIsAllocationFree) {
   }
 
   adoptions = 0;
+  findings_walked = 0;
   uint64_t before = AllocationCount();
   run_cycle(false);
   uint64_t after = AllocationCount();
   EXPECT_EQ(after - before, 0u)
       << (after - before) << " heap allocations in a steady-state trial cycle";
   EXPECT_GT(adoptions, 0u) << "the measured cycle adopted no incidental PMC";
+  EXPECT_GT(findings_walked, 0u) << "the measured cycle walked no finding";
 
   // Tracing runtime-ENABLED must not reintroduce allocations either: the per-thread
   // buffer is allocated once at registration (inside the warm-up cycle below) and every
