@@ -171,9 +171,17 @@ bool CheckpointStore::Reset() {
     return false;
   }
   std::lock_guard<std::mutex> lock(mutex_);
-  entries_.clear();
+  std::map<std::string, Entry> forgotten;
+  forgotten.swap(entries_);
   pending_.clear();  // Buffered journal records die with their journals.
   bool ok = WriteManifestLocked();
+  if (ok) {
+    // Unreachable now that the empty manifest is durable (until then the old one named
+    // them, so a failed rewrite keeps them).
+    for (const auto& [name, entry] : forgotten) {
+      ok = RemoveFileIfExists(PathFor(name)) && ok;
+    }
+  }
   std::error_code ec;
   for (const auto& dirent : std::filesystem::directory_iterator(dir_, ec)) {
     if (dirent.path().extension() == ".journal") {

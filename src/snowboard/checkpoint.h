@@ -1,21 +1,21 @@
-// Crash-safe checkpoint store for campaign artifacts.
+// Crash-safe checkpoint store for campaign state.
 //
-// The paper's deployment persists every intermediate artifact (profiles feed a separate
-// identification job; S-FULL PMC keys are "stored on disk"; tests travel through a Redis
-// queue), so a worker or coordinator loss never discards more than the stage in flight.
-// A CheckpointStore is the single-directory analog: named entries written atomically
-// (src/util/fs.h write-temp-then-rename) and registered in a manifest with content hashes,
-// so a reader either gets a stage's complete, verified artifact or nothing — corrupt,
-// truncated, or torn files are rejected, never half-loaded. Append-only journals carry
-// per-test execution outcomes with a checksum per line; a crash can only truncate the
-// final line, which the reader drops.
+// The paper's campaigns run for days on preemptible fleet VMs, so a worker or coordinator
+// loss must cost minutes of re-execution, not the campaign. A CheckpointStore keeps, in
+// one directory, what a resumed campaign cannot recompute cheaply (like rr, which records
+// only what replay cannot recompute): the execution outcomes and the final result. Named
+// entries are written atomically (src/util/fs.h write-temp-then-rename) and registered in
+// a manifest with content hashes, so a reader either gets an entry's complete, verified
+// contents or nothing — corrupt, truncated, or torn files are rejected, never
+// half-loaded. Append-only journals carry per-test execution outcomes with a checksum per
+// line; a crash can only truncate the final line, which the reader drops.
 //
 // Consistency argument (what makes resume byte-identical): an entry becomes visible only
 // via Put's sequence [write data atomically] → [rewrite manifest atomically]. A crash
 // between the two leaves an orphan data file that the manifest does not reference, so the
-// resumed run recomputes the stage — and every stage is deterministic, so recomputation
-// equals the lost artifact. Journals are sub-stage: replaying a journaled outcome is
-// byte-equivalent to re-running its (deterministic, snapshot-isolated) test.
+// resumed run recomputes what it held — and every stage is deterministic, so
+// recomputation equals the lost entry. Journals are sub-stage: replaying a journaled
+// outcome is byte-equivalent to re-running its (deterministic, snapshot-isolated) test.
 #ifndef SRC_SNOWBOARD_CHECKPOINT_H_
 #define SRC_SNOWBOARD_CHECKPOINT_H_
 
@@ -54,8 +54,8 @@ class CheckpointStore {
   // its content hash does not match (corruption/truncation).
   std::optional<std::string> Get(const std::string& name) const;
 
-  // Forgets every entry (rewrites an empty manifest) and deletes all journals. Entry data
-  // files are left to be overwritten; with the manifest gone they are unreachable.
+  // Forgets every entry (rewrites an empty manifest), then deletes the forgotten entries'
+  // data files and all journals.
   bool Reset();
 
   // Appends one single-line record to journal `name` (checksummed per line). Records are

@@ -8,7 +8,6 @@
 #include <mutex>
 #include <optional>
 
-#include "src/snowboard/artifact.h"
 #include "src/snowboard/checkpoint.h"
 #include "src/snowboard/profile.h"
 #include "src/snowboard/serialize.h"
@@ -31,8 +30,14 @@ double SecondsBetween(std::chrono::steady_clock::time_point a,
   return seconds > 0 ? seconds : 0;
 }
 
+// True once an injected crash has fired anywhere: the "process" is dead, so nothing new
+// starts, nothing more is committed, and callers unwind with partial state.
+bool Dead(const PipelineOptions& options) {
+  return options.fault != nullptr && options.fault->crashed();
+}
+
 // Opens the campaign's checkpoint store, or null when checkpointing is off/unavailable.
-// The store is internally synchronized, so one handle may serve every stage and worker.
+// The store is internally synchronized, so one handle may serve every worker.
 std::unique_ptr<CheckpointStore> OpenStore(const PipelineOptions& options) {
   if (options.checkpoint_dir.empty()) {
     return nullptr;
@@ -52,8 +57,8 @@ std::unique_ptr<CheckpointStore> OpenStore(const PipelineOptions& options) {
 // Hash of every option that shapes the pipeline's deterministic outputs. num_workers,
 // checkpointing, and fault injection are deliberately excluded: a campaign may be resumed
 // with a different worker count (the determinism invariant guarantees identical results),
-// but any fingerprint mismatch means the directory's artifacts answer a different question
-// and must be discarded.
+// but any fingerprint mismatch means the directory's journal and result answer a different
+// question and must be discarded.
 uint64_t OptionsFingerprint(const PipelineOptions& o) {
   return HashAll(o.seed, o.corpus.seed, o.corpus.max_iterations, o.corpus.target_size,
                  o.corpus.use_seeds, o.pmc.max_keys_per_address, o.pmc.max_pmcs,
@@ -74,11 +79,17 @@ std::vector<Program> ComputeCorpus(KernelVm& vm, const PipelineOptions& options)
   return CorpusPrograms(BuildCorpus(vm, corpus_options));
 }
 
+// A strategy's generated test list and the cluster count it was selected from.
+struct GeneratedTests {
+  std::vector<ConcurrentTest> tests;
+  size_t cluster_count = 0;
+};
+
 // Test generation for the campaign's strategy: the pairing baselines need only the corpus;
 // PMC strategies cluster the identified table and select exemplar pairs.
-SerializedTests ComputeTests(const std::vector<Program>& corpus,
-                             const std::vector<Pmc>& pmcs, const PipelineOptions& options) {
-  SerializedTests out;
+GeneratedTests ComputeTests(const std::vector<Program>& corpus, const std::vector<Pmc>& pmcs,
+                            const PipelineOptions& options) {
+  GeneratedTests out;
   if (!StrategyUsesPmcs(options.strategy)) {
     out.tests = options.strategy == Strategy::kRandomPairing
                     ? GenerateRandomPairs(corpus, options.max_concurrent_tests, options.seed)
@@ -96,152 +107,7 @@ SerializedTests ComputeTests(const std::vector<Program>& corpus,
   return out;
 }
 
-// --- Stage definitions (artifact.h) -----------------------------------------------------
-
-StageDef<std::vector<Program>> CorpusStageDef() {
-  StageDef<std::vector<Program>> def;
-  def.entry = "corpus";
-  def.serialize = [](const std::vector<Program>& corpus) { return SerializeCorpus(corpus); };
-  def.deserialize = [](const std::string& text) { return DeserializeCorpus(text); };
-  return def;
-}
-
-StageDef<std::vector<SequentialProfile>> ProfilesStageDef(
-    const std::vector<Program>& corpus) {
-  StageDef<std::vector<SequentialProfile>> def;
-  def.entry = "profiles";
-  def.serialize = [](const std::vector<SequentialProfile>& profiles) {
-    return SerializeProfiles(profiles);
-  };
-  def.deserialize = [](const std::string& text) { return DeserializeProfiles(text); };
-  // A profile set for a different corpus (size mismatch) is stale, not corrupt.
-  def.validate = [&corpus](const std::vector<SequentialProfile>& profiles) {
-    return profiles.size() == corpus.size();
-  };
-  return def;
-}
-
-StageDef<std::vector<Pmc>> PmcsStageDef() {
-  StageDef<std::vector<Pmc>> def;
-  def.entry = "pmcs";
-  def.serialize = [](const std::vector<Pmc>& pmcs) { return SerializePmcs(pmcs); };
-  def.deserialize = [](const std::string& text) { return DeserializePmcs(text); };
-  return def;
-}
-
-StageDef<SerializedTests> TestsStageDef(const PipelineOptions& options) {
-  StageDef<SerializedTests> def;
-  def.entry = std::string("tests.") + StrategyName(options.strategy);
-  def.serialize = [](const SerializedTests& tests) {
-    return SerializeConcurrentTests(tests.tests, tests.cluster_count);
-  };
-  def.deserialize = [](const std::string& text) { return DeserializeConcurrentTests(text); };
-  return def;
-}
-
-StageDef<PipelineResult> ResultStageDef(const PipelineOptions& options) {
-  StageDef<PipelineResult> def;
-  def.entry = std::string("result.") + StrategyName(options.strategy);
-  def.serialize = [](const PipelineResult& result) { return SerializePipelineResult(result); };
-  def.deserialize = [](const std::string& text) { return DeserializePipelineResult(text); };
-  return def;
-}
-
 // --- Execution helpers ------------------------------------------------------------------
-
-// Pre-parses the execution journal into a by-index replay table. ReadJournal has already
-// stopped at the first torn or corrupt line, so every record it returns is checksum-valid.
-// Two kinds of record are dropped, counted in
-// GlobalPipelineCounters().journal_records_dropped, and warned about once per build: one
-// that does not decode (another record format wrote it) and one whose test index is
-// outside the current test list (a mismatched journal would otherwise silently masquerade
-// as progress). Their tests re-execute.
-std::vector<std::optional<OutcomeRecord>> BuildJournalTable(const StageRunner& runner,
-                                                            const std::string& journal_name,
-                                                            size_t num_tests) {
-  std::vector<std::optional<OutcomeRecord>> journaled(num_tests);
-  if (runner.store() == nullptr || !runner.resume()) {
-    return journaled;
-  }
-  size_t undecodable = 0;
-  size_t out_of_range = 0;
-  for (const std::string& record : runner.store()->ReadJournal(journal_name)) {
-    std::optional<OutcomeRecord> decoded = DecodeOutcomeRecord(record);
-    if (!decoded.has_value()) {
-      undecodable++;
-      continue;
-    }
-    if (decoded->test_index >= num_tests) {
-      out_of_range++;
-      continue;
-    }
-    size_t index = decoded->test_index;
-    journaled[index] = std::move(*decoded);
-  }
-  ActiveCounters().journal_records_dropped.fetch_add(undecodable + out_of_range,
-                                                     std::memory_order_relaxed);
-  if (undecodable > 0) {
-    SB_LOG(kWarn) << "checkpoint: dropped " << undecodable << " journal record(s) of "
-                  << journal_name << " that do not decode (written by another record "
-                  << "format?); their tests re-execute";
-  }
-  if (out_of_range > 0) {
-    SB_LOG(kWarn) << "checkpoint: dropped " << out_of_range << " journal record(s) of "
-                  << journal_name << " with test indices past the " << num_tests
-                  << "-test list (journal belongs to a different test set?)";
-  }
-  return journaled;
-}
-
-// Executes one live (non-journaled) concurrent test on `vm` and journals its outcome.
-// Returns nullopt when an injected crash fired mid-test or at the journal append: the
-// record then "never existed" in this process and only the on-disk journal decides what
-// survived.
-std::optional<OutcomeRecord> RunOneExploreTest(KernelVm& vm, const ConcurrentTest& test,
-                                               size_t index, bool use_pmc_hints,
-                                               const PmcMatcher* matcher,
-                                               const PipelineOptions& options,
-                                               const StageRunner& runner,
-                                               const std::string& journal_name) {
-  ExplorerOptions explorer = options.explorer;
-  // Per-test seed derived from the test index: trial schedules are independent of which
-  // worker runs the test and in what order.
-  explorer.seed = options.explorer.seed + index * 1000003ull;
-  explorer.fault = runner.fault();
-  ExploreOutcome outcome;
-  if (use_pmc_hints) {
-    outcome = ExploreConcurrentTest(vm, test, matcher, explorer);
-  } else {
-    RandomPreemptScheduler scheduler;
-    outcome = ExploreWithScheduler(vm, test, scheduler, /*check_channel=*/false, explorer);
-  }
-  if (runner.dead()) {
-    return std::nullopt;  // The trial loop died mid-test; its partial outcome never existed.
-  }
-  // The record keeps exactly what the fold reads; the rest of the outcome dies here.
-  OutcomeRecord record;
-  record.test_index = index;
-  record.trials_run = outcome.trials_run;
-  record.trials_retried = outcome.trials_retried;
-  record.trials_pruned = outcome.trials_pruned;
-  record.saturated = outcome.saturated;
-  record.switch_decisions = outcome.switch_decisions;
-  record.bug_found = outcome.bug_found;
-  record.channel_exercised = outcome.channel_exercised;
-  for (const FindingRecord& finding : outcome.findings) {
-    record.schedule_switches_orig += finding.orig_switches;
-    record.schedule_switches_min += finding.min_switches;
-  }
-  record.findings = ExtractFindings(test, outcome, index, explorer);
-  if (runner.store() != nullptr) {
-    runner.store()->AppendJournal(journal_name, EncodeOutcomeRecord(record));
-    if (runner.dead()) {
-      return std::nullopt;  // Died at the append; the on-disk journal decides what survived.
-    }
-  }
-  ActiveCounters().concurrent_tests_run.fetch_add(1, std::memory_order_relaxed);
-  return record;
-}
 
 // Folds per-test outcome slots into the result in test-index order. FindingsLog::Merge
 // keeps the lowest-test-index finding per issue, so merging the per-test logs in index
@@ -291,12 +157,16 @@ void FoldExploreOutcomes(const std::vector<std::optional<OutcomeRecord>>& outcom
 //
 // Workers claim whatever is runnable; completed profiles fold into the PmcAccumulator
 // while the profile tail is still executing, and exploration starts the moment the test
-// list (and, for PMC strategies, the matcher) resolves — for the pairing baselines and for
-// resumes whose test list is checkpointed, that genuinely overlaps the profile tail.
+// list (and, for PMC strategies, the matcher) resolves — for the pairing baselines that
+// genuinely overlaps the profile tail.
 //
-// Three entries share the one DAG: RunSnowboardPipeline runs it from the furthest
-// checkpointed frontier through exploration, PrepareCampaign stops once the PMC table
-// resolves, and ExecuteCampaign starts at the explore frontier with the caller's tests.
+// Two entries share the one DAG. From the corpus: RunSnowboardPipeline runs it through
+// exploration and PrepareCampaign stops once the PMC table resolves. From the explore
+// frontier: ExecuteCampaign explores the caller's tests. The pre-explore stages write
+// nothing to the checkpoint store — they are pure functions of the options fingerprint,
+// so a resume recomputes them — and only the explore stage touches it: each executed
+// test appends its outcome to the journal, and a resume replays the journaled outcomes
+// instead of re-executing their tests.
 //
 // Determinism comes from pinned fold orders, not from the schedule: profiles fold strictly
 // in corpus-index order (single folder at a time, advancing over the completed prefix),
@@ -318,9 +188,11 @@ class CampaignEngine {
     kExplore,  // Run through exploration.
   };
 
+  // `store` (may be null) receives the explore stage's journal, and on `options.resume`
+  // its journaled outcomes replay.
   CampaignEngine(const PipelineOptions& options, CheckpointStore* store, Goal goal)
       : options_(options),
-        runner_(store, options.fault, options.resume),
+        store_(store),
         goal_(goal),
         use_pmc_(StrategyUsesPmcs(options.strategy)),
         journal_name_(std::string("execute.") + StrategyName(options.strategy)),
@@ -340,28 +212,25 @@ class CampaignEngine {
     use_pmc_ = use_pmc_hints;
     matcher_ = matcher;
     corpus_done_ = profiles_complete_ = pmcs_done_ = true;
-    TestsResolvedLocked(SerializedTests{tests, 0});
+    TestsResolvedLocked(GeneratedTests{tests, 0});
   }
 
   void Run() {
     // perfbench's ledger keys the campaign window on this span name.
     TRACE_SPAN("engine.streaming");
-    if (!start_at_explore_) {
-      ResolveFromCheckpoint();
-    }
     bool all_done;
     {
       std::lock_guard<std::mutex> lock(mu_);
       all_done = AllDoneLocked();
     }
-    if (!all_done && !runner_.dead()) {
+    if (!all_done && !Dead(options_)) {
       WorkerPool::Global().Run(options_.ResolvedWorkers(),
                                [this](PoolWorker& worker) { WorkerLoop(worker); });
     }
     // Claim boundary: every outcome the explore stage journaled becomes durable before the
     // campaign result is assembled (and before the result entry can be persisted).
-    if (runner_.store() != nullptr) {
-      runner_.store()->FlushJournals();
+    if (store_ != nullptr) {
+      store_->FlushJournals();
     }
   }
 
@@ -417,12 +286,12 @@ class CampaignEngine {
  private:
   enum class Kind {
     kNone,
-    kCorpus,          // Build (or it was loaded) the corpus.
+    kCorpus,          // Build the corpus.
     kProfile,         // Profile corpus[arg].
     kFold,            // Fold completed profiles into the accumulator, in corpus order.
-    kFinishProfiles,  // Persist profiles, seal + partition the access index.
+    kFinishProfiles,  // Seal + partition the access index.
     kScan,            // Overlap-scan partition arg.
-    kMergePmcs,       // Merge partition slices, persist the PMC table.
+    kMergePmcs,       // Merge partition slices into the PMC table.
     kGenerate,        // Cluster/select (or pair) the test list, build replay table.
     kExplore,         // Execute (or replay) test arg.
   };
@@ -437,40 +306,6 @@ class CampaignEngine {
 
   double ProfileRestoreSeconds() const {
     return static_cast<double>(restore_mark_profiles_ - restore_mark_corpus_) * 1e-9;
-  }
-
-  // Up-front checkpoint resolution on the caller thread: loads run before any worker
-  // starts, so the DAG begins from the furthest checkpointed frontier.
-  void ResolveFromCheckpoint() {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (std::optional<std::vector<Program>> corpus = runner_.TryLoad(CorpusStageDef())) {
-      corpus_ = std::move(*corpus);
-      corpus_loaded_ = true;
-      CorpusResolvedLocked();
-    }
-    if (corpus_loaded_) {
-      // Profiles are only trusted against a loaded corpus (their staleness gate needs the
-      // exact corpus they were computed from).
-      if (std::optional<std::vector<SequentialProfile>> profiles =
-              runner_.TryLoad(ProfilesStageDef(corpus_))) {
-        profiles_ = std::move(*profiles);
-        profiles_loaded_ = true;
-        profile_next_ = profiles_.size();
-        std::fill(profile_done_.begin(), profile_done_.end(), uint8_t{1});
-      }
-    }
-    if (std::optional<std::vector<Pmc>> pmcs = runner_.TryLoad(PmcsStageDef())) {
-      pmcs_ = std::move(*pmcs);
-      // The identified table is settled: profiles (loaded or recomputed) only feed stats,
-      // so the fold machinery runs but skips the accumulator.
-      fold_into_accumulator_ = false;
-      PmcsResolvedLocked();
-    }
-    if (goal_ == Goal::kExplore) {
-      if (std::optional<SerializedTests> tests = runner_.TryLoad(TestsStageDef(options_))) {
-        TestsResolvedLocked(std::move(*tests));
-      }
-    }
   }
 
   void WorkerLoop(PoolWorker& worker) {
@@ -495,9 +330,10 @@ class CampaignEngine {
       // Claiming real pre-explore work is a "pool.claim" kill point. The coordination
       // items (fold / finish / merge) are deliberately NOT fault points: how many times
       // they are claimed depends on thread timing, and the crash-sweep harness needs the
-      // campaign's total fault-point count to be deterministic. Their crash coverage comes
-      // from the fs.commit points inside the artifacts they persist.
-      FaultInjector* fault = runner_.fault();
+      // campaign's total fault-point count to be deterministic. Like every pre-explore
+      // item they commit nothing, so a crash inside one leaves the same disk state as a
+      // crash at the next counted point.
+      FaultInjector* fault = options_.fault;
       bool countable_claim = item.kind == Kind::kCorpus || item.kind == Kind::kProfile ||
                              item.kind == Kind::kScan || item.kind == Kind::kGenerate;
       if (fault != nullptr && countable_claim && fault->At("pool.claim")) {
@@ -542,21 +378,18 @@ class CampaignEngine {
   // the worker count. False means the worker must unwind (crash raised here or
   // elsewhere).
   bool ExploreClaimed(PoolWorker& worker, size_t index) {
-    FaultInjector* fault = runner_.fault();
+    FaultInjector* fault = options_.fault;
     if (fault != nullptr && fault->At("execute.claim")) {
       return false;
     }
     TRACE_SPAN("explore.test", index);
     if (journaled_[index].has_value()) {
-      // Replayed from the journal: no VM involved (a fully journaled resume therefore
-      // never boots one).
+      // Replayed from the journal: no VM involved.
       outcomes_[index] = journaled_[index];
       resumed_[index] = 1;
       ActiveCounters().tests_resumed.fetch_add(1, std::memory_order_relaxed);
     } else {
-      std::optional<OutcomeRecord> record =
-          RunOneExploreTest(PoolWorkerVm(worker), tests_[index], index, use_pmc_, matcher_,
-                            options_, runner_, journal_name_);
+      std::optional<OutcomeRecord> record = RunOneExploreTest(PoolWorkerVm(worker), index);
       if (!record.has_value()) {
         return false;
       }
@@ -566,6 +399,97 @@ class CampaignEngine {
     // finish) keeps every worker out of cv_.wait, and each re-checks AllDone on its own.
     explores_done_.fetch_add(1, std::memory_order_relaxed);
     return true;
+  }
+
+  // Executes live (non-journaled) test `index` on `vm` and journals its outcome. Returns
+  // nullopt when an injected crash fired mid-test or at the journal append: the record
+  // then "never existed" in this process and only the on-disk journal decides what
+  // survived.
+  std::optional<OutcomeRecord> RunOneExploreTest(KernelVm& vm, size_t index) {
+    const ConcurrentTest& test = tests_[index];
+    ExplorerOptions explorer = options_.explorer;
+    // Per-test seed derived from the test index: trial schedules are independent of which
+    // worker runs the test and in what order.
+    explorer.seed = options_.explorer.seed + index * 1000003ull;
+    explorer.fault = options_.fault;
+    ExploreOutcome outcome;
+    if (use_pmc_) {
+      outcome = ExploreConcurrentTest(vm, test, matcher_, explorer);
+    } else {
+      RandomPreemptScheduler scheduler;
+      outcome =
+          ExploreWithScheduler(vm, test, scheduler, /*check_channel=*/false, explorer);
+    }
+    if (Dead(options_)) {
+      // The trial loop died mid-test; its partial outcome never existed.
+      return std::nullopt;
+    }
+    // The record keeps exactly what the fold reads; the rest of the outcome dies here.
+    OutcomeRecord record;
+    record.test_index = index;
+    record.trials_run = outcome.trials_run;
+    record.trials_retried = outcome.trials_retried;
+    record.trials_pruned = outcome.trials_pruned;
+    record.saturated = outcome.saturated;
+    record.switch_decisions = outcome.switch_decisions;
+    record.bug_found = outcome.bug_found;
+    record.channel_exercised = outcome.channel_exercised;
+    for (const FindingRecord& finding : outcome.findings) {
+      record.schedule_switches_orig += finding.orig_switches;
+      record.schedule_switches_min += finding.min_switches;
+    }
+    record.findings = ExtractFindings(test, outcome, index, explorer);
+    if (store_ != nullptr) {
+      store_->AppendJournal(journal_name_, EncodeOutcomeRecord(record));
+      if (Dead(options_)) {
+        // Died at the append; the on-disk journal decides what survived.
+        return std::nullopt;
+      }
+    }
+    ActiveCounters().concurrent_tests_run.fetch_add(1, std::memory_order_relaxed);
+    return record;
+  }
+
+  // Pre-parses the execution journal into a by-index replay table (all empty unless
+  // resuming). ReadJournal has already stopped at the first torn or corrupt line, so every
+  // record it returns is checksum-valid. Two kinds of record are dropped, counted in
+  // GlobalPipelineCounters().journal_records_dropped, and warned about once per build: one
+  // that does not decode (another record format wrote it) and one whose test index is
+  // outside the current test list (a mismatched journal would otherwise silently
+  // masquerade as progress). Their tests re-execute.
+  std::vector<std::optional<OutcomeRecord>> BuildJournalTable(size_t num_tests) const {
+    std::vector<std::optional<OutcomeRecord>> journaled(num_tests);
+    if (store_ == nullptr || !options_.resume) {
+      return journaled;
+    }
+    size_t undecodable = 0;
+    size_t out_of_range = 0;
+    for (const std::string& record : store_->ReadJournal(journal_name_)) {
+      std::optional<OutcomeRecord> decoded = DecodeOutcomeRecord(record);
+      if (!decoded.has_value()) {
+        undecodable++;
+        continue;
+      }
+      if (decoded->test_index >= num_tests) {
+        out_of_range++;
+        continue;
+      }
+      size_t index = decoded->test_index;
+      journaled[index] = std::move(*decoded);
+    }
+    ActiveCounters().journal_records_dropped.fetch_add(undecodable + out_of_range,
+                                                       std::memory_order_relaxed);
+    if (undecodable > 0) {
+      SB_LOG(kWarn) << "checkpoint: dropped " << undecodable << " journal record(s) of "
+                    << journal_name_ << " that do not decode (written by another record "
+                    << "format?); their tests re-execute";
+    }
+    if (out_of_range > 0) {
+      SB_LOG(kWarn) << "checkpoint: dropped " << out_of_range << " journal record(s) of "
+                    << journal_name_ << " with test indices past the " << num_tests
+                    << "-test list (journal belongs to a different test set?)";
+    }
+    return journaled;
   }
 
   void CrashOut() {
@@ -610,7 +534,7 @@ class CampaignEngine {
         return {Kind::kFinishProfiles, 0};
       }
     }
-    if (profiles_complete_ && fold_into_accumulator_ && !pmcs_done_ && !merge_claimed_ &&
+    if (profiles_complete_ && !pmcs_done_ && !merge_claimed_ &&
         scans_done_ == num_partitions_) {
       merge_claimed_ = true;
       return {Kind::kMergePmcs, 0};
@@ -620,10 +544,10 @@ class CampaignEngine {
       generate_claimed_ = true;
       return {Kind::kGenerate, 0};
     }
-    if (scan_ready_ && scan_next_ < num_partitions_) {
+    if (profiles_complete_ && scan_next_ < num_partitions_) {
       return {Kind::kScan, scan_next_++};
     }
-    if (corpus_done_ && !profiles_loaded_ && profile_next_ < corpus_.size()) {
+    if (corpus_done_ && profile_next_ < corpus_.size()) {
       return {Kind::kProfile, profile_next_++};
     }
     if (tests_ready_) {
@@ -638,22 +562,30 @@ class CampaignEngine {
     return {Kind::kNone, 0};
   }
 
+  // False when the worker must unwind; only an explore item can crash.
   bool Execute(Item item, PoolWorker& worker) {
     switch (item.kind) {
       case Kind::kCorpus:
-        return ExecuteCorpus(worker);
+        ExecuteCorpus(worker);
+        break;
       case Kind::kProfile:
-        return ExecuteProfile(worker, item.arg);
+        ExecuteProfile(worker, item.arg);
+        break;
       case Kind::kFold:
-        return ExecuteFold();
+        ExecuteFold();
+        break;
       case Kind::kFinishProfiles:
-        return ExecuteFinishProfiles();
+        ExecuteFinishProfiles();
+        break;
       case Kind::kScan:
-        return ExecuteScan(item.arg);
+        ExecuteScan(item.arg);
+        break;
       case Kind::kMergePmcs:
-        return ExecuteMergePmcs();
+        ExecuteMergePmcs();
+        break;
       case Kind::kGenerate:
-        return ExecuteGenerate();
+        ExecuteGenerate();
+        break;
       case Kind::kExplore:
         return ExploreClaimed(worker, item.arg);
       case Kind::kNone:
@@ -674,19 +606,14 @@ class CampaignEngine {
     cv_.notify_all();
   }
 
-  bool ExecuteCorpus(PoolWorker& worker) {
+  void ExecuteCorpus(PoolWorker& worker) {
     std::vector<Program> corpus = ComputeCorpus(PoolWorkerVm(worker), options_);
-    runner_.Persist(CorpusStageDef(), corpus);
-    if (runner_.dead()) {
-      return false;
-    }
     std::lock_guard<std::mutex> lock(mu_);
     corpus_ = std::move(corpus);
     CorpusResolvedLocked();
-    return true;
   }
 
-  bool ExecuteProfile(PoolWorker& worker, size_t index) {
+  void ExecuteProfile(PoolWorker& worker, size_t index) {
     ProfileOptions profile_options;
     profile_options.cache = options_.profile_cache;
     SequentialProfile profile =
@@ -696,14 +623,13 @@ class CampaignEngine {
     profiles_[index] = std::move(profile);
     profile_done_[index] = 1;
     cv_.notify_all();  // A folder (or the finish item) may now be claimable.
-    return true;
   }
 
   // Folds the completed prefix of profiles into the accumulator, strictly in corpus-index
   // order — the exact AddProfile order the batch IdentifyPmcs uses, which is what keeps
   // the incremental side tables byte-identical. `folding_` makes this a single-consumer
   // loop; the fold itself runs outside the lock.
-  bool ExecuteFold() {
+  void ExecuteFold() {
     for (;;) {
       size_t index;
       {
@@ -711,47 +637,33 @@ class CampaignEngine {
         if (fold_next_ >= profiles_.size() || !profile_done_[fold_next_]) {
           folding_ = false;
           cv_.notify_all();  // kFinishProfiles may now be claimable.
-          return true;
+          return;
         }
         index = fold_next_;
       }
-      if (fold_into_accumulator_) {
-        accumulator_.AddProfile(profiles_[index]);
-      }
+      accumulator_.AddProfile(profiles_[index]);
       std::lock_guard<std::mutex> lock(mu_);
       fold_next_++;
     }
   }
 
-  bool ExecuteFinishProfiles() {
-    if (!profiles_loaded_) {
-      runner_.Persist(ProfilesStageDef(corpus_), profiles_);
-      if (runner_.dead()) {
-        return false;
-      }
-    }
-    size_t num_partitions = 0;
-    if (fold_into_accumulator_) {
-      accumulator_.Seal();
-      num_partitions = accumulator_.PlanPartitions(options_.ResolvedWorkers());
-    }
+  void ExecuteFinishProfiles() {
+    accumulator_.Seal();
+    size_t num_partitions = accumulator_.PlanPartitions(options_.ResolvedWorkers());
     std::lock_guard<std::mutex> lock(mu_);
     profiles_complete_ = true;
     num_partitions_ = num_partitions;
-    scan_ready_ = fold_into_accumulator_ && num_partitions_ > 0;
     t_profiles_ = std::chrono::steady_clock::now();
     restore_mark_profiles_ = RestoreNanos();
     UpdateExploreOnlyLocked();
     cv_.notify_all();
-    return true;
   }
 
-  bool ExecuteScan(size_t partition) {
+  void ExecuteScan(size_t partition) {
     accumulator_.ScanPartition(partition);
     std::lock_guard<std::mutex> lock(mu_);
     scans_done_++;
     cv_.notify_all();  // The merge item becomes claimable after the last scan.
-    return true;
   }
 
   // Caller holds mu_. Stamps the PMC event and checks whether explore can open.
@@ -764,26 +676,21 @@ class CampaignEngine {
     cv_.notify_all();
   }
 
-  bool ExecuteMergePmcs() {
+  void ExecuteMergePmcs() {
     std::vector<Pmc> pmcs = accumulator_.Merge();
-    runner_.Persist(PmcsStageDef(), pmcs);
-    if (runner_.dead()) {
-      return false;
-    }
     std::lock_guard<std::mutex> lock(mu_);
     pmcs_ = std::move(pmcs);
     PmcsResolvedLocked();
-    return true;
   }
 
   // Caller holds mu_. Installs the resolved test list and its replay plumbing.
-  void TestsResolvedLocked(SerializedTests tests) {
+  void TestsResolvedLocked(GeneratedTests tests) {
     tests_ = std::move(tests.tests);
     cluster_count_ = tests.cluster_count;
     tests_resolved_ = true;
     outcomes_.resize(tests_.size());
     resumed_.assign(tests_.size(), 0);
-    journaled_ = BuildJournalTable(runner_, journal_name_, tests_.size());
+    journaled_ = BuildJournalTable(tests_.size());
     if (!start_at_explore_) {
       TRACE_COUNTER("funnel.clusters", cluster_count_);
       TRACE_COUNTER("funnel.tests_generated", tests_.size());
@@ -808,19 +715,14 @@ class CampaignEngine {
     restore_mark_tests_ = RestoreNanos();
   }
 
-  bool ExecuteGenerate() {
-    SerializedTests tests = ComputeTests(corpus_, pmcs_, options_);
-    runner_.Persist(TestsStageDef(options_), tests);
-    if (runner_.dead()) {
-      return false;
-    }
+  void ExecuteGenerate() {
+    GeneratedTests tests = ComputeTests(corpus_, pmcs_, options_);
     std::lock_guard<std::mutex> lock(mu_);
     TestsResolvedLocked(std::move(tests));
-    return true;
   }
 
   const PipelineOptions& options_;
-  StageRunner runner_;
+  CheckpointStore* const store_;
   const Goal goal_;
   bool use_pmc_;
   const std::string journal_name_;
@@ -834,13 +736,11 @@ class CampaignEngine {
 
   // Corpus.
   bool corpus_claimed_ = false;
-  bool corpus_loaded_ = false;
   bool corpus_done_ = false;
   std::vector<Program> corpus_;
 
   // Profiles. `profiles_`/`profile_done_` slots are written by the claiming worker and
   // read by the folder; the mutex around the done flags orders the handoff.
-  bool profiles_loaded_ = false;
   size_t profile_next_ = 0;
   std::vector<SequentialProfile> profiles_;
   std::vector<uint8_t> profile_done_;
@@ -851,8 +751,6 @@ class CampaignEngine {
 
   // Identification.
   PmcAccumulator accumulator_;
-  bool fold_into_accumulator_ = true;  // false when the PMC table was checkpoint-loaded.
-  bool scan_ready_ = false;
   size_t num_partitions_ = 0;
   size_t scan_next_ = 0;
   size_t scans_done_ = 0;
@@ -896,8 +794,7 @@ class CampaignEngine {
 }  // namespace
 
 PreparedCampaign PrepareCampaign(const PipelineOptions& options) {
-  std::unique_ptr<CheckpointStore> store = OpenStore(options);
-  CampaignEngine engine(options, store.get(), CampaignEngine::Goal::kPmcs);
+  CampaignEngine engine(options, /*store=*/nullptr, CampaignEngine::Goal::kPmcs);
   engine.Run();
   PreparedCampaign campaign;
   engine.TakePrepared(&campaign);
@@ -907,18 +804,11 @@ PreparedCampaign PrepareCampaign(const PipelineOptions& options) {
 std::vector<ConcurrentTest> GenerateTestsForStrategy(const PreparedCampaign& campaign,
                                                      const PipelineOptions& options,
                                                      size_t* cluster_count_out) {
-  std::unique_ptr<CheckpointStore> store = OpenStore(options);
-  StageRunner runner(store.get(), options.fault, options.resume);
-  const StageDef<SerializedTests> def = TestsStageDef(options);
-  std::optional<SerializedTests> tests = runner.TryLoad(def);
-  if (!tests.has_value()) {
-    tests = ComputeTests(campaign.corpus, campaign.pmcs, options);
-    runner.Persist(def, *tests);
-  }
+  GeneratedTests tests = ComputeTests(campaign.corpus, campaign.pmcs, options);
   if (cluster_count_out != nullptr) {
-    *cluster_count_out = tests->cluster_count;
+    *cluster_count_out = tests.cluster_count;
   }
-  return std::move(tests->tests);
+  return std::move(tests.tests);
 }
 
 void ExecuteCampaign(const std::vector<ConcurrentTest>& tests, bool use_pmc_hints,
@@ -934,13 +824,12 @@ void ExecuteCampaign(const std::vector<ConcurrentTest>& tests, bool use_pmc_hint
 PipelineResult RunSnowboardPipeline(const PipelineOptions& options) {
   TRACE_SPAN("pipeline.campaign");
   PipelineResult result;
-  const StageDef<PipelineResult> result_def = ResultStageDef(options);
+  const std::string result_entry = std::string("result.") + StrategyName(options.strategy);
   std::unique_ptr<CheckpointStore> store = OpenStore(options);
-  StageRunner runner(store.get(), options.fault, options.resume);
 
   // Checkpoint-directory admission: the guard entry pins the options fingerprint. A fresh
-  // run, or a directory written under different options, is reset before any stage can
-  // load a stale artifact. A resumed run whose final result already committed skips every
+  // run, or a directory written under different options, is reset before the engine can
+  // replay a stale journal. A resumed run whose final result already committed skips every
   // stage outright.
   if (store != nullptr) {
     const std::string guard =
@@ -954,32 +843,36 @@ PipelineResult RunSnowboardPipeline(const PipelineOptions& options) {
       }
       store->Reset();
       store->Put("campaign", guard);
-    } else if (std::optional<PipelineResult> done = runner.TryLoad(result_def)) {
-      done->tests_resumed = done->tests_executed;
-      GlobalPipelineCounters().tests_resumed.fetch_add(done->tests_executed,
-                                                       std::memory_order_relaxed);
-      SB_LOG(kInfo) << StrategyName(options.strategy)
-                    << ": resumed from completed checkpoint (" << done->tests_executed
-                    << " tests)";
-      return *done;
+    } else if (std::optional<std::string> text = store->Get(result_entry)) {
+      if (std::optional<PipelineResult> done = DeserializePipelineResult(*text)) {
+        done->tests_resumed = done->tests_executed;
+        GlobalPipelineCounters().tests_resumed.fetch_add(done->tests_executed,
+                                                         std::memory_order_relaxed);
+        SB_LOG(kInfo) << StrategyName(options.strategy)
+                      << ": resumed from completed checkpoint (" << done->tests_executed
+                      << " tests)";
+        return *done;
+      }
     }
   }
-  if (runner.dead()) {
+  if (Dead(options)) {
     return result;
   }
 
   CampaignEngine engine(options, store.get(), CampaignEngine::Goal::kExplore);
   engine.Run();
   engine.Fill(&result);
-  if (runner.dead()) {
+  if (Dead(options)) {
     return result;
   }
   TRACE_COUNTER("funnel.tests_with_findings", result.tests_with_bug);
   TRACE_COUNTER("funnel.findings_total", result.findings.total_findings());
 
-  runner.Persist(result_def, result);
-  if (runner.dead()) {
-    return result;
+  if (store != nullptr) {
+    store->Put(result_entry, SerializePipelineResult(result));
+    if (Dead(options)) {
+      return result;
+    }
   }
 
   SB_LOG(kInfo) << StrategyName(options.strategy) << ": " << result.tests_executed

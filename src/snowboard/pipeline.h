@@ -45,14 +45,16 @@ struct PipelineOptions {
   // Optional cross-run profile memo: multi-strategy campaigns (Table 3) share one cache so
   // each distinct program is profiled on a VM only once.
   ProfileCache* profile_cache = nullptr;
-  // Crash-safe persistence. When non-empty, every stage commits its artifact to a
-  // CheckpointStore here on completion, and execution journals per-test outcomes
-  // incrementally. The directory is keyed by an options fingerprint (every field that
-  // shapes deterministic outputs — NOT num_workers); a mismatched directory is reset.
+  // Crash-safe persistence. When non-empty, a CheckpointStore here holds what a resume
+  // cannot recompute: execution journals per-test outcomes incrementally, and the final
+  // result is committed on completion. The directory is keyed by an options fingerprint
+  // (every field that shapes deterministic outputs — NOT num_workers); a mismatched
+  // directory is reset.
   std::string checkpoint_dir;
-  // With `resume`, completed stages load from the checkpoint instead of recomputing and
-  // journaled test outcomes replay without touching a VM. Without it, the directory is
-  // cleared first. Meaningless when checkpoint_dir is empty.
+  // With `resume`, a committed result is returned as is; otherwise the pre-explore stages
+  // recompute (they are pure functions of the fingerprinted options) and journaled test
+  // outcomes replay without touching a VM. Without it, the directory is cleared first.
+  // Meaningless when checkpoint_dir is empty.
   bool resume = false;
   // Crash/hang fault-injection hook (crash-sweep harness); nullptr = off. When an injected
   // crash fires, the pipeline unwinds at the next fault point of every worker and returns
@@ -119,7 +121,7 @@ PipelineResult RunSnowboardPipeline(const PipelineOptions& options);
 
 // --- Individual stages, exposed for benches and the CLI `run` command that need
 // intermediate artifacts. Each enters the same campaign engine RunSnowboardPipeline runs,
-// so checkpointing, journaling, fault points, and outputs follow one rule. ---
+// so journaling, fault points, and outputs follow one rule. ---
 
 struct PreparedCampaign {
   std::vector<Program> corpus;
@@ -132,17 +134,19 @@ struct PreparedCampaign {
 };
 
 // Stages 1-2 (corpus, profiling, identification); shared across strategies in benches. Runs
-// the engine until the PMC table resolves.
+// the engine until the PMC table resolves; checkpoints nothing.
 PreparedCampaign PrepareCampaign(const PipelineOptions& options);
 
 // Stage 3: clustering + selection for one strategy (returns generated concurrent tests).
+// A pure function of its arguments; checkpoints nothing.
 std::vector<ConcurrentTest> GenerateTestsForStrategy(const PreparedCampaign& campaign,
                                                      const PipelineOptions& options,
                                                      size_t* cluster_count_out);
 
 // Stage 4: parallel execution of `tests`, folding execution stats + findings into `result`.
 // Runs the engine from the explore frontier. `use_pmc_hints` selects the Algorithm 2
-// scheduler (with `matcher`, which may be null) vs the baseline random scheduler.
+// scheduler (with `matcher`, which may be null) vs the baseline random scheduler. With a
+// checkpoint_dir it journals each outcome there, and with `resume` it replays them.
 void ExecuteCampaign(const std::vector<ConcurrentTest>& tests, bool use_pmc_hints,
                      const PmcMatcher* matcher, const PipelineOptions& options,
                      PipelineResult* result);

@@ -1,7 +1,6 @@
 #include "src/snowboard/serialize.h"
 
 #include <cstdint>
-#include <cstdlib>
 #include <sstream>
 
 #include "src/snowboard/pipeline.h"
@@ -15,8 +14,6 @@ namespace {
 
 constexpr const char* kCorpusHeader = "snowboard-corpus-v1";
 constexpr const char* kPmcHeader = "snowboard-pmcs-v1";
-constexpr const char* kProfilesHeader = "snowboard-profiles-v1";
-constexpr const char* kTestsHeader = "snowboard-tests-v1";
 constexpr const char* kFindingsHeader = "snowboard-findings-v3"; // v3: finding kind.
 constexpr const char* kResultHeader = "snowboard-result-v3";     // v3: prune funnel.
 constexpr const char* kReplayTokenHeader = "sb-replay-v1";
@@ -66,64 +63,22 @@ bool ParseCallLine(std::istringstream& fields, Call* call) {
   return true;
 }
 
-// Reads "call" lines up to the terminating "end"; false on malformed input or EOF.
-bool ParseProgramBlock(std::istream& is, Program* program) {
-  *program = Program();
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.empty()) {
-      continue;
-    }
-    std::istringstream fields(line);
-    std::string tag;
-    fields >> tag;
-    if (tag == "end") {
-      return true;
-    }
-    if (tag != "call" || program->calls.size() >= kMaxCallsPerProgram) {
-      return false;
-    }
-    Call call;
-    if (!ParseCallLine(fields, &call)) {
-      return false;
-    }
-    program->calls.push_back(call);
-  }
-  return false;  // Truncated: a program without its "end".
-}
-
-// Reads one "<label> <v0> [<v1>...]" line into signed values; strict label match.
-bool ParseLabeledInts(std::istream& is, const char* label, std::vector<int64_t>* values,
-                      size_t count) {
+// Reads one "<label> <value>" line: strict label match, a non-negative value, and no
+// trailing junk.
+bool ParseLabeledUint(std::istream& is, const char* label, uint64_t* value) {
   std::string line;
   if (!std::getline(is, line)) {
     return false;
   }
   std::istringstream fields(line);
   std::string tag;
-  fields >> tag;
-  if (tag != label) {
-    return false;
-  }
-  values->clear();
-  for (size_t i = 0; i < count; i++) {
-    int64_t value = 0;
-    fields >> value;
-    if (fields.fail()) {
-      return false;
-    }
-    values->push_back(value);
-  }
+  int64_t parsed = -1;
   std::string extra;
-  return !(fields >> extra);  // Trailing junk on the line is rejected.
-}
-
-bool ParseLabeledUint(std::istream& is, const char* label, uint64_t* value) {
-  std::vector<int64_t> values;
-  if (!ParseLabeledInts(is, label, &values, 1) || values[0] < 0) {
+  fields >> tag >> parsed;
+  if (tag != label || fields.fail() || parsed < 0 || (fields >> extra)) {
     return false;
   }
-  *value = static_cast<uint64_t>(values[0]);
+  *value = static_cast<uint64_t>(parsed);
   return true;
 }
 
@@ -375,161 +330,6 @@ std::optional<std::vector<Pmc>> DeserializePmcs(const std::string& text) {
   return pmcs;
 }
 
-std::string SerializeProfiles(const std::vector<SequentialProfile>& profiles) {
-  std::ostringstream os;
-  os << kProfilesHeader << "\n";
-  os << "profiles " << profiles.size() << "\n";
-  for (const SequentialProfile& profile : profiles) {
-    os << "profile " << profile.test_id << ' ' << (profile.ok ? 1 : 0) << "\n";
-    os << SerializeProgram(profile.program);
-    os << "acc " << profile.accesses.size() << "\n";
-    for (const SharedAccess& a : profile.accesses) {
-      os << "a " << static_cast<int>(a.type) << ' ' << (a.marked_atomic ? 1 : 0) << ' '
-         << (a.df_leader ? 1 : 0) << ' ' << static_cast<uint32_t>(a.len) << ' ' << a.addr
-         << ' ' << a.value << ' ' << a.site << ' ' << a.index << "\n";
-    }
-    os << "endprofile\n";
-  }
-  return os.str();
-}
-
-std::optional<std::vector<SequentialProfile>> DeserializeProfiles(const std::string& text) {
-  std::istringstream is(text);
-  std::string line;
-  if (!std::getline(is, line) || line != kProfilesHeader) {
-    return std::nullopt;
-  }
-  uint64_t count = 0;
-  if (!ParseLabeledUint(is, "profiles", &count)) {
-    return std::nullopt;
-  }
-  std::vector<SequentialProfile> profiles;
-  for (uint64_t i = 0; i < count; i++) {
-    SequentialProfile profile;
-    std::vector<int64_t> head;
-    if (!ParseLabeledInts(is, "profile", &head, 2) || (head[1] != 0 && head[1] != 1)) {
-      return std::nullopt;
-    }
-    profile.test_id = static_cast<int>(head[0]);
-    profile.ok = head[1] == 1;
-    if (!ParseProgramBlock(is, &profile.program)) {
-      return std::nullopt;
-    }
-    uint64_t access_count = 0;
-    if (!ParseLabeledUint(is, "acc", &access_count)) {
-      return std::nullopt;
-    }
-    for (uint64_t j = 0; j < access_count; j++) {
-      if (!std::getline(is, line)) {
-        return std::nullopt;
-      }
-      std::istringstream fields(line);
-      std::string tag;
-      uint32_t type = 0;
-      uint32_t marked = 0;
-      uint32_t df = 0;
-      uint32_t len = 0;
-      uint64_t addr = 0;
-      SharedAccess access;
-      fields >> tag >> type >> marked >> df >> len >> addr >> access.value >> access.site >>
-          access.index;
-      if (fields.fail() || tag != "a" || type > 1 || marked > 1 || df > 1 || len == 0 ||
-          len > 8 || addr > UINT32_MAX) {
-        return std::nullopt;
-      }
-      access.type = type == 1 ? AccessType::kWrite : AccessType::kRead;
-      access.marked_atomic = marked == 1;
-      access.df_leader = df == 1;
-      access.len = static_cast<uint8_t>(len);
-      access.addr = static_cast<GuestAddr>(addr);
-      profile.accesses.push_back(access);
-    }
-    if (!std::getline(is, line) || line != "endprofile") {
-      return std::nullopt;
-    }
-    profiles.push_back(std::move(profile));
-  }
-  return profiles;
-}
-
-std::string SerializeConcurrentTests(const std::vector<ConcurrentTest>& tests,
-                                     size_t cluster_count) {
-  std::ostringstream os;
-  os << kTestsHeader << "\n";
-  os << "clusters " << cluster_count << "\n";
-  os << "tests " << tests.size() << "\n";
-  for (const ConcurrentTest& test : tests) {
-    os << "test " << test.write_test << ' ' << test.read_test << ' ' << test.cluster_key
-       << ' ' << test.cluster_size << "\n";
-    os << "hint ";
-    SerializePmcSide(os, test.hint.write);
-    os << ' ';
-    SerializePmcSide(os, test.hint.read);
-    os << ' ' << (test.hint.df_leader ? 1 : 0) << "\n";
-    os << SerializeProgram(test.writer);
-    os << SerializeProgram(test.reader);
-    os << "endtest\n";
-  }
-  return os.str();
-}
-
-std::optional<SerializedTests> DeserializeConcurrentTests(const std::string& text) {
-  std::istringstream is(text);
-  std::string line;
-  if (!std::getline(is, line) || line != kTestsHeader) {
-    return std::nullopt;
-  }
-  SerializedTests out;
-  uint64_t cluster_count = 0;
-  uint64_t count = 0;
-  if (!ParseLabeledUint(is, "clusters", &cluster_count) ||
-      !ParseLabeledUint(is, "tests", &count)) {
-    return std::nullopt;
-  }
-  out.cluster_count = cluster_count;
-  for (uint64_t i = 0; i < count; i++) {
-    ConcurrentTest test;
-    if (!std::getline(is, line)) {
-      return std::nullopt;
-    }
-    {
-      std::istringstream fields(line);
-      std::string tag;
-      uint64_t cluster_size = 0;
-      fields >> tag >> test.write_test >> test.read_test >> test.cluster_key >>
-          cluster_size;
-      if (fields.fail() || tag != "test") {
-        return std::nullopt;
-      }
-      test.cluster_size = static_cast<size_t>(cluster_size);
-    }
-    if (!std::getline(is, line)) {
-      return std::nullopt;
-    }
-    std::istringstream fields(line);
-    std::string tag;
-    uint32_t df = 0;
-    fields >> tag;
-    if (tag != "hint" || !ParsePmcSide(fields, /*min_len=*/0, &test.hint.write) ||
-        !ParsePmcSide(fields, /*min_len=*/0, &test.hint.read)) {
-      return std::nullopt;
-    }
-    fields >> df;
-    if (fields.fail() || df > 1) {
-      return std::nullopt;
-    }
-    test.hint.df_leader = df == 1;
-    if (!ParseProgramBlock(is, &test.writer) || !ParseProgramBlock(is, &test.reader)) {
-      return std::nullopt;
-    }
-    if (!std::getline(is, line) || line != "endtest") {
-      return std::nullopt;
-    }
-    out.tests.push_back(std::move(test));
-  }
-  return out;
-}
-
 std::string EncodeOutcomeRecord(const OutcomeRecord& record) {
   std::ostringstream os;
   os << kOutcomeRecordTag << ' ' << record.test_index << ' ' << record.trials_run << ' '
@@ -721,11 +521,12 @@ std::optional<PipelineResult> DeserializePipelineResult(const std::string& text)
     std::istringstream fields(line);
     std::string tag;
     std::string hex;
+    std::string extra;
     fields >> tag >> hex;
-    if (fields.fail() || tag != "pmc_digest" || hex.size() != 16) {
+    if (fields.fail() || tag != "pmc_digest" ||
+        !ParseHex16(hex, &result.pmc_table_digest) || (fields >> extra)) {
       return std::nullopt;
     }
-    result.pmc_table_digest = std::strtoull(hex.c_str(), nullptr, 16);
   }
   std::ostringstream findings_text;
   bool terminated = false;

@@ -1,12 +1,13 @@
 // Persistence for pipeline artifacts.
 //
-// The paper's deployment stores intermediate artifacts between stages (profiles feed a
-// separate identification job; S-FULL's PMC keys are "stored on disk and sorted by
-// frequency"; concurrent tests travel through a Redis queue to workers). These helpers give
-// the same workflow: every stage artifact — corpora, sequential profiles, PMC sets,
-// generated concurrent tests, per-test execution records, findings logs, and whole
-// pipeline results — round-trips through a line-oriented text format that is stable,
-// diffable, and versioned.
+// The paper's deployment stores intermediate artifacts between stages (a fuzzing job's
+// corpus feeds a separate identification job, whose PMC database — S-FULL's keys are
+// "stored on disk and sorted by frequency" — feeds the test workers). These helpers give
+// the same staged workflow (snowboard_cli corpus/identify/run): corpora and PMC sets
+// round-trip through a line-oriented text format that is stable, diffable, and versioned.
+// So do the two things a crash-safe campaign checkpoints — per-test execute-journal
+// records and the final pipeline result (with its findings log) — and the replay tokens
+// findings carry.
 //
 // Robustness contract shared by every Deserialize*: a wrong or flipped version header,
 // truncation at ANY line boundary, or junk bytes yield nullopt — never a crash, and never
@@ -18,7 +19,6 @@
 
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/fuzz/program.h"
@@ -26,7 +26,6 @@
 #include "src/snowboard/pmc.h"
 #include "src/snowboard/replay.h"
 #include "src/snowboard/report.h"
-#include "src/snowboard/select.h"
 
 namespace snowboard {
 
@@ -48,22 +47,6 @@ std::optional<std::vector<Program>> DeserializeCorpus(const std::string& text);
 
 std::string SerializePmcs(const std::vector<Pmc>& pmcs);
 std::optional<std::vector<Pmc>> DeserializePmcs(const std::string& text);
-
-// --- Sequential profiles (stage-1 artifact; embeds each profile's program). ---
-
-std::string SerializeProfiles(const std::vector<SequentialProfile>& profiles);
-std::optional<std::vector<SequentialProfile>> DeserializeProfiles(const std::string& text);
-
-// --- Concurrent tests (stage-3 artifact: programs, corpus ids, hint, cluster info). ---
-
-struct SerializedTests {
-  std::vector<ConcurrentTest> tests;
-  size_t cluster_count = 0;
-};
-
-std::string SerializeConcurrentTests(const std::vector<ConcurrentTest>& tests,
-                                     size_t cluster_count);
-std::optional<SerializedTests> DeserializeConcurrentTests(const std::string& text);
 
 // --- Execute-journal records (one per executed test; what resume replays). ---
 // A record holds exactly what the campaign's outcome fold reads: the per-test counters and

@@ -20,6 +20,7 @@ constexpr const char* kSpecHeader = "snowboard-campaign-spec-v2";
 // written before v2 re-adopts its campaigns; the key is accepted there and dropped.
 constexpr const char* kSpecHeaderV1 = "snowboard-campaign-spec-v1";
 
+// Decimal digits only; a value that does not fit in 64 bits is rejected, never wrapped.
 bool ParseU64(const std::string& text, uint64_t* out) {
   if (text.empty()) {
     return false;
@@ -29,7 +30,11 @@ bool ParseU64(const std::string& text, uint64_t* out) {
     if (c < '0' || c > '9') {
       return false;
     }
-    value = value * 10 + static_cast<uint64_t>(c - '0');
+    uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (value > (UINT64_MAX - digit) / 10) {
+      return false;
+    }
+    value = value * 10 + digit;
   }
   *out = value;
   return true;

@@ -60,7 +60,7 @@ struct PipelineCounters {
   std::atomic<uint64_t> trials_retried{0};        // Hung-trial retries in the explorer.
   std::atomic<uint64_t> checkpoint_writes{0};     // CheckpointStore::Put commits.
   std::atomic<uint64_t> checkpoint_bytes{0};      // Payload bytes across those commits.
-  std::atomic<uint64_t> checkpoint_loads{0};      // Verified Get hits (stage skips).
+  std::atomic<uint64_t> checkpoint_loads{0};      // Verified Get hits (guard, result).
   // --- Journal group commit (CheckpointStore::AppendJournal batching). ---
   std::atomic<uint64_t> journal_batch_flushes{0};  // Group commits (one fsync each).
   std::atomic<uint64_t> journal_batch_records{0};  // Records written across those commits.

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <set>
 #include <string>
 #include <unistd.h>
 
@@ -138,12 +139,11 @@ TEST(CheckpointResumeTest, CrashAtEveryFaultPointResumesByteIdentical) {
   }
 }
 
-// The same sweep with schedule-equivalence pruning on: the v4 outcome records carry
-// fingerprints, adaptive sites, and saturation flags, journal replay feeds the
-// cluster-priority tracker without re-execution, and the engine's deferral path adds no
-// fault points that could desynchronize a resume. One worker count keeps the
-// doubled sweep inside the resume lane's budget; the prune-off sweep above already covers
-// the worker-count axis.
+// The same sweep with schedule-equivalence pruning on: pruning ends tests early, so each
+// test passes fewer explorer.trial points, and the outcome records carry the pruned-trial
+// count and saturation flag the fold reads — journal replay must reproduce the pruned
+// funnel without re-execution. One worker count keeps the doubled sweep inside the resume
+// lane's budget; the prune-off sweep above already covers the worker-count axis.
 TEST(CheckpointResumeTest, CrashSweepWithPruningResumesByteIdentical) {
   auto prune_options = [](int num_workers) {
     PipelineOptions options = TinyOptions(num_workers);
@@ -227,6 +227,84 @@ TEST(CheckpointResumeTest, ResumeOfCompletedCampaignShortCircuits) {
       << "a completed campaign must not re-execute anything";
   EXPECT_EQ(GlobalPipelineCounters().vm_profile_runs.load(), 0u)
       << "a completed campaign must not re-profile anything";
+  std::filesystem::remove_all(options.checkpoint_dir);
+}
+
+// The checkpoint holds only the `campaign` guard, the final result, and the execute
+// journal. Corpus, profiles, PMCs, and tests are pure functions of the options, so a
+// resume re-runs those stages — profiling the whole corpus again — and then replays the
+// journal, running only the tests it lacks.
+TEST(CheckpointResumeTest, CheckpointHoldsJournalAndResultOnlyAndResumeRecomputesPrep) {
+  auto batched = [] {
+    PipelineOptions options = TinyOptions(1);
+    options.journal_flush_records = 2;  // A batch commits before the explore stage ends.
+    return options;
+  };
+  const std::string strategy = StrategyName(Strategy::kSInsPair);
+  const std::string result_entry = "result." + strategy;
+  const std::string journal = "execute." + strategy;
+
+  PipelineOptions options = batched();
+  options.checkpoint_dir = FreshDir("layout");
+  {
+    // An entry an earlier campaign left behind: a fresh run's reset deletes it.
+    CheckpointStore stale(options.checkpoint_dir);
+    ASSERT_TRUE(stale.Put("corpus", "snowboard-corpus-v1\n"));
+  }
+  PipelineResult golden = RunSnowboardPipeline(options);
+  ASSERT_GT(golden.tests_executed, 1u);
+  {
+    CheckpointStore store(options.checkpoint_dir);
+    EXPECT_EQ(store.entry_count(), 2u);
+    EXPECT_TRUE(store.Has("campaign"));
+    EXPECT_TRUE(store.Has(result_entry));
+    EXPECT_EQ(store.ReadJournal(journal).size(), golden.tests_executed);
+  }
+  std::set<std::string> files;
+  for (const auto& dirent : std::filesystem::directory_iterator(options.checkpoint_dir)) {
+    files.insert(dirent.path().filename().string());
+  }
+  EXPECT_EQ(files, (std::set<std::string>{"MANIFEST", "campaign", result_entry,
+                                          journal + ".journal"}));
+
+  // Crash right after the first journal batch commits: the earliest "journal.appended"
+  // point. One worker, so each ordinal lands on the same site in every run.
+  std::string dir;
+  for (int64_t crash_at = 0; dir.empty(); crash_at++) {
+    std::string candidate = FreshDir("first_batch");
+    FaultInjector::Plan plan;
+    plan.crash_at = crash_at;
+    FaultInjector fault(plan);
+    PipelineOptions crash_options = batched();
+    crash_options.checkpoint_dir = candidate;
+    crash_options.fault = &fault;
+    RunSnowboardPipeline(crash_options);
+    ASSERT_TRUE(fault.crashed()) << "the campaign ended without committing a journal batch";
+    if (fault.crash_site() == "journal.appended") {
+      dir = candidate;
+    } else {
+      std::filesystem::remove_all(candidate);
+    }
+  }
+  size_t journaled = 0;
+  CountJournaled(dir, options, golden.tests_generated, &journaled);
+  ASSERT_GT(journaled, 0u);
+  ASSERT_LT(journaled, golden.tests_generated);
+
+  ResetPipelineCounters();
+  PipelineOptions resume_options = batched();
+  resume_options.checkpoint_dir = dir;
+  resume_options.resume = true;
+  PipelineResult resumed = RunSnowboardPipeline(resume_options);
+  EXPECT_EQ(SerializePipelineResult(resumed), SerializePipelineResult(golden));
+  PipelineCounters& counters = GlobalPipelineCounters();
+  EXPECT_EQ(counters.vm_profile_runs.load(), golden.corpus_size)
+      << "a resume profiles the whole corpus again";
+  EXPECT_EQ(counters.tests_resumed.load(), journaled);
+  EXPECT_EQ(counters.concurrent_tests_run.load(), golden.tests_generated - journaled);
+  EXPECT_EQ(CheckpointStore(dir).entry_count(), 2u);
+
+  std::filesystem::remove_all(dir);
   std::filesystem::remove_all(options.checkpoint_dir);
 }
 

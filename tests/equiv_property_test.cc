@@ -285,9 +285,9 @@ TEST(PruneAbTest, PruneFindsSameIssuesWithFewerTrials) {
 }
 
 // Pruning must not cost the determinism bar: the masked report of a prune-on campaign is
-// byte-identical across worker counts (cluster-priority deferral reorders execution, never
-// outputs). Compared against the 1-worker run, not a golden, so the prune lane stays
-// independent of the checkout path.
+// byte-identical across worker counts (each test's prune state lives in its own trial
+// loop, and outcomes fold in test-index order whichever worker ran them). Compared against
+// the 1-worker run, not a golden, so the prune lane stays independent of the checkout path.
 TEST(PruneAbTest, PruneOnMaskedReportInvariantAcrossWorkers) {
   auto masked_report = [](int workers) {
     ResetPipelineCounters();

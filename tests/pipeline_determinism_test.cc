@@ -159,9 +159,9 @@ TEST(PipelineDeterminismTest, MaskedReportWithAllDetectorKindsInvariant) {
 }
 
 // One fault-point rule: ExecuteCampaign passes one "execute.claim" point per executed
-// test plus the points inside each test — never one per claim attempt or deferral — so an
-// armed-but-silent injector counts the same total at every worker count, with and without
-// cluster-priority deferral.
+// test plus the points inside each test — never one per claim attempt — so an
+// armed-but-silent injector counts the same total at every worker count, with pruning off
+// and on.
 TEST(PipelineDeterminismTest, FaultPointTotalInvariantAcrossWorkerCounts) {
   PipelineOptions options = ReferenceCampaignOptions(1);
   PreparedCampaign campaign = PrepareCampaign(options);

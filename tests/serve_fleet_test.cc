@@ -177,6 +177,14 @@ TEST(ServeFleetTest, SpecSerializationRoundTripsAndRejectsGarbage) {
   EXPECT_FALSE(ParseCampaignSpec(good + "mystery-knob 7\n").has_value());
   EXPECT_FALSE(ParseCampaignSpec(good + "strategy S-NOPE\n").has_value());
   EXPECT_FALSE(ParseCampaignSpec(good + "trials zero\n").has_value());
+  // Integers that do not fit are rejected, not wrapped: 2^64 would read as seed 0, and
+  // 2^64 + 1 as 1 trial, which then passes the trial bound.
+  EXPECT_FALSE(ParseCampaignSpec(good + "seed 18446744073709551616\n").has_value());
+  EXPECT_FALSE(ParseCampaignSpec(good + "trials 18446744073709551617\n").has_value());
+  std::optional<CampaignSpec> max_seed =
+      ParseCampaignSpec(good + "seed 18446744073709551615\n");
+  ASSERT_TRUE(max_seed.has_value());
+  EXPECT_EQ(max_seed->seed, UINT64_MAX);
   CampaignSpec bad_name = spec;
   bad_name.name = "no/slashes";
   EXPECT_FALSE(ParseCampaignSpec(SerializeCampaignSpec(bad_name)).has_value());

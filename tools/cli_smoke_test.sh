@@ -3,7 +3,7 @@
 # reference and exit 0; unknown commands, unknown flags, and stray positionals must exit 2
 # (the CLI used to silently accept unknown flags and exit 0 — this keeps that regression
 # dead). A small campaign is then crashed by injected faults and resumed in a fresh process,
-# which must reproduce the uninterrupted run's findings. Pass the CLI binary path as $1;
+# which must reproduce the uninterrupted run's output. Pass the CLI binary path as $1;
 # optionally pass the replay-token corpus directory (tests/corpus) as $2 to exercise
 # `replay` end to end (success, divergence exit 3), and the snowboard_serve binary as $3
 # for a daemon submit/status/cancel round-trip over a unix socket (drain via POST /drain,
@@ -89,7 +89,9 @@ fi
 # A resumed process never registered the sites of the tests it replays from the journal,
 # so the journal record must carry those tests' classified findings. Crash a checkpointed
 # campaign with injected faults, resume it in a fresh process at another worker count, and
-# require the uninterrupted run's findings with every test either replayed or re-run.
+# require the uninterrupted run's output with every test either replayed or re-run. The
+# resume recomputes every prep stage, so its log lines match too; only the resume count,
+# the report path and sanitizer banners (they carry the process id) may differ.
 work="${TMPDIR:-/tmp}/cli_smoke_resume.$$"
 mkdir -p "$work"
 campaign="campaign --seed 7 --budget 24 --trials 8 --workers 1 --corpus-size 32"
@@ -104,13 +106,20 @@ check_exit "campaign with injected faults exits 42" 42 $?
     > "$work/b.txt" 2>&1
 check_exit "resumed campaign exits 0" 0 $?
 findings_block() { sed -n '/^findings:$/,/^report written/p' "$1" | grep -v '^report written'; }
+run_output() {
+  grep -v -e '^resumed [0-9]* of [0-9]* ' -e '^report written to ' -e '^==[0-9]*==' "$1"
+}
 metric() { grep -o "\"$2\": [0-9]*" "$1/report.json" | grep -o '[0-9]*$'; }
 if [ "$(findings_block "$work/a.txt" | wc -l)" -lt 2 ]; then
   echo "FAIL: uninterrupted campaign printed no findings"; fails=$((fails + 1))
-elif [ "$(findings_block "$work/a.txt")" != "$(findings_block "$work/b.txt")" ]; then
-  echo "FAIL: resumed findings differ from the uninterrupted run's"; fails=$((fails + 1))
+elif [ "$(run_output "$work/a.txt")" != "$(run_output "$work/b.txt")" ]; then
+  echo "FAIL: resumed output differs from the uninterrupted run's:"
+  run_output "$work/a.txt" > "$work/a.cmp"
+  run_output "$work/b.txt" > "$work/b.cmp"
+  diff "$work/a.cmp" "$work/b.cmp"
+  fails=$((fails + 1))
 else
-  echo "ok: resumed findings match the uninterrupted run"
+  echo "ok: resumed output matches the uninterrupted run"
 fi
 resumed=$(metric "$work/B" run.tests_resumed)
 rerun=$(metric "$work/B" run.concurrent_tests_run)

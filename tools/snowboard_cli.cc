@@ -10,10 +10,10 @@
 // two cannot drift apart. Any unknown command, unknown flag, or stray positional argument
 // exits with status 2 after pointing at --help.
 //
-// Crash safety: with --checkpoint-dir, every stage commits its artifact on completion and
-// execution journals per-test outcomes; after a crash (real or injected), rerunning with
-// --resume replays the journal and recomputes only what was lost, yielding the identical
-// result. --inject-faults N kills the campaign with probability 1/N at each fault point
+// Crash safety: with --checkpoint-dir, execution journals per-test outcomes and the
+// campaign commits its result on completion; after a crash (real or injected), rerunning
+// with --resume recomputes the deterministic prep stages, replays the journal, and runs
+// only the tests it lacks, yielding the identical result. --inject-faults N kills the campaign with probability 1/N at each fault point
 // (N=1: die at the very first one); an injected death exits with status 42.
 //
 // Observability: --trace-out FILE (run/campaign) records a Chrome trace_event JSON stream
@@ -92,7 +92,7 @@ constexpr FlagInfo kCampaignFlags[] = {
     {"seed", "S", "campaign seed (default 1)"},
     {"corpus-size", "N", "target corpus size (default 80)"},
     {"corpus-iters", "N", "fuzzing iterations (default 300)"},
-    {"checkpoint-dir", "DIR", "commit stage artifacts + per-test journal here"},
+    {"checkpoint-dir", "DIR", "journal per-test outcomes + commit the result here"},
     {"resume", nullptr, "resume from --checkpoint-dir instead of recomputing"},
     {"inject-faults", "[N]", "crash with chance 1/N at each fault point (bare: first)"},
     {"fault-seed", "S", "fault-injection seed (default 1)"},
