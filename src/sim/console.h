@@ -2,7 +2,7 @@
 //
 // The paper implements its primary bug oracle (`is_bug`) by "capturing guest-kernel console
 // output" (§4.4.1). Our kernel prints oops/panic/fs-error lines to this console; the
-// ConsoleChecker detector greps it after each trial.
+// ConsoleDetector greps it after each trial.
 #ifndef SRC_SIM_CONSOLE_H_
 #define SRC_SIM_CONSOLE_H_
 

@@ -1,9 +1,8 @@
 #include "src/snowboard/checkpoint.h"
 
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
-#include <sstream>
+#include <optional>
 
 #include "src/util/counters.h"
 #include "src/util/fault.h"
@@ -17,8 +16,9 @@ namespace snowboard {
 
 namespace {
 
-constexpr const char* kManifestHeader = "snowboard-manifest-v1";
-constexpr const char* kManifestName = "MANIFEST";
+constexpr const char* kGuardName = "campaign";
+// A group commit also fires once this many bytes are pending, whatever the record count.
+constexpr size_t kJournalFlushBytes = 256 * 1024;
 
 std::string HashHex(uint64_t hash) {
   return StrPrintf("%016llx", static_cast<unsigned long long>(hash));
@@ -33,9 +33,6 @@ std::string JournalPath(const std::string& dir, const std::string& name) {
 CheckpointStore::CheckpointStore(const std::string& dir, FaultInjector* fault)
     : dir_(dir), fault_(fault) {
   ok_ = !dir.empty() && EnsureDirectory(dir);
-  if (ok_) {
-    LoadManifest();
-  }
 }
 
 CheckpointStore::~CheckpointStore() {
@@ -45,7 +42,7 @@ CheckpointStore::~CheckpointStore() {
 }
 
 bool CheckpointStore::ValidName(const std::string& name) {
-  if (name.empty() || name == kManifestName) {
+  if (name.empty()) {
     return false;
   }
   for (char c : name) {
@@ -58,137 +55,46 @@ bool CheckpointStore::ValidName(const std::string& name) {
   return true;
 }
 
-std::string CheckpointStore::PathFor(const std::string& name) const {
-  return dir_ + "/" + name;
-}
-
-std::string CheckpointStore::ManifestText() const {
-  std::ostringstream os;
-  os << kManifestHeader << "\n";
-  for (const auto& [name, entry] : entries_) {
-    os << "entry " << name << ' ' << entry.size << ' ' << HashHex(entry.hash) << "\n";
-  }
-  return os.str();
-}
-
-bool CheckpointStore::WriteManifestLocked() {
-  return AtomicWriteFile(PathFor(kManifestName), ManifestText(), fault_);
-}
-
-void CheckpointStore::LoadManifest() {
-  std::optional<std::string> text = ReadFileContents(PathFor(kManifestName));
-  if (!text.has_value()) {
-    return;  // Fresh directory.
-  }
-  std::istringstream is(*text);
-  std::string line;
-  if (!std::getline(is, line) || line != kManifestHeader) {
-    SB_LOG(kWarn) << "checkpoint: unrecognized manifest in " << dir_ << "; ignoring";
+void CheckpointStore::Admit(uint64_t fingerprint, const std::string& strategy, bool resume) {
+  TRACE_SPAN("checkpoint.admit");
+  if (!ok_) {
     return;
   }
-  std::map<std::string, Entry> entries;
-  while (std::getline(is, line)) {
-    if (line.empty()) {
-      continue;
-    }
-    std::istringstream fields(line);
-    std::string tag;
-    std::string name;
-    std::string hash_hex;
-    Entry entry;
-    fields >> tag >> name >> entry.size >> hash_hex;
-    if (fields.fail() || tag != "entry" || !ValidName(name) || hash_hex.size() != 16) {
-      SB_LOG(kWarn) << "checkpoint: malformed manifest line in " << dir_ << "; ignoring";
-      return;  // A torn manifest would be a torn AtomicWriteFile — treat all as suspect.
-    }
-    entry.hash = std::strtoull(hash_hex.c_str(), nullptr, 16);
-    entries[name] = entry;
-  }
-  entries_ = std::move(entries);
-}
-
-bool CheckpointStore::Has(const std::string& name) const {
+  const std::string guard_path = dir_ + "/" + kGuardName;
+  const std::string guard = StrPrintf("snowboard-campaign-v1\nfingerprint %016llx\n",
+                                      static_cast<unsigned long long>(fingerprint));
   std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.count(name) != 0;
-}
-
-size_t CheckpointStore::entry_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
-}
-
-bool CheckpointStore::Put(const std::string& name, const std::string& contents) {
-  TRACE_SPAN("checkpoint.put", contents.size());
-  if (!ok_ || !ValidName(name)) {
-    SB_LOG(kWarn) << "checkpoint: rejecting Put of '" << name << "'";
-    return false;
+  // What older layouts kept beside the guard and the journal. Nothing reads these files,
+  // so every admission deletes them, by name only: the directory is the user's.
+  RemoveFileIfExists(guard_path + ".tmp");
+  for (const std::string& name : {std::string("MANIFEST"), std::string("corpus"),
+                                  std::string("profiles"), std::string("pmcs"),
+                                  "tests." + strategy, "result." + strategy}) {
+    RemoveFileIfExists(dir_ + "/" + name);
+    RemoveFileIfExists(dir_ + "/" + name + ".tmp");
   }
-  if (!AtomicWriteFile(PathFor(name), contents, fault_)) {
-    return false;
+  std::optional<std::string> existing = ReadFileContents(guard_path);
+  if (resume && existing == guard) {
+    ActiveCounters().checkpoint_loads.fetch_add(1, std::memory_order_relaxed);
+    return;
   }
-  std::lock_guard<std::mutex> lock(mutex_);
-  Entry entry;
-  entry.size = contents.size();
-  entry.hash = Fnv1a(contents);
-  entries_[name] = entry;
-  if (!WriteManifestLocked()) {
-    // The data file is durable but unreferenced; resume recomputes the stage.
-    entries_.erase(name);
-    return false;
+  if (resume && existing.has_value()) {
+    SB_LOG(kWarn) << "checkpoint: " << dir_ << " holds the guard of another campaign "
+                  << "configuration (or a damaged one); resetting";
   }
-  ActiveCounters().checkpoint_writes.fetch_add(1, std::memory_order_relaxed);
-  ActiveCounters().checkpoint_bytes.fetch_add(contents.size(), std::memory_order_relaxed);
-  return true;
-}
-
-std::optional<std::string> CheckpointStore::Get(const std::string& name) const {
-  TRACE_SPAN("checkpoint.get");
-  Entry expected;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = entries_.find(name);
-    if (it == entries_.end()) {
-      return std::nullopt;
-    }
-    expected = it->second;
-  }
-  std::optional<std::string> contents = ReadFileContents(PathFor(name));
-  if (!contents.has_value()) {
-    SB_LOG(kWarn) << "checkpoint: manifest references missing entry " << name;
-    return std::nullopt;
-  }
-  if (contents->size() != expected.size || Fnv1a(*contents) != expected.hash) {
-    SB_LOG(kWarn) << "checkpoint: entry " << name << " failed verification (corrupt or "
-                  << "truncated); recomputing";
-    return std::nullopt;
-  }
-  ActiveCounters().checkpoint_loads.fetch_add(1, std::memory_order_relaxed);
-  return contents;
-}
-
-bool CheckpointStore::Reset() {
-  if (!ok_) {
-    return false;
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::map<std::string, Entry> forgotten;
-  forgotten.swap(entries_);
-  pending_.clear();  // Buffered journal records die with their journals.
-  bool ok = WriteManifestLocked();
-  if (ok) {
-    // Unreachable now that the empty manifest is durable (until then the old one named
-    // them, so a failed rewrite keeps them).
-    for (const auto& [name, entry] : forgotten) {
-      ok = RemoveFileIfExists(PathFor(name)) && ok;
-    }
-  }
+  // Journals go before the new guard is written: a crash in between leaves no guard that
+  // could admit a stale journal.
+  pending_.clear();
   std::error_code ec;
   for (const auto& dirent : std::filesystem::directory_iterator(dir_, ec)) {
     if (dirent.path().extension() == ".journal") {
-      ok = RemoveFileIfExists(dirent.path().string()) && ok;
+      RemoveFileIfExists(dirent.path().string());
     }
   }
-  return ok;
+  if (AtomicWriteFile(guard_path, guard, fault_)) {
+    ActiveCounters().checkpoint_writes.fetch_add(1, std::memory_order_relaxed);
+    ActiveCounters().checkpoint_bytes.fetch_add(guard.size(), std::memory_order_relaxed);
+  }
 }
 
 bool CheckpointStore::AppendJournal(const std::string& name, const std::string& record) {
@@ -202,16 +108,15 @@ bool CheckpointStore::AppendJournal(const std::string& name, const std::string& 
   PendingJournal& pending = pending_[name];
   pending.bytes += line.size();
   pending.lines.push_back(std::move(line));
-  if (pending.lines.size() < journal_flush_records_ && pending.bytes < journal_flush_bytes_) {
+  if (pending.lines.size() < journal_flush_records_ && pending.bytes < kJournalFlushBytes) {
     return true;  // Buffered; a later threshold crossing or FlushJournals commits it.
   }
   return FlushJournalLocked(name);
 }
 
-void CheckpointStore::SetJournalBatch(size_t records, size_t bytes) {
+void CheckpointStore::SetJournalBatch(size_t records) {
   std::lock_guard<std::mutex> lock(mutex_);
   journal_flush_records_ = records < 1 ? 1 : records;
-  journal_flush_bytes_ = bytes < 1 ? 1 : bytes;
 }
 
 bool CheckpointStore::FlushJournalLocked(const std::string& name) const {
@@ -221,6 +126,7 @@ bool CheckpointStore::FlushJournalLocked(const std::string& name) const {
   }
   auto start = std::chrono::steady_clock::now();
   std::vector<std::string> lines = std::move(it->second.lines);
+  const size_t bytes = it->second.bytes + lines.size();  // Each line gains its newline.
   it->second.lines.clear();
   it->second.bytes = 0;
   bool ok = AppendLinesDurable(JournalPath(dir_, name), lines, fault_);
@@ -233,6 +139,7 @@ bool CheckpointStore::FlushJournalLocked(const std::string& name) const {
     counters.journal_batch_flushes.fetch_add(1, std::memory_order_relaxed);
     counters.journal_batch_records.fetch_add(lines.size(), std::memory_order_relaxed);
     counters.journal_flush_nanos.fetch_add(nanos, std::memory_order_relaxed);
+    counters.checkpoint_bytes.fetch_add(bytes, std::memory_order_relaxed);
     TRACE_COUNTER("checkpoint.journal_batch_records", lines.size());
   }
   return ok;

@@ -16,7 +16,6 @@
 #include "src/util/fault.h"
 #include "src/util/hash.h"
 #include "src/util/log.h"
-#include "src/util/strings.h"
 #include "src/util/trace.h"
 #include "src/util/workpool.h"
 
@@ -36,8 +35,26 @@ bool Dead(const PipelineOptions& options) {
   return options.fault != nullptr && options.fault->crashed();
 }
 
-// Opens the campaign's checkpoint store, or null when checkpointing is off/unavailable.
-// The store is internally synchronized, so one handle may serve every worker.
+// Hash of every option that shapes the pipeline's deterministic outputs. num_workers,
+// checkpointing, and fault injection are deliberately excluded: a campaign may be resumed
+// with a different worker count (the determinism invariant guarantees identical results),
+// but any fingerprint mismatch means the directory's journal answers a different question
+// and must be discarded.
+uint64_t OptionsFingerprint(const PipelineOptions& o) {
+  return HashAll(o.seed, o.corpus.seed, o.corpus.max_iterations, o.corpus.target_size,
+                 o.corpus.use_seeds, o.pmc.max_keys_per_address, o.pmc.max_pmcs,
+                 static_cast<uint64_t>(o.strategy), o.max_concurrent_tests,
+                 o.explorer.num_trials, o.explorer.seed, o.explorer.max_instructions,
+                 o.explorer.target_issue, o.explorer.max_trial_retries,
+                 o.explorer.minimize_schedules, o.explorer.detectors,
+                 o.explorer.prune.enabled, o.explorer.prune.saturation_window);
+}
+
+// Opens the campaign's checkpoint store and admits the campaign to it, or returns null
+// when checkpointing is off/unavailable. Admission pins the directory to the options
+// fingerprint before the engine can replay a journal: a fresh run, or a directory of other
+// options, starts with no journal. The store is internally synchronized, so one handle
+// may serve every worker.
 std::unique_ptr<CheckpointStore> OpenStore(const PipelineOptions& options) {
   if (options.checkpoint_dir.empty()) {
     return nullptr;
@@ -48,25 +65,9 @@ std::unique_ptr<CheckpointStore> OpenStore(const PipelineOptions& options) {
                   << "; running without checkpoints";
     return nullptr;
   }
-  store->SetJournalBatch(options.journal_flush_records > 0
-                             ? static_cast<size_t>(options.journal_flush_records)
-                             : 1);
+  store->SetJournalBatch(static_cast<size_t>(std::max(options.journal_flush_records, 1)));
+  store->Admit(OptionsFingerprint(options), StrategyName(options.strategy), options.resume);
   return store;
-}
-
-// Hash of every option that shapes the pipeline's deterministic outputs. num_workers,
-// checkpointing, and fault injection are deliberately excluded: a campaign may be resumed
-// with a different worker count (the determinism invariant guarantees identical results),
-// but any fingerprint mismatch means the directory's journal and result answer a different
-// question and must be discarded.
-uint64_t OptionsFingerprint(const PipelineOptions& o) {
-  return HashAll(o.seed, o.corpus.seed, o.corpus.max_iterations, o.corpus.target_size,
-                 o.corpus.use_seeds, o.pmc.max_keys_per_address, o.pmc.max_pmcs,
-                 static_cast<uint64_t>(o.strategy), o.max_concurrent_tests,
-                 o.explorer.num_trials, o.explorer.seed, o.explorer.max_instructions,
-                 o.explorer.target_issue, o.explorer.max_trial_retries,
-                 o.explorer.minimize_schedules, o.explorer.detectors,
-                 o.explorer.prune.enabled, o.explorer.prune.saturation_window);
 }
 
 // --- Stage computations -----------------------------------------------------------------
@@ -162,11 +163,11 @@ void FoldExploreOutcomes(const std::vector<std::optional<OutcomeRecord>>& outcom
 //
 // Two entries share the one DAG. From the corpus: RunSnowboardPipeline runs it through
 // exploration and PrepareCampaign stops once the PMC table resolves. From the explore
-// frontier: ExecuteCampaign explores the caller's tests. The pre-explore stages write
-// nothing to the checkpoint store — they are pure functions of the options fingerprint,
-// so a resume recomputes them — and only the explore stage touches it: each executed
-// test appends its outcome to the journal, and a resume replays the journaled outcomes
-// instead of re-executing their tests.
+// frontier: ExecuteCampaign explores the caller's tests, with no checkpoint store. The
+// pre-explore stages write nothing to the store — they are pure functions of the options
+// fingerprint, so a resume recomputes them — and only the explore stage touches it: each
+// executed test appends its outcome to the journal, and a resume replays the journaled
+// outcomes instead of re-executing their tests.
 //
 // Determinism comes from pinned fold orders, not from the schedule: profiles fold strictly
 // in corpus-index order (single folder at a time, advancing over the completed prefix),
@@ -204,7 +205,6 @@ class CampaignEngine {
 
   // Seeds the DAG at the explore frontier: every pre-explore stage counts as resolved and
   // `tests` is the test list, explored with `matcher` (may be null) when `use_pmc_hints`.
-  // The journal replay table is built from the store exactly as on resume.
   void StartAtExplore(const std::vector<ConcurrentTest>& tests, bool use_pmc_hints,
                       const PmcMatcher* matcher) {
     std::lock_guard<std::mutex> lock(mu_);
@@ -228,7 +228,7 @@ class CampaignEngine {
                                [this](PoolWorker& worker) { WorkerLoop(worker); });
     }
     // Claim boundary: every outcome the explore stage journaled becomes durable before the
-    // campaign result is assembled (and before the result entry can be persisted).
+    // campaign result is assembled.
     if (store_ != nullptr) {
       store_->FlushJournals();
     }
@@ -814,8 +814,7 @@ std::vector<ConcurrentTest> GenerateTestsForStrategy(const PreparedCampaign& cam
 void ExecuteCampaign(const std::vector<ConcurrentTest>& tests, bool use_pmc_hints,
                      const PmcMatcher* matcher, const PipelineOptions& options,
                      PipelineResult* result) {
-  std::unique_ptr<CheckpointStore> store = OpenStore(options);
-  CampaignEngine engine(options, store.get(), CampaignEngine::Goal::kExplore);
+  CampaignEngine engine(options, /*store=*/nullptr, CampaignEngine::Goal::kExplore);
   engine.StartAtExplore(tests, use_pmc_hints, matcher);
   engine.Run();
   engine.FoldExplore(result);
@@ -824,37 +823,7 @@ void ExecuteCampaign(const std::vector<ConcurrentTest>& tests, bool use_pmc_hint
 PipelineResult RunSnowboardPipeline(const PipelineOptions& options) {
   TRACE_SPAN("pipeline.campaign");
   PipelineResult result;
-  const std::string result_entry = std::string("result.") + StrategyName(options.strategy);
   std::unique_ptr<CheckpointStore> store = OpenStore(options);
-
-  // Checkpoint-directory admission: the guard entry pins the options fingerprint. A fresh
-  // run, or a directory written under different options, is reset before the engine can
-  // replay a stale journal. A resumed run whose final result already committed skips every
-  // stage outright.
-  if (store != nullptr) {
-    const std::string guard =
-        StrPrintf("snowboard-campaign-v1\nfingerprint %016llx\n",
-                  static_cast<unsigned long long>(OptionsFingerprint(options)));
-    std::optional<std::string> existing = store->Get("campaign");
-    if (!options.resume || !existing.has_value() || *existing != guard) {
-      if (options.resume && existing.has_value()) {
-        SB_LOG(kWarn) << "checkpoint: directory " << options.checkpoint_dir
-                      << " belongs to a different campaign configuration; resetting";
-      }
-      store->Reset();
-      store->Put("campaign", guard);
-    } else if (std::optional<std::string> text = store->Get(result_entry)) {
-      if (std::optional<PipelineResult> done = DeserializePipelineResult(*text)) {
-        done->tests_resumed = done->tests_executed;
-        GlobalPipelineCounters().tests_resumed.fetch_add(done->tests_executed,
-                                                         std::memory_order_relaxed);
-        SB_LOG(kInfo) << StrategyName(options.strategy)
-                      << ": resumed from completed checkpoint (" << done->tests_executed
-                      << " tests)";
-        return *done;
-      }
-    }
-  }
   if (Dead(options)) {
     return result;
   }
@@ -867,13 +836,6 @@ PipelineResult RunSnowboardPipeline(const PipelineOptions& options) {
   }
   TRACE_COUNTER("funnel.tests_with_findings", result.tests_with_bug);
   TRACE_COUNTER("funnel.findings_total", result.findings.total_findings());
-
-  if (store != nullptr) {
-    store->Put(result_entry, SerializePipelineResult(result));
-    if (Dead(options)) {
-      return result;
-    }
-  }
 
   SB_LOG(kInfo) << StrategyName(options.strategy) << ": " << result.tests_executed
                 << " tests executed, " << result.findings.first_findings().size()

@@ -45,16 +45,15 @@ struct PipelineOptions {
   // Optional cross-run profile memo: multi-strategy campaigns (Table 3) share one cache so
   // each distinct program is profiled on a VM only once.
   ProfileCache* profile_cache = nullptr;
-  // Crash-safe persistence. When non-empty, a CheckpointStore here holds what a resume
-  // cannot recompute: execution journals per-test outcomes incrementally, and the final
-  // result is committed on completion. The directory is keyed by an options fingerprint
-  // (every field that shapes deterministic outputs — NOT num_workers); a mismatched
-  // directory is reset.
+  // Crash-safe persistence (RunSnowboardPipeline only). When non-empty, a CheckpointStore
+  // here holds what a resume cannot recompute: the `campaign` guard, keyed by an options
+  // fingerprint (every field that shapes deterministic outputs — NOT num_workers), and the
+  // execute journal of per-test outcomes. A directory with another guard is reset.
   std::string checkpoint_dir;
-  // With `resume`, a committed result is returned as is; otherwise the pre-explore stages
-  // recompute (they are pure functions of the fingerprinted options) and journaled test
-  // outcomes replay without touching a VM. Without it, the directory is cleared first.
-  // Meaningless when checkpoint_dir is empty.
+  // With `resume`, the pre-explore stages recompute (they are pure functions of the
+  // fingerprinted options) and journaled test outcomes replay without touching a VM, so a
+  // resume of a completed campaign replays every test. Without it, the journal is deleted
+  // first. Meaningless when checkpoint_dir is empty.
   bool resume = false;
   // Crash/hang fault-injection hook (crash-sweep harness); nullptr = off. When an injected
   // crash fires, the pipeline unwinds at the next fault point of every worker and returns
@@ -145,8 +144,10 @@ std::vector<ConcurrentTest> GenerateTestsForStrategy(const PreparedCampaign& cam
 
 // Stage 4: parallel execution of `tests`, folding execution stats + findings into `result`.
 // Runs the engine from the explore frontier. `use_pmc_hints` selects the Algorithm 2
-// scheduler (with `matcher`, which may be null) vs the baseline random scheduler. With a
-// checkpoint_dir it journals each outcome there, and with `resume` it replays them.
+// scheduler (with `matcher`, which may be null) vs the baseline random scheduler.
+// Checkpoints nothing: a journal is only sound under the guard of the options that
+// produced its test list, and a caller-supplied list has none, so `checkpoint_dir` and
+// `resume` are ignored here.
 void ExecuteCampaign(const std::vector<ConcurrentTest>& tests, bool use_pmc_hints,
                      const PmcMatcher* matcher, const PipelineOptions& options,
                      PipelineResult* result);

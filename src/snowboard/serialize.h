@@ -5,9 +5,9 @@
 // "stored on disk and sorted by frequency" — feeds the test workers). These helpers give
 // the same staged workflow (snowboard_cli corpus/identify/run): corpora and PMC sets
 // round-trip through a line-oriented text format that is stable, diffable, and versioned.
-// So do the two things a crash-safe campaign checkpoints — per-test execute-journal
-// records and the final pipeline result (with its findings log) — and the replay tokens
-// findings carry.
+// So do the per-test execute-journal records a crash-safe campaign checkpoints, the final
+// pipeline result (with its findings log) that the fleet daemon commits as a campaign's
+// `done` marker, and the replay tokens findings carry.
 //
 // Robustness contract shared by every Deserialize*: a wrong or flipped version header,
 // truncation at ANY line boundary, or junk bytes yield nullopt — never a crash, and never

@@ -20,36 +20,6 @@ constexpr const char* kSpecHeader = "snowboard-campaign-spec-v2";
 // written before v2 re-adopts its campaigns; the key is accepted there and dropped.
 constexpr const char* kSpecHeaderV1 = "snowboard-campaign-spec-v1";
 
-// Decimal digits only; a value that does not fit in 64 bits is rejected, never wrapped.
-bool ParseU64(const std::string& text, uint64_t* out) {
-  if (text.empty()) {
-    return false;
-  }
-  uint64_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') {
-      return false;
-    }
-    uint64_t digit = static_cast<uint64_t>(c - '0');
-    if (value > (UINT64_MAX - digit) / 10) {
-      return false;
-    }
-    value = value * 10 + digit;
-  }
-  *out = value;
-  return true;
-}
-
-bool ParseInt(const std::string& text, int* out) {
-  uint64_t value = 0;
-  bool negative = !text.empty() && text[0] == '-';
-  if (!ParseU64(negative ? text.substr(1) : text, &value) || value > 1u << 30) {
-    return false;
-  }
-  *out = negative ? -static_cast<int>(value) : static_cast<int>(value);
-  return true;
-}
-
 }  // namespace
 
 std::string SerializeCampaignSpec(const CampaignSpec& spec) {
@@ -109,15 +79,15 @@ std::optional<CampaignSpec> ParseCampaignSpec(const std::string& text) {
       spec.seed = u64;
     } else if (key == "strategy" && StrategyFromName(value, &spec.strategy)) {
       // Parsed in the condition.
-    } else if (key == "corpus-size" && ParseInt(value, &i32) && i32 >= 1) {
+    } else if (key == "corpus-size" && ParseInt(value, &i32)) {
       spec.corpus_size = i32;
-    } else if (key == "corpus-iters" && ParseInt(value, &i32) && i32 >= 1) {
+    } else if (key == "corpus-iters" && ParseInt(value, &i32)) {
       spec.corpus_iters = i32;
-    } else if (key == "budget" && ParseU64(value, &u64) && u64 >= 1) {
+    } else if (key == "budget" && ParseU64(value, &u64)) {
       spec.budget = static_cast<size_t>(u64);
-    } else if (key == "trials" && ParseInt(value, &i32) && i32 >= 1) {
+    } else if (key == "trials" && ParseInt(value, &i32)) {
       spec.trials = i32;
-    } else if (key == "workers" && ParseInt(value, &i32) && i32 >= 1) {
+    } else if (key == "workers" && ParseInt(value, &i32)) {
       spec.workers = i32;
     } else if (key == "priority" && ParseInt(value, &i32)) {
       spec.priority = i32;
@@ -128,16 +98,30 @@ std::optional<CampaignSpec> ParseCampaignSpec(const std::string& text) {
       // Dropped: there is one campaign engine.
     } else if (key == "prune" && ParseInt(value, &i32) && (i32 == 0 || i32 == 1)) {
       spec.prune = i32 == 1;
-    } else if (key == "prune-saturation" && ParseInt(value, &i32) && i32 >= 1) {
+    } else if (key == "prune-saturation" && ParseInt(value, &i32)) {
       spec.prune_saturation = i32;
     } else {
       return std::nullopt;  // Unknown key or malformed value: reject, never guess.
     }
   }
-  if (!saw_header || !saw_name || !CheckpointStore::ValidName(spec.name)) {
+  if (!saw_header || !saw_name || !CampaignSpecError(spec).empty()) {
     return std::nullopt;
   }
   return spec;
+}
+
+std::string CampaignSpecError(const CampaignSpec& spec) {
+  if (!CheckpointStore::ValidName(spec.name)) {
+    return "invalid campaign name (use [A-Za-z0-9._-])";
+  }
+  const char* low = spec.corpus_size < 1        ? "corpus-size"
+                    : spec.corpus_iters < 1     ? "corpus-iters"
+                    : spec.budget < 1           ? "budget"
+                    : spec.trials < 1           ? "trials"
+                    : spec.workers < 1          ? "workers"
+                    : spec.prune_saturation < 1 ? "prune-saturation"
+                                                : nullptr;
+  return low == nullptr ? "" : std::string(low) + " must be >= 1";
 }
 
 PipelineOptions CampaignPipelineOptions(const CampaignSpec& spec,
@@ -404,18 +388,13 @@ FleetRc FleetServer::Submit(const CampaignSpec& spec, std::string* error) {
     *error = "daemon is draining";
     return FleetRc::kUnavailable;
   }
-  if (!CheckpointStore::ValidName(spec.name)) {
-    *error = "invalid campaign name (use [A-Za-z0-9._-])";
+  if (std::string invalid = CampaignSpecError(spec); !invalid.empty()) {
+    *error = invalid;
     return FleetRc::kInvalid;
   }
   if (by_id_.count(spec.name) != 0) {
     *error = "duplicate campaign id";
     return FleetRc::kConflict;
-  }
-  if (spec.workers < 1 || spec.trials < 1 || spec.budget < 1 || spec.corpus_size < 1 ||
-      spec.corpus_iters < 1 || spec.prune_saturation < 1) {
-    *error = "spec fields must be >= 1";
-    return FleetRc::kInvalid;
   }
   if (!EnsureDirectory(DirFor(spec.name))) {
     *error = "cannot create campaign directory";

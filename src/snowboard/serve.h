@@ -66,10 +66,17 @@ struct CampaignSpec {
 // Versioned text round-trip ("snowboard-campaign-spec-v2": one key per line) — the
 // submission body of POST /campaigns and the on-disk spec.txt a restart re-adopts.
 // The parser rejects (nullopt) unknown headers, malformed lines, unknown keys or
-// strategies, and invalid names; serve must never run a spec it could not re-read. It
-// still reads v1 bodies, whose `streaming 0|1` key it accepts and drops.
+// strategies, and every spec CampaignSpecError rejects; serve must never run a spec it
+// could not re-read. It still reads v1 bodies, whose `streaming 0|1` key it accepts and
+// drops.
 std::string SerializeCampaignSpec(const CampaignSpec& spec);
 std::optional<CampaignSpec> ParseCampaignSpec(const std::string& text);
+
+// Why `spec` cannot run, or "" when it can: its name must satisfy
+// CheckpointStore::ValidName and every count (corpus-size, corpus-iters, budget, trials,
+// workers, prune-saturation) must be >= 1. FleetServer::Submit and `snowboard_cli
+// campaign` both admit specs through it.
+std::string CampaignSpecError(const CampaignSpec& spec);
 
 // THE spec→options mapping, shared verbatim by `snowboard_cli campaign` and the fleet
 // runner — the construction that makes serve-run and standalone-run reports byte-identical

@@ -58,9 +58,11 @@ struct PipelineCounters {
   // warned about.
   std::atomic<uint64_t> journal_records_dropped{0};
   std::atomic<uint64_t> trials_retried{0};        // Hung-trial retries in the explorer.
-  std::atomic<uint64_t> checkpoint_writes{0};     // CheckpointStore::Put commits.
-  std::atomic<uint64_t> checkpoint_bytes{0};      // Payload bytes across those commits.
-  std::atomic<uint64_t> checkpoint_loads{0};      // Verified Get hits (guard, result).
+  std::atomic<uint64_t> checkpoint_writes{0};  // Campaign guards written by admission.
+  // Bytes committed to checkpoint directories: each guard, and each journal group commit
+  // (lines with their checksum prefix and newline).
+  std::atomic<uint64_t> checkpoint_bytes{0};
+  std::atomic<uint64_t> checkpoint_loads{0};  // Guard reads that admitted a resume.
   // --- Journal group commit (CheckpointStore::AppendJournal batching). ---
   std::atomic<uint64_t> journal_batch_flushes{0};  // Group commits (one fsync each).
   std::atomic<uint64_t> journal_batch_records{0};  // Records written across those commits.

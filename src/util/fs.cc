@@ -90,35 +90,6 @@ bool AtomicWriteFile(const std::string& path, const std::string& contents,
   return true;
 }
 
-bool AppendLineDurable(const std::string& path, const std::string& line,
-                       FaultInjector* fault) {
-  if (line.find('\n') != std::string::npos) {
-    SB_LOG(kWarn) << "fs: refusing to append multi-line record to " << path;
-    return false;
-  }
-  if (fault != nullptr && fault->At("journal.append")) {
-    return false;  // Died before the append reached the file.
-  }
-  int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    SB_LOG(kWarn) << "fs: open " << path << ": " << ErrnoText();
-    return false;
-  }
-  std::string record = line + "\n";
-  bool ok = WriteAll(fd, record.data(), record.size());
-  if (!ok) {
-    SB_LOG(kWarn) << "fs: append " << path << ": " << ErrnoText();
-  } else if (::fsync(fd) != 0) {
-    SB_LOG(kWarn) << "fs: fsync " << path << ": " << ErrnoText();
-    ok = false;
-  }
-  ::close(fd);
-  if (ok && fault != nullptr && fault->At("journal.appended")) {
-    return false;  // Died after the record became durable.
-  }
-  return ok;
-}
-
 bool AppendLinesDurable(const std::string& path, const std::vector<std::string>& lines,
                         FaultInjector* fault) {
   if (lines.empty()) {

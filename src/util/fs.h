@@ -29,17 +29,13 @@ bool EnsureDirectory(const std::string& path);
 bool AtomicWriteFile(const std::string& path, const std::string& contents,
                      FaultInjector* fault = nullptr);
 
-// Durably appends `line` plus '\n' in a single write(2) followed by fsync — the journal
-// primitive. A crash can truncate only the final line, which the reader's per-line
-// checksum rejects. Fault points "journal.append" / "journal.appended".
-bool AppendLineDurable(const std::string& path, const std::string& line,
-                       FaultInjector* fault = nullptr);
-
-// Group-commit variant: appends every line (each plus '\n') in ONE write(2) followed by
-// ONE fsync, amortizing the durability cost across the batch. Same fault points as
-// AppendLineDurable, fired once per batch: a crash at "journal.append" loses the whole
-// batch (the file is untouched), a crash at "journal.appended" keeps it (the single
-// O_APPEND write plus fsync made all lines durable together). Empty batch is a no-op true.
+// The journal primitive: durably appends every line (each plus '\n') in ONE write(2)
+// followed by ONE fsync, amortizing the durability cost across the batch. A crash can
+// truncate only the final batch, which the reader's per-line checksum rejects. Fault points
+// "journal.append" / "journal.appended", fired once per batch: a crash at "journal.append"
+// loses the whole batch (the file is untouched), a crash at "journal.appended" keeps it
+// (the single O_APPEND write plus fsync made all lines durable together). Empty batch is a
+// no-op true.
 bool AppendLinesDurable(const std::string& path, const std::vector<std::string>& lines,
                         FaultInjector* fault = nullptr);
 

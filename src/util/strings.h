@@ -1,8 +1,10 @@
-// printf-style std::string formatting, used for console lines and reports.
+// printf-style std::string formatting, used for console lines and reports, and the strict
+// decimal parsers that read numbers from outside input (campaign specs, command lines).
 #ifndef SRC_UTIL_STRINGS_H_
 #define SRC_UTIL_STRINGS_H_
 
 #include <cstdarg>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 
@@ -67,6 +69,37 @@ inline std::string JsonEscape(const std::string& text) {
     }
   }
   return out;
+}
+
+// Decimal digits only; a value that does not fit in 64 bits is rejected, never wrapped.
+inline bool ParseU64(const std::string& text, uint64_t* out) {
+  if (text.empty()) {
+    return false;
+  }
+  uint64_t value = 0;
+  for (char c : text) {
+    if (c < '0' || c > '9') {
+      return false;
+    }
+    uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (value > (UINT64_MAX - digit) / 10) {
+      return false;
+    }
+    value = value * 10 + digit;
+  }
+  *out = value;
+  return true;
+}
+
+// ParseU64's digits with an optional leading '-', and a magnitude of at most 2^30.
+inline bool ParseInt(const std::string& text, int* out) {
+  uint64_t value = 0;
+  bool negative = !text.empty() && text[0] == '-';
+  if (!ParseU64(negative ? text.substr(1) : text, &value) || value > 1u << 30) {
+    return false;
+  }
+  *out = negative ? -static_cast<int>(value) : static_cast<int>(value);
+  return true;
 }
 
 }  // namespace snowboard

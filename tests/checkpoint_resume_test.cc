@@ -5,7 +5,7 @@
 // already-journaled tests (verified through PipelineCounters).
 //
 // Mechanics: a first pass with a no-crash FaultInjector counts the campaign's fault points
-// (checkpoint commits, journal appends, explorer trials, worker claim loops); the sweep
+// (the guard write, journal appends, explorer trials, worker claim loops); the sweep
 // then replays the campaign once per ordinal with crash_at = k, resumes each crashed
 // directory, and compares SerializePipelineResult bytes against the golden run.
 #include <gtest/gtest.h>
@@ -20,6 +20,7 @@
 #include "src/snowboard/serialize.h"
 #include "src/util/counters.h"
 #include "src/util/fault.h"
+#include "src/util/fs.h"
 
 namespace snowboard {
 namespace {
@@ -49,14 +50,22 @@ std::string FreshDir(const std::string& tag) {
   return dir;
 }
 
+// The names of the files in `dir`.
+std::set<std::string> FilesIn(const std::string& dir) {
+  std::set<std::string> files;
+  for (const auto& dirent : std::filesystem::directory_iterator(dir)) {
+    files.insert(dirent.path().filename().string());
+  }
+  return files;
+}
+
 // Counts the distinct journaled test outcomes recorded in `dir` for `options`' strategy.
 void CountJournaled(const std::string& dir, const PipelineOptions& options,
                     size_t total_tests, size_t* count_out) {
-  CheckpointStore store(dir);
   std::vector<bool> seen(total_tests, false);
   *count_out = 0;
   std::string journal = std::string("execute.") + StrategyName(options.strategy);
-  for (const std::string& record : store.ReadJournal(journal)) {
+  for (const std::string& record : ReadJournalFile(dir, journal)) {
     std::optional<OutcomeRecord> decoded = DecodeOutcomeRecord(record);
     ASSERT_TRUE(decoded.has_value()) << "committed journal records must decode";
     ASSERT_LT(decoded->test_index, total_tests);
@@ -211,6 +220,9 @@ TEST(CheckpointResumeTest, CrashSweepWithPruningResumesByteIdentical) {
   std::filesystem::remove_all(count_options.checkpoint_dir);
 }
 
+// A completed checkpoint holds no result: its resume recomputes the prep stages —
+// profiling the whole corpus again — and short-circuits every test through its journal
+// record, so nothing re-executes.
 TEST(CheckpointResumeTest, ResumeOfCompletedCampaignShortCircuits) {
   PipelineOptions options = TinyOptions(2);
   options.checkpoint_dir = FreshDir("complete");
@@ -222,50 +234,49 @@ TEST(CheckpointResumeTest, ResumeOfCompletedCampaignShortCircuits) {
   resume_options.resume = true;
   PipelineResult resumed = RunSnowboardPipeline(resume_options);
   EXPECT_EQ(SerializePipelineResult(resumed), SerializePipelineResult(golden));
-  EXPECT_EQ(resumed.tests_resumed, golden.tests_executed);
-  EXPECT_EQ(GlobalPipelineCounters().concurrent_tests_run.load(), 0u)
+  EXPECT_EQ(resumed.tests_resumed, resumed.tests_executed);
+  EXPECT_EQ(resumed.tests_executed, golden.tests_executed);
+  PipelineCounters& counters = GlobalPipelineCounters();
+  EXPECT_EQ(counters.tests_resumed.load(), golden.tests_executed);
+  EXPECT_EQ(counters.concurrent_tests_run.load(), 0u)
       << "a completed campaign must not re-execute anything";
-  EXPECT_EQ(GlobalPipelineCounters().vm_profile_runs.load(), 0u)
-      << "a completed campaign must not re-profile anything";
+  EXPECT_EQ(counters.vm_profile_runs.load(), golden.corpus_size)
+      << "a resume profiles the whole corpus again";
   std::filesystem::remove_all(options.checkpoint_dir);
 }
 
-// The checkpoint holds only the `campaign` guard, the final result, and the execute
-// journal. Corpus, profiles, PMCs, and tests are pure functions of the options, so a
-// resume re-runs those stages — profiling the whole corpus again — and then replays the
-// journal, running only the tests it lacks.
-TEST(CheckpointResumeTest, CheckpointHoldsJournalAndResultOnlyAndResumeRecomputesPrep) {
+// The checkpoint holds only the `campaign` guard and the execute journal. Corpus,
+// profiles, PMCs, tests and the result are pure functions of the options and the journal,
+// so a resume re-runs the prep stages — profiling the whole corpus again — and then
+// replays the journal, running only the tests it lacks. Admission deletes what older
+// layouts kept in the directory (a manifest, stage entries, a stored result), by name,
+// and nothing else.
+TEST(CheckpointResumeTest, CheckpointHoldsGuardAndJournalOnlyAndResumeRecomputesPrep) {
   auto batched = [] {
     PipelineOptions options = TinyOptions(1);
     options.journal_flush_records = 2;  // A batch commits before the explore stage ends.
     return options;
   };
   const std::string strategy = StrategyName(Strategy::kSInsPair);
-  const std::string result_entry = "result." + strategy;
   const std::string journal = "execute." + strategy;
+  const std::set<std::string> layout = {"campaign", journal + ".journal"};
+  auto write_stale = [](const std::string& dir, std::initializer_list<std::string> names) {
+    for (const std::string& name : names) {
+      ASSERT_TRUE(AtomicWriteFile(dir + "/" + name, "stale\n"));
+    }
+  };
 
   PipelineOptions options = batched();
   options.checkpoint_dir = FreshDir("layout");
-  {
-    // An entry an earlier campaign left behind: a fresh run's reset deletes it.
-    CheckpointStore stale(options.checkpoint_dir);
-    ASSERT_TRUE(stale.Put("corpus", "snowboard-corpus-v1\n"));
-  }
+  ASSERT_TRUE(EnsureDirectory(options.checkpoint_dir));
+  write_stale(options.checkpoint_dir, {"MANIFEST", "pmcs.tmp", "notes.txt"});
   PipelineResult golden = RunSnowboardPipeline(options);
   ASSERT_GT(golden.tests_executed, 1u);
-  {
-    CheckpointStore store(options.checkpoint_dir);
-    EXPECT_EQ(store.entry_count(), 2u);
-    EXPECT_TRUE(store.Has("campaign"));
-    EXPECT_TRUE(store.Has(result_entry));
-    EXPECT_EQ(store.ReadJournal(journal).size(), golden.tests_executed);
-  }
-  std::set<std::string> files;
-  for (const auto& dirent : std::filesystem::directory_iterator(options.checkpoint_dir)) {
-    files.insert(dirent.path().filename().string());
-  }
-  EXPECT_EQ(files, (std::set<std::string>{"MANIFEST", "campaign", result_entry,
-                                          journal + ".journal"}));
+  EXPECT_EQ(ReadJournalFile(options.checkpoint_dir, journal).size(), golden.tests_executed);
+  std::set<std::string> with_notes = layout;
+  with_notes.insert("notes.txt");
+  EXPECT_EQ(FilesIn(options.checkpoint_dir), with_notes)
+      << "a file no layout ever wrote is the user's";
 
   // Crash right after the first journal batch commits: the earliest "journal.appended"
   // point. One worker, so each ordinal lands on the same site in every run.
@@ -286,10 +297,13 @@ TEST(CheckpointResumeTest, CheckpointHoldsJournalAndResultOnlyAndResumeRecompute
       std::filesystem::remove_all(candidate);
     }
   }
+  EXPECT_EQ(FilesIn(dir), layout);
   size_t journaled = 0;
   CountJournaled(dir, options, golden.tests_generated, &journaled);
   ASSERT_GT(journaled, 0u);
   ASSERT_LT(journaled, golden.tests_generated);
+  // What a directory written by an older layout also held.
+  write_stale(dir, {"MANIFEST", "corpus", "result." + strategy});
 
   ResetPipelineCounters();
   PipelineOptions resume_options = batched();
@@ -301,8 +315,9 @@ TEST(CheckpointResumeTest, CheckpointHoldsJournalAndResultOnlyAndResumeRecompute
   EXPECT_EQ(counters.vm_profile_runs.load(), golden.corpus_size)
       << "a resume profiles the whole corpus again";
   EXPECT_EQ(counters.tests_resumed.load(), journaled);
+  EXPECT_EQ(resumed.tests_resumed, journaled);
   EXPECT_EQ(counters.concurrent_tests_run.load(), golden.tests_generated - journaled);
-  EXPECT_EQ(CheckpointStore(dir).entry_count(), 2u);
+  EXPECT_EQ(FilesIn(dir), layout);
 
   std::filesystem::remove_all(dir);
   std::filesystem::remove_all(options.checkpoint_dir);
@@ -328,6 +343,25 @@ TEST(CheckpointResumeTest, MismatchedOptionsFingerprintResetsDirectory) {
   PipelineOptions again = other;
   PipelineResult resumed = RunSnowboardPipeline(again);
   EXPECT_EQ(SerializePipelineResult(resumed), SerializePipelineResult(second));
+  EXPECT_EQ(resumed.tests_resumed, second.tests_executed);
+
+  // A damaged guard admits nothing: cut short, or the same size with one byte flipped, it
+  // no longer matches, so the resume starts fresh — and still returns the same result.
+  const std::string guard_path = options.checkpoint_dir + "/campaign";
+  std::optional<std::string> guard = ReadFileContents(guard_path);
+  ASSERT_TRUE(guard.has_value());
+  std::string flipped = *guard;
+  flipped[flipped.size() / 2] ^= 1;
+  for (const std::string& damaged : {guard->substr(0, guard->size() - 3), flipped}) {
+    SCOPED_TRACE(testing::Message() << "guard bytes: " << damaged.size());
+    ASSERT_TRUE(AtomicWriteFile(guard_path, damaged));
+    ResetPipelineCounters();
+    PipelineResult fresh = RunSnowboardPipeline(again);
+    EXPECT_EQ(GlobalPipelineCounters().tests_resumed.load(), 0u);
+    EXPECT_EQ(fresh.tests_resumed, 0u);
+    EXPECT_EQ(SerializePipelineResult(fresh), SerializePipelineResult(second));
+    EXPECT_EQ(ReadFileContents(guard_path), guard) << "the reset rewrites the guard";
+  }
   std::filesystem::remove_all(options.checkpoint_dir);
 }
 
@@ -339,47 +373,19 @@ TEST(CheckpointResumeTest, OutOfRangeJournalRecordsDroppedAndCounted) {
   PipelineOptions plain = TinyOptions(2);
   const std::string golden_text = SerializePipelineResult(RunSnowboardPipeline(plain));
   const std::string journal = std::string("execute.") + StrategyName(plain.strategy);
-  const std::string result_entry = std::string("result.") + StrategyName(plain.strategy);
 
-  // Count the campaign's fault points, then crash late enough that the directory has
-  // journaled outcomes but no committed result (so a resume actually replays the journal).
-  FaultInjector::Plan no_crash;
-  FaultInjector point_counter(no_crash);
-  PipelineOptions count_options = TinyOptions(2);
-  count_options.checkpoint_dir = FreshDir("dropcount");
-  count_options.fault = &point_counter;
-  PipelineResult counted = RunSnowboardPipeline(count_options);
-  const size_t total_tests = counted.tests_generated;
-  const uint64_t total_points = point_counter.points_seen();
-  ASSERT_GT(total_points, 20u);
-
-  std::string dir;
+  // A completed campaign's directory: every test journaled, and a resume replays them all.
+  PipelineOptions options = TinyOptions(2);
+  options.checkpoint_dir = FreshDir("drop");
+  PipelineResult completed = RunSnowboardPipeline(options);
   size_t journaled = 0;
-  for (uint64_t crash_at = total_points; crash_at-- > 0;) {
-    std::string candidate = FreshDir("drop");
-    FaultInjector::Plan plan;
-    plan.crash_at = static_cast<int64_t>(crash_at);
-    FaultInjector fault(plan);
-    PipelineOptions crash_options = TinyOptions(2);
-    crash_options.checkpoint_dir = candidate;
-    crash_options.fault = &fault;
-    RunSnowboardPipeline(crash_options);
-    ASSERT_TRUE(fault.crashed());
-    CheckpointStore store(candidate);
-    if (!store.Has(result_entry) && !store.ReadJournal(journal).empty()) {
-      dir = candidate;
-      CountJournaled(candidate, crash_options, total_tests, &journaled);
-      break;
-    }
-    std::filesystem::remove_all(candidate);
-  }
-  ASSERT_FALSE(dir.empty()) << "no crash point left journaled outcomes without a result";
+  CountJournaled(options.checkpoint_dir, options, completed.tests_generated, &journaled);
   ASSERT_GT(journaled, 0u);
 
   // Poison the journal with a record far past any test index this campaign can generate,
   // and with an earlier-format record for test 0 (a bare index, then the hex-encoded outcome).
   {
-    CheckpointStore store(dir);
+    CheckpointStore store(options.checkpoint_dir);
     OutcomeRecord bogus;
     bogus.test_index = 1'000'000;
     ASSERT_TRUE(store.AppendJournal(journal, EncodeOutcomeRecord(bogus)));
@@ -388,8 +394,7 @@ TEST(CheckpointResumeTest, OutOfRangeJournalRecordsDroppedAndCounted) {
   }
 
   ResetPipelineCounters();
-  PipelineOptions resume_options = TinyOptions(2);
-  resume_options.checkpoint_dir = dir;
+  PipelineOptions resume_options = options;
   resume_options.resume = true;
   PipelineResult resumed = RunSnowboardPipeline(resume_options);
 
@@ -400,8 +405,7 @@ TEST(CheckpointResumeTest, OutOfRangeJournalRecordsDroppedAndCounted) {
   EXPECT_EQ(resumed.tests_resumed, journaled)
       << "only in-range journaled outcomes may replay";
 
-  std::filesystem::remove_all(dir);
-  std::filesystem::remove_all(count_options.checkpoint_dir);
+  std::filesystem::remove_all(options.checkpoint_dir);
 }
 
 // The group-commit sweep: with a batch threshold small enough to fire mid-stage
@@ -479,12 +483,8 @@ TEST(CheckpointResumeTest, JournalBatchFlushAccountingReconciles) {
   PipelineResult result = RunSnowboardPipeline(options);
   ASSERT_GT(result.tests_executed, 0u);
 
-  size_t on_disk = 0;
-  {
-    CheckpointStore store(options.checkpoint_dir);
-    const std::string journal = std::string("execute.") + StrategyName(options.strategy);
-    on_disk = store.ReadJournal(journal).size();
-  }
+  const std::string journal = std::string("execute.") + StrategyName(options.strategy);
+  const size_t on_disk = ReadJournalFile(options.checkpoint_dir, journal).size();
   ASSERT_GT(on_disk, 0u);
 
   PipelineCounters& counters = GlobalPipelineCounters();

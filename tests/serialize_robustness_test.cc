@@ -3,7 +3,7 @@
 // The crash-safety story leans on one contract (serialize.h): a Deserialize* either
 // returns the complete artifact or nullopt — truncation at any line boundary, a flipped
 // version header, or junk bytes must be rejected, never crash, and never yield a silently
-// half-loaded object. The same bar applies to CheckpointStore (manifest-hash verification)
+// half-loaded object. The same bar applies to the checkpoint journal (per-line checksums)
 // and to the atomic file primitives (a failed write leaves no partial file).
 #include <gtest/gtest.h>
 
@@ -461,43 +461,20 @@ TEST(SerializeRobustnessTest, CrashAfterRenameIsDurable) {
   EXPECT_EQ(ReadFileToString(path), "contents") << "post-rename crash must be durable";
 }
 
-// --- CheckpointStore verification. ---
-
-TEST(SerializeRobustnessTest, CheckpointStoreRejectsCorruptAndTruncatedEntries) {
-  std::string dir = TempPath("store");
-  CheckpointStore store(dir);
-  ASSERT_TRUE(store.ok());
-  ASSERT_TRUE(store.Put("artifact", "precious bytes, hashed in the manifest"));
-  ASSERT_TRUE(store.Get("artifact").has_value());
-
-  {
-    std::ofstream f(dir + "/artifact", std::ios::trunc);  // Truncate behind the manifest.
-    f << "precious";
-  }
-  CheckpointStore reopened(dir);
-  EXPECT_FALSE(reopened.Get("artifact").has_value()) << "truncated entry must not load";
-
-  ASSERT_TRUE(store.Put("artifact", "precious bytes, hashed in the manifest"));
-  {
-    std::fstream f(dir + "/artifact", std::ios::in | std::ios::out);
-    f.seekp(3);
-    f.put('X');  // Same size, flipped byte: caught by the content hash.
-  }
-  CheckpointStore reopened2(dir);
-  EXPECT_FALSE(reopened2.Get("artifact").has_value()) << "corrupt entry must not load";
-}
+// --- Checkpoint journals. ---
 
 TEST(SerializeRobustnessTest, CheckpointStoreRejectsBadNamesAndMissingEntries) {
   std::string dir = TempPath("store_names");
   CheckpointStore store(dir);
   ASSERT_TRUE(store.ok());
-  EXPECT_FALSE(store.Put("", "x"));
-  EXPECT_FALSE(store.Put("../escape", "x"));
-  EXPECT_FALSE(store.Put("has space", "x"));
-  EXPECT_FALSE(store.Put("MANIFEST", "x")) << "the manifest name is reserved";
-  EXPECT_FALSE(store.Get("never_written").has_value());
-  EXPECT_TRUE(store.Put("ok-name_1.txt", "x"));
-  EXPECT_EQ(store.Get("ok-name_1.txt"), "x");
+  EXPECT_FALSE(store.AppendJournal("", "x"));
+  EXPECT_FALSE(store.AppendJournal("../escape", "x"));
+  EXPECT_FALSE(store.AppendJournal("has space", "x"));
+  EXPECT_TRUE(store.ReadJournal("../escape").empty());
+  EXPECT_TRUE(store.ReadJournal("never_written").empty()) << "a missing journal reads empty";
+  EXPECT_TRUE(store.AppendJournal("ok-name_1.txt", "x"));
+  EXPECT_EQ(store.ReadJournal("ok-name_1.txt"), (std::vector<std::string>{"x"}));
+  EXPECT_FALSE(PathExists(dir + "/../escape.journal"));
 }
 
 TEST(SerializeRobustnessTest, JournalReplayStopsAtCorruptTail) {
@@ -585,26 +562,6 @@ TEST(SerializeRobustnessTest, CorruptJournalLineWarns) {
   SetLogLevel(level);
   EXPECT_EQ(records, (std::vector<std::string>{"record zero"}));
   EXPECT_NE(logged.find("failed checksum"), std::string::npos) << logged;
-}
-
-TEST(SerializeRobustnessTest, TamperedManifestIsIgnoredWholesale) {
-  std::string dir = TempPath("manifest");
-  {
-    CheckpointStore store(dir);
-    ASSERT_TRUE(store.ok());
-    ASSERT_TRUE(store.Put("a", "alpha"));
-    ASSERT_TRUE(store.Put("b", "beta"));
-  }
-  std::optional<std::string> manifest = ReadFileContents(dir + "/MANIFEST");
-  ASSERT_TRUE(manifest.has_value());
-  {
-    std::ofstream f(dir + "/MANIFEST", std::ios::trunc | std::ios::binary);
-    f << *manifest << "entry ../evil 5 0123456789abcdef\n";
-  }
-  CheckpointStore reopened(dir);
-  EXPECT_EQ(reopened.entry_count(), 0u)
-      << "a manifest with any malformed line is fully suspect";
-  EXPECT_FALSE(reopened.Get("a").has_value());
 }
 
 }  // namespace

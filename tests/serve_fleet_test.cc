@@ -100,11 +100,11 @@ std::string MaskedFleetReport(const std::string& root, const std::string& id) {
 // what a resumed run may replay and must not re-execute.
 size_t JournaledTests(const std::string& root, const CampaignSpec& spec,
                       size_t total_tests) {
-  CheckpointStore store(root + "/" + spec.name + "/checkpoint");
   std::vector<bool> seen(total_tests, false);
   size_t count = 0;
   std::string journal = std::string("execute.") + StrategyName(spec.strategy);
-  for (const std::string& record : store.ReadJournal(journal)) {
+  for (const std::string& record :
+       ReadJournalFile(root + "/" + spec.name + "/checkpoint", journal)) {
     std::optional<OutcomeRecord> decoded = DecodeOutcomeRecord(record);
     EXPECT_TRUE(decoded.has_value()) << "committed journal records must decode";
     if (decoded.has_value() && decoded->test_index < total_tests &&

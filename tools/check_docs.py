@@ -29,6 +29,10 @@ Checks the fast CI lane enforces:
      that checks its claim — a bench binary registered with sb_bench(...) (the `paper`
      ctest label) or a Suite.Name gtest — and no stale one; every sb_bench binary appears
      in some row. A claim no test checks belongs in the text as a record, not in the table.
+ 12. DESIGN.md's module inventory matches the tree: every backticked `snowboard::Name` in
+     DESIGN.md and README.md is declared under src/; every *.h/*.cc file that DESIGN.md §2
+     names exists in its section's directory; and every header under src/util, src/sim
+     and src/snowboard is named in §2.
 
 Usage: check_docs.py [repo_root]   (default: parent of this script's directory)
 """
@@ -130,6 +134,35 @@ def detector_kind_names(detectors_source: str) -> list:
                       detectors_source, re.DOTALL)
     names = re.findall(r'return "([a-z-]+)";', match.group(1) if match else "")
     return [name for name in names if name != "unknown"]
+
+
+def inventory_files(design: str) -> list:
+    """(directory, file) for every *.h/*.cc DESIGN.md §2 names, in its section's directory.
+
+    §2 opens one subsection per directory (### `src/util/` — ...); a backticked `name.h`,
+    `name.cc` or `name.h/.cc` under it names files there.
+    """
+    match = re.search(r"^## 2\..*?\n(.*?)(?=^## 3\.)", design, re.MULTILINE | re.DOTALL)
+    files = []
+    directory = None
+    for line in (match.group(1) if match else "").splitlines():
+        heading = re.match(r"### `(src/\w+)/`", line)
+        if heading:
+            directory = heading.group(1)
+            continue
+        for stem, ext, both in re.findall(r"`(\w+)\.(h|cc)(/\.cc)?`", line):
+            if directory is None:
+                continue
+            files.append((directory, f"{stem}.{ext}"))
+            if both:
+                files.append((directory, f"{stem}.cc"))
+    return files
+
+
+def declared(src_text: str, name: str) -> bool:
+    """True when `name` is declared (or, for a function, called) somewhere under src/."""
+    return re.search(rf"\b(?:class|struct|enum(?:\s+class)?|using)\s+{name}\b|\b{name}\(",
+                     src_text) is not None
 
 
 def main() -> int:
@@ -239,6 +272,25 @@ def main() -> int:
         if not any(f"`{bench}`" in row for row in rows):
             errors.append(f"EXPERIMENTS.md's Summary table has no row checked by `{bench}`")
 
+    design = (root / "DESIGN.md").read_text()
+    src_text = "\n".join(f.read_text() for f in sorted((root / "src").rglob("*"))
+                         if f.suffix in (".h", ".cc"))
+    for doc, text in (("DESIGN.md", design), ("README.md", readme)):
+        for name in sorted(set(re.findall(r"`snowboard::(\w+)", text))):
+            if not declared(src_text, name):
+                errors.append(f"{doc} cites `snowboard::{name}`, which nothing under src/ "
+                              f"declares")
+    named = inventory_files(design)
+    if not named:
+        errors.append("could not parse any file names from DESIGN.md §2")
+    for directory, name in named:
+        if not (root / directory / name).is_file():
+            errors.append(f"DESIGN.md §2 names {directory}/{name}, which does not exist")
+    for directory in ("src/util", "src/sim", "src/snowboard"):
+        for header in sorted((root / directory).glob("*.h")):
+            if (directory, header.name) not in named:
+                errors.append(f"DESIGN.md §2 has no entry for {directory}/{header.name}")
+
     for doc_file in sorted((root / "docs").glob("*.md")):
         if f"docs/{doc_file.name}" not in readme:
             errors.append(f"README.md does not reference docs/{doc_file.name}")
@@ -250,7 +302,8 @@ def main() -> int:
         return 1
     print("check_docs: CLI and serve flags documented, test and bench files registered, "
           "issues repro-covered, detector kinds documented, fleet endpoints and "
-          "campaign-spec keys covered, lane filters live, paper claims tested; no drift")
+          "campaign-spec keys covered, lane filters live, paper claims tested, module "
+          "inventory current; no drift")
     return 0
 
 

@@ -2,8 +2,9 @@
 # Smoke test for snowboard_cli's argument surface: --help must print the full flag
 # reference and exit 0; unknown commands, unknown flags, and stray positionals must exit 2
 # (the CLI used to silently accept unknown flags and exit 0 — this keeps that regression
-# dead). A small campaign is then crashed by injected faults and resumed in a fresh process,
-# which must reproduce the uninterrupted run's output. Pass the CLI binary path as $1;
+# dead), and so must malformed integer values. A small campaign is then crashed by injected
+# faults and resumed in a fresh process, which must reproduce the uninterrupted run's
+# output. Pass the CLI binary path as $1;
 # optionally pass the replay-token corpus directory (tests/corpus) as $2 to exercise
 # `replay` end to end (success, divergence exit 3), and the snowboard_serve binary as $3
 # for a daemon submit/status/cancel round-trip over a unix socket (drain via POST /drain,
@@ -49,6 +50,15 @@ done
 "$CLI" run --strategy NOPE --corpus /dev/null --pmcs /dev/null > /dev/null 2>&1
 check_exit "unknown strategy exits 2" 2 $?
 "$CLI" corpus > /dev/null 2>&1; check_exit "corpus without --out exits 2" 2 $?
+# Integer flags take decimal numbers in range, and a campaign spec must pass the daemon's
+# admission check (every count >= 1).
+"$CLI" campaign --trials abc > /dev/null 2>&1; check_exit "non-numeric --trials exits 2" 2 $?
+"$CLI" campaign --trials 0 > /dev/null 2>&1; check_exit "--trials 0 exits 2" 2 $?
+"$CLI" campaign --budget -1 > /dev/null 2>&1; check_exit "negative --budget exits 2" 2 $?
+bad_corpus="${TMPDIR:-/tmp}/cli_smoke_corpus.$$.txt"
+"$CLI" corpus --out "$bad_corpus" --size abc > /dev/null 2>&1
+check_exit "non-numeric corpus --size exits 2" 2 $?
+rm -f "$bad_corpus"
 
 # --- replay: usage errors need no corpus. ---
 "$CLI" replay > /dev/null 2>&1; check_exit "replay without token exits 2" 2 $?

@@ -6,23 +6,22 @@
 // in separate invocations (or be inspected/edited in between).
 //
 // Run `snowboard_cli --help` for the full command and flag reference; the usage text below
-// is generated from the same per-command flag tables that argument validation uses, so the
-// two cannot drift apart. Any unknown command, unknown flag, or stray positional argument
-// exits with status 2 after pointing at --help.
+// is generated from the same per-command flag tables that argument validation uses
+// (tools/flags.h), so the two cannot drift apart. Any unknown command, unknown flag, stray
+// positional argument, or integer flag value that is not a decimal number in range exits
+// with status 2.
 //
-// Crash safety: with --checkpoint-dir, execution journals per-test outcomes and the
-// campaign commits its result on completion; after a crash (real or injected), rerunning
-// with --resume recomputes the deterministic prep stages, replays the journal, and runs
-// only the tests it lacks, yielding the identical result. --inject-faults N kills the campaign with probability 1/N at each fault point
-// (N=1: die at the very first one); an injected death exits with status 42.
+// Crash safety: with --checkpoint-dir, execution journals per-test outcomes; after a crash
+// (real or injected), rerunning with --resume recomputes the deterministic prep stages,
+// replays the journal, and runs only the tests it lacks, yielding the identical result.
+// --inject-faults N kills the campaign with probability 1/N at each fault point (N=1: die
+// at the very first one); an injected death exits with status 42.
 //
 // Observability: --trace-out FILE (run/campaign) records a Chrome trace_event JSON stream
 // (open in about:tracing or https://ui.perfetto.dev); --report-dir DIR (campaign) writes
 // report.json + report.html summarizing the funnel, stage timings, and findings.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <map>
 #include <string>
 
 #include "src/snowboard/detectors.h"
@@ -36,24 +35,10 @@
 #include "src/util/log.h"
 #include "src/util/strings.h"
 #include "src/util/trace.h"
+#include "tools/flags.h"
 
 namespace snowboard {
 namespace {
-
-// One flag a command accepts. `value_name` is nullptr for valueless flags (--resume);
-// "[N]" style names mark flags whose value is optional (--inject-faults).
-struct FlagInfo {
-  const char* name;        // Without the leading "--".
-  const char* value_name;  // nullptr = boolean flag.
-  const char* help;
-};
-
-struct CommandInfo {
-  const char* name;
-  const char* summary;
-  const FlagInfo* flags;
-  size_t num_flags;
-};
 
 constexpr FlagInfo kCorpusFlags[] = {
     {"out", "FILE", "where to write the corpus (required)"},
@@ -92,7 +77,7 @@ constexpr FlagInfo kCampaignFlags[] = {
     {"seed", "S", "campaign seed (default 1)"},
     {"corpus-size", "N", "target corpus size (default 80)"},
     {"corpus-iters", "N", "fuzzing iterations (default 300)"},
-    {"checkpoint-dir", "DIR", "journal per-test outcomes + commit the result here"},
+    {"checkpoint-dir", "DIR", "journal per-test outcomes here, for --resume"},
     {"resume", nullptr, "resume from --checkpoint-dir instead of recomputing"},
     {"inject-faults", "[N]", "crash with chance 1/N at each fault point (bare: first)"},
     {"fault-seed", "S", "fault-injection seed (default 1)"},
@@ -109,97 +94,24 @@ constexpr FlagInfo kReplayFlags[] = {
 };
 
 constexpr CommandInfo kCommands[] = {
-    {"corpus", "fuzz a corpus of sequential tests", kCorpusFlags,
-     sizeof(kCorpusFlags) / sizeof(kCorpusFlags[0])},
-    {"identify", "profile a corpus and emit the PMC database", kIdentifyFlags,
-     sizeof(kIdentifyFlags) / sizeof(kIdentifyFlags[0])},
-    {"run", "cluster, select, and execute concurrent tests from saved artifacts", kRunFlags,
-     sizeof(kRunFlags) / sizeof(kRunFlags[0])},
-    {"campaign", "run the whole pipeline end to end", kCampaignFlags,
-     sizeof(kCampaignFlags) / sizeof(kCampaignFlags[0])},
+    {"corpus", "fuzz a corpus of sequential tests", kCorpusFlags},
+    {"identify", "profile a corpus and emit the PMC database", kIdentifyFlags},
+    {"run", "cluster, select, and execute concurrent tests from saved artifacts", kRunFlags},
+    {"campaign", "run the whole pipeline end to end", kCampaignFlags},
     {"replay", "re-execute a finding's replay token and verify its fingerprint",
-     kReplayFlags, sizeof(kReplayFlags) / sizeof(kReplayFlags[0])},
-    {"strategies", "list the clustering strategies", nullptr, 0},
+     kReplayFlags},
+    {"strategies", "list the clustering strategies", {}},
 };
 
 void PrintUsage(std::FILE* out) {
   std::fprintf(out, "usage: snowboard_cli <command> [--flag value]...\n");
   std::fprintf(out, "       snowboard_cli replay <token-or-file>\n");
   std::fprintf(out, "       snowboard_cli --help\n\ncommands:\n");
-  for (const CommandInfo& cmd : kCommands) {
-    std::fprintf(out, "  %-11s %s\n", cmd.name, cmd.summary);
-    for (size_t i = 0; i < cmd.num_flags; i++) {
-      const FlagInfo& flag = cmd.flags[i];
-      std::string left = std::string("--") + flag.name;
-      if (flag.value_name != nullptr) {
-        left += std::string(" ") + flag.value_name;
-      }
-      std::fprintf(out, "    %-24s %s\n", left.c_str(), flag.help);
-    }
-  }
+  PrintCommands(out, kCommands, 11);
   std::fprintf(out,
                "\nexit status: 0 success; 1 I/O or input error; 2 usage error; "
                "3 replay fingerprint divergence; 42 injected crash (rerun with "
                "--resume).\n");
-}
-
-const CommandInfo* FindCommand(const std::string& name) {
-  for (const CommandInfo& cmd : kCommands) {
-    if (name == cmd.name) {
-      return &cmd;
-    }
-  }
-  return nullptr;
-}
-
-struct Args {
-  std::map<std::string, std::string> values;
-
-  const char* Get(const std::string& key, const char* fallback) const {
-    auto it = values.find(key);
-    return it == values.end() ? fallback : it->second.c_str();
-  }
-  long GetInt(const std::string& key, long fallback) const {
-    auto it = values.find(key);
-    return it == values.end() ? fallback : std::atol(it->second.c_str());
-  }
-  bool Has(const std::string& key) const { return values.count(key) != 0; }
-};
-
-// Parses and validates against the command's flag table: unknown flags and stray
-// positional arguments are usage errors (the old parser silently accepted both).
-bool ParseArgs(int argc, char** argv, int first, const CommandInfo& cmd, Args* args) {
-  for (int i = first; i < argc; i++) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--", 2) != 0) {
-      std::fprintf(stderr, "snowboard_cli %s: unexpected argument '%s'\n", cmd.name, arg);
-      return false;
-    }
-    std::string key = arg + 2;
-    const FlagInfo* flag = nullptr;
-    for (size_t f = 0; f < cmd.num_flags; f++) {
-      if (key == cmd.flags[f].name) {
-        flag = &cmd.flags[f];
-        break;
-      }
-    }
-    if (flag == nullptr) {
-      std::fprintf(stderr, "snowboard_cli %s: unknown flag --%s\n", cmd.name, key.c_str());
-      return false;
-    }
-    // A flag followed by another flag (or nothing) is valueless: stored as "1"
-    // (--resume; bare --inject-faults means "crash at the first fault point").
-    if (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
-      args->values[key] = "1";
-    } else if (flag->value_name == nullptr) {
-      std::fprintf(stderr, "snowboard_cli %s: flag --%s takes no value\n", cmd.name,
-                   key.c_str());
-      return false;
-    } else {
-      args->values[key] = argv[++i];
-    }
-  }
-  return true;
 }
 
 // RAII tracing session bound to --trace-out: starts the tracer when a path is given and
@@ -241,11 +153,13 @@ int CmdCorpus(const Args& args) {
     std::fprintf(stderr, "corpus: --out is required\n");
     return 2;
   }
-  KernelVm vm;
   CorpusOptions options;
-  options.seed = static_cast<uint64_t>(args.GetInt("seed", 42));
-  options.target_size = static_cast<int>(args.GetInt("size", 80));
-  options.max_iterations = static_cast<int>(args.GetInt("iters", 300));
+  if (!args.GetU64("seed", 42, &options.seed) ||
+      !args.GetInt("size", 80, &options.target_size) ||
+      !args.GetInt("iters", 300, &options.max_iterations)) {
+    return 2;
+  }
+  KernelVm vm;
   std::vector<Program> corpus = CorpusPrograms(BuildCorpus(vm, options));
   if (!WriteStringToFile(out, SerializeCorpus(corpus))) {
     std::fprintf(stderr, "corpus: cannot write %s\n", out);
@@ -334,6 +248,14 @@ int CmdRun(const Args& args) {
     std::fprintf(stderr, "run: unknown strategy (see `snowboard_cli strategies`)\n");
     return 2;
   }
+  PipelineOptions options;
+  uint64_t budget = 0;
+  if (!args.GetU64("seed", 1, &options.seed) || !args.GetU64("budget", 300, &budget) ||
+      !args.GetInt("trials", 24, &options.explorer.num_trials) ||
+      !args.GetInt("workers", 4, &options.num_workers) ||
+      !ApplyDetectorsFlag(args, "run", &options)) {
+    return 2;
+  }
   std::optional<std::string> corpus_text = ReadFileToString(corpus_path);
   std::optional<std::string> pmcs_text = ReadFileToString(pmcs_path);
   if (!corpus_text.has_value() || !pmcs_text.has_value()) {
@@ -351,16 +273,9 @@ int CmdRun(const Args& args) {
   PreparedCampaign campaign;
   campaign.corpus = *corpus;
   campaign.pmcs = *pmcs;
-  PipelineOptions options;
   options.strategy = strategy;
-  options.seed = static_cast<uint64_t>(args.GetInt("seed", 1));
-  options.max_concurrent_tests = static_cast<size_t>(args.GetInt("budget", 300));
-  options.explorer.num_trials = static_cast<int>(args.GetInt("trials", 24));
-  options.num_workers = static_cast<int>(args.GetInt("workers", 4));
+  options.max_concurrent_tests = static_cast<size_t>(budget);
   options.explorer.prune.enabled = args.Has("prune");
-  if (!ApplyDetectorsFlag(args, "run", &options)) {
-    return 2;
-  }
 
   size_t clusters = 0;
   std::vector<ConcurrentTest> tests = GenerateTestsForStrategy(campaign, options, &clusters);
@@ -435,24 +350,28 @@ int CmdCampaign(const Args& args) {
     std::fprintf(stderr, "campaign: unknown strategy (see `snowboard_cli strategies`)\n");
     return 2;
   }
-  spec.seed = static_cast<uint64_t>(args.GetInt("seed", 1));
-  spec.corpus_size = static_cast<int>(args.GetInt("corpus-size", 80));
-  spec.corpus_iters = static_cast<int>(args.GetInt("corpus-iters", 300));
-  spec.budget = static_cast<size_t>(args.GetInt("budget", 300));
-  spec.trials = static_cast<int>(args.GetInt("trials", 24));
-  spec.workers = static_cast<int>(args.GetInt("workers", 4));
-  spec.prune = !args.Has("no-prune");
-  spec.prune_saturation = static_cast<int>(args.GetInt("prune-saturation", 1));
-  if (spec.prune_saturation < 1) {
-    std::fprintf(stderr, "campaign: --prune-saturation must be >= 1\n");
+  uint64_t budget = 0;
+  if (!args.GetU64("seed", 1, &spec.seed) ||
+      !args.GetInt("corpus-size", 80, &spec.corpus_size) ||
+      !args.GetInt("corpus-iters", 300, &spec.corpus_iters) ||
+      !args.GetU64("budget", 300, &budget) || !args.GetInt("trials", 24, &spec.trials) ||
+      !args.GetInt("workers", 4, &spec.workers) ||
+      !args.GetInt("prune-saturation", 1, &spec.prune_saturation)) {
     return 2;
   }
+  spec.budget = static_cast<size_t>(budget);
+  spec.prune = !args.Has("no-prune");
   const char* detector_list = args.Get("detectors", nullptr);
   if (detector_list != nullptr && !ParseDetectorMask(detector_list, &spec.detectors)) {
     std::fprintf(stderr,
                  "campaign: bad --detectors list %s (names: console,race,deadlock,"
                  "lost-wakeup,livelock,all)\n",
                  detector_list);
+    return 2;
+  }
+  // The daemon's admission check: a spec the fleet would refuse does not run here either.
+  if (std::string invalid = CampaignSpecError(spec); !invalid.empty()) {
+    std::fprintf(stderr, "campaign: %s\n", invalid.c_str());
     return 2;
   }
   PipelineOptions options =
@@ -464,9 +383,11 @@ int CmdCampaign(const Args& args) {
   }
 
   FaultInjector::Plan plan;
+  int chance = 1;
+  if (!args.GetU64("fault-seed", 1, &plan.seed) || !args.GetInt("inject-faults", 1, &chance)) {
+    return 2;
+  }
   if (args.Has("inject-faults")) {
-    plan.seed = static_cast<uint64_t>(args.GetInt("fault-seed", 1));
-    long chance = args.GetInt("inject-faults", 1);
     if (chance <= 1) {
       plan.crash_at = 0;  // Bare flag: die at the very first fault point.
     } else {
@@ -558,7 +479,7 @@ int Main(int argc, char** argv) {
     PrintUsage(stdout);
     return 0;
   }
-  const CommandInfo* cmd = FindCommand(command);
+  const CommandInfo* cmd = FindCommand(kCommands, command);
   if (cmd == nullptr) {
     std::fprintf(stderr, "snowboard_cli: unknown command '%s' (try --help)\n",
                  command.c_str());
@@ -574,7 +495,7 @@ int Main(int argc, char** argv) {
     first_flag = 3;
   }
   Args args;
-  if (!ParseArgs(argc, argv, first_flag, *cmd, &args)) {
+  if (!args.Parse("snowboard_cli", argc, argv, first_flag, *cmd)) {
     std::fprintf(stderr, "run `snowboard_cli --help` for the full flag reference\n");
     return 2;
   }

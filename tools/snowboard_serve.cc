@@ -16,31 +16,17 @@
 // same guarantee the crash sweep proves for real kills — and exits 0.
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <map>
 #include <string>
 
 #include "src/snowboard/serve.h"
 #include "src/snowboard/serve_http.h"
 #include "src/util/fs.h"
 #include "src/util/log.h"
+#include "tools/flags.h"
 
 namespace snowboard {
 namespace {
-
-struct FlagInfo {
-  const char* name;        // Without the leading "--".
-  const char* value_name;  // nullptr = boolean flag.
-  const char* help;
-};
-
-struct CommandInfo {
-  const char* name;
-  const char* summary;
-  const FlagInfo* flags;
-  size_t num_flags;
-};
 
 constexpr FlagInfo kServeFlags[] = {
     {"socket", "PATH", "unix socket to listen on (required)"},
@@ -58,77 +44,19 @@ constexpr FlagInfo kRequestFlags[] = {
 };
 
 constexpr CommandInfo kCommands[] = {
-    {"serve", "run the fleet daemon on a unix socket", kServeFlags,
-     sizeof(kServeFlags) / sizeof(kServeFlags[0])},
-    {"request", "send one API request to a running daemon", kRequestFlags,
-     sizeof(kRequestFlags) / sizeof(kRequestFlags[0])},
+    {"serve", "run the fleet daemon on a unix socket", kServeFlags},
+    {"request", "send one API request to a running daemon", kRequestFlags},
 };
 
 void PrintUsage(std::FILE* out) {
   std::fprintf(out, "usage: snowboard_serve <command> [--flag value]...\n");
   std::fprintf(out, "       snowboard_serve --help\n\ncommands:\n");
-  for (const CommandInfo& cmd : kCommands) {
-    std::fprintf(out, "  %-9s %s\n", cmd.name, cmd.summary);
-    for (size_t i = 0; i < cmd.num_flags; i++) {
-      const FlagInfo& flag = cmd.flags[i];
-      std::string left = std::string("--") + flag.name;
-      if (flag.value_name != nullptr) {
-        left += std::string(" ") + flag.value_name;
-      }
-      std::fprintf(out, "    %-24s %s\n", left.c_str(), flag.help);
-    }
-  }
+  PrintCommands(out, kCommands, 9);
   std::fprintf(out,
                "\nexit status: serve: 0 clean drain (SIGTERM, SIGINT, or POST /drain); "
                "1 cannot bind or open the root; 2 usage error.\n"
                "             request: 0 on a 2xx response; 4 on any other response; "
                "1 transport error; 2 usage error.\n");
-}
-
-struct Args {
-  std::map<std::string, std::string> values;
-
-  const char* Get(const std::string& key, const char* fallback) const {
-    auto it = values.find(key);
-    return it == values.end() ? fallback : it->second.c_str();
-  }
-  long GetInt(const std::string& key, long fallback) const {
-    auto it = values.find(key);
-    return it == values.end() ? fallback : std::atol(it->second.c_str());
-  }
-};
-
-bool ParseArgs(int argc, char** argv, int first, const CommandInfo& cmd, Args* args) {
-  for (int i = first; i < argc; i++) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--", 2) != 0) {
-      std::fprintf(stderr, "snowboard_serve %s: unexpected argument '%s'\n", cmd.name, arg);
-      return false;
-    }
-    std::string key = arg + 2;
-    const FlagInfo* flag = nullptr;
-    for (size_t f = 0; f < cmd.num_flags; f++) {
-      if (key == cmd.flags[f].name) {
-        flag = &cmd.flags[f];
-        break;
-      }
-    }
-    if (flag == nullptr) {
-      std::fprintf(stderr, "snowboard_serve %s: unknown flag --%s\n", cmd.name,
-                   key.c_str());
-      return false;
-    }
-    if (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
-      args->values[key] = "1";
-    } else if (flag->value_name == nullptr) {
-      std::fprintf(stderr, "snowboard_serve %s: flag --%s takes no value\n", cmd.name,
-                   key.c_str());
-      return false;
-    } else {
-      args->values[key] = argv[++i];
-    }
-  }
-  return true;
 }
 
 // SIGTERM/SIGINT → graceful drain. The handler only pokes the accept loop's stop flag
@@ -150,9 +78,11 @@ int CmdServe(const Args& args) {
   }
   FleetOptions options;
   options.root = root;
-  options.total_workers = static_cast<int>(args.GetInt("workers", 4));
-  options.max_active = static_cast<int>(args.GetInt("max-active", 4));
-  options.journal_flush_records = static_cast<int>(args.GetInt("journal-flush", 8));
+  if (!args.GetInt("workers", 4, &options.total_workers) ||
+      !args.GetInt("max-active", 4, &options.max_active) ||
+      !args.GetInt("journal-flush", 8, &options.journal_flush_records)) {
+    return 2;
+  }
   FleetServer server(options);
   if (!server.ok()) {
     std::fprintf(stderr, "serve: cannot open fleet root %s\n", root);
@@ -228,13 +158,7 @@ int Main(int argc, char** argv) {
     PrintUsage(stdout);
     return 0;
   }
-  const CommandInfo* cmd = nullptr;
-  for (const CommandInfo& candidate : kCommands) {
-    if (command == candidate.name) {
-      cmd = &candidate;
-      break;
-    }
-  }
+  const CommandInfo* cmd = FindCommand(kCommands, command);
   if (cmd == nullptr) {
     std::fprintf(stderr, "snowboard_serve: unknown command '%s' (try --help)\n",
                  command.c_str());
@@ -242,7 +166,7 @@ int Main(int argc, char** argv) {
   }
   SetLogLevel(LogLevel::kInfo);
   Args args;
-  if (!ParseArgs(argc, argv, 2, *cmd, &args)) {
+  if (!args.Parse("snowboard_serve", argc, argv, 2, *cmd)) {
     std::fprintf(stderr, "run `snowboard_serve --help` for the full flag reference\n");
     return 2;
   }
