@@ -2,34 +2,27 @@
 
 #include <unordered_set>
 
+#include "src/kernel/task.h"
 #include "src/util/log.h"
 
 namespace snowboard {
-
-namespace {
-
-// Sequentially executes `program` from the fixed initial state; returns the trace edges, or
-// nullopt-like empty set + false if the run did not complete (a broken test).
-bool RunSequentialForCoverage(KernelVm& vm, const Program& program, EdgeSet* edges) {
-  vm.RestoreSnapshot();
-  Engine::RunOptions opts;
-  opts.max_instructions = 1'000'000;
-  Engine::RunResult result =
-      vm.engine().Run({MakeProgramRunner(vm.globals(), program, /*task_index=*/0)}, opts);
-  if (!result.completed) {
-    return false;
-  }
-  *edges = CollectEdges(result.trace, /*vcpu=*/0);
-  return true;
-}
-
-}  // namespace
 
 std::vector<CorpusEntry> BuildCorpus(KernelVm& vm, const CorpusOptions& options) {
   std::vector<CorpusEntry> corpus;
   CoverageMap coverage;
   std::unordered_set<uint64_t> seen_programs;
   Generator generator(options.seed);
+
+  // Every candidate runs sequentially from the boot snapshot through one guest closure,
+  // which runs whatever `current` points at, into one recycled result.
+  const Program* current = nullptr;
+  const std::vector<Engine::GuestFn> runner = {[&vm, &current](Ctx& ctx) {
+    TaskEnter(ctx, vm.globals().tasks[0]);
+    RunProgram(ctx, vm.globals(), *current);
+  }};
+  Engine::RunOptions run_opts;
+  run_opts.max_instructions = 1'000'000;
+  Engine::RunResult run;
 
   auto consider = [&](const Program& program) {
     if (static_cast<int>(corpus.size()) >= options.target_size) {
@@ -38,10 +31,13 @@ std::vector<CorpusEntry> BuildCorpus(KernelVm& vm, const CorpusOptions& options)
     if (!seen_programs.insert(program.Hash()).second) {
       return;
     }
-    EdgeSet edges;
-    if (!RunSequentialForCoverage(vm, program, &edges)) {
-      return;
+    vm.RestoreSnapshot();
+    current = &program;
+    vm.engine().RunInto(runner, run_opts, &run);
+    if (!run.completed) {
+      return;  // A broken test.
     }
+    EdgeSet edges = CollectEdges(run.trace, /*vcpu=*/0);
     size_t fresh = coverage.Merge(edges);
     if (fresh == 0) {
       return;  // Redundant behavior: "low overlap" filter.

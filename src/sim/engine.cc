@@ -1,6 +1,8 @@
 #include "src/sim/engine.h"
 
+#include <fpu_control.h>
 #include <sys/mman.h>
+#include <xmmintrin.h>
 
 #include "src/sim/site.h"
 #include "src/util/assert.h"
@@ -14,6 +16,15 @@
 #include <sanitizer/tsan_interface.h>
 #endif
 
+// fiber_switch_x86_64.S.
+extern "C" {
+// Saves the running fiber's registers and stack pointer into `*save_sp`, then resumes the
+// fiber whose saved stack pointer is `load_sp`.
+void sb_fiber_switch(void** save_sp, void* load_sp);
+// The return address of a fresh vCPU's entry frame.
+void sb_fiber_entry();
+}
+
 namespace snowboard {
 
 namespace {
@@ -23,6 +34,21 @@ namespace {
 // memory.
 constexpr size_t kFiberStackBytes = 256 * 1024;
 constexpr size_t kGuardBytes = 4096;
+
+// The frame sb_fiber_switch pops when it first enters a vCPU, lowest address first.
+struct EntryFrame {
+  uint32_t mxcsr = 0;
+  uint16_t x87_control = 0;
+  uint16_t padding = 0;
+  uint64_t r15 = 0;
+  uint64_t r14 = 0;
+  uint64_t r13 = 0;
+  uint64_t r12 = 0;  // Engine::FiberMain, which sb_fiber_entry calls.
+  uint64_t rbx = 0;  // The Engine*, FiberMain's argument.
+  uint64_t rbp = 0;  // Zero: frame-pointer unwinders stop at the fiber's base.
+  void (*return_address)() = nullptr;
+};
+static_assert(sizeof(EntryFrame) == 64, "fiber_switch_x86_64.S pops 64 bytes");
 
 }  // namespace
 
@@ -232,22 +258,24 @@ void Engine::MakeVcpuContexts(int n) {
     fiber.tsan_fiber = __tsan_create_fiber(0);
 #endif
   }
-  const uintptr_t self = reinterpret_cast<uintptr_t>(this);
+  // A vCPU starts with the caller's floating-point control modes.
+  EntryFrame entry;
+  entry.mxcsr = _mm_getcsr();
+  _FPU_GETCW(entry.x87_control);
+  entry.r12 = reinterpret_cast<uintptr_t>(&Engine::FiberMain);
+  entry.rbx = reinterpret_cast<uintptr_t>(this);
+  entry.return_address = &sb_fiber_entry;
   for (int v = 0; v < n; v++) {
     Fiber& fiber = fibers_[static_cast<size_t>(v)];
-    SB_CHECK(getcontext(&fiber.context) == 0);
-    fiber.context.uc_stack.ss_sp = const_cast<void*>(fiber.stack);
-    fiber.context.uc_stack.ss_size = fiber.stack_size;
-    fiber.context.uc_link = nullptr;
-    // makecontext passes int-sized words, so the Engine's address travels in two halves.
-    makecontext(&fiber.context, reinterpret_cast<void (*)()>(&Engine::FiberMain), 2,
-                static_cast<uint32_t>(self >> 32), static_cast<uint32_t>(self));
+    // The stack's top is page-aligned, so sb_fiber_entry starts with rsp 16-byte aligned.
+    char* top = static_cast<char*>(const_cast<void*>(fiber.stack)) + fiber.stack_size;
+    EntryFrame* frame = reinterpret_cast<EntryFrame*>(top) - 1;
+    *frame = entry;
+    fiber.sp = frame;
   }
 }
 
-void Engine::FiberMain(uint32_t engine_hi, uint32_t engine_lo) {
-  reinterpret_cast<Engine*>((uintptr_t{engine_hi} << 32) | engine_lo)->RunActiveVcpu();
-}
+void Engine::FiberMain(Engine* engine) { engine->RunActiveVcpu(); }
 
 void Engine::RunActiveVcpu() {
   const VcpuId vcpu = active_vcpu_;
@@ -278,11 +306,7 @@ void Engine::SwitchFiber(Fiber* from, Fiber* to) {
   __sanitizer_start_switch_fiber(from != nullptr ? &from->asan_fake_stack : nullptr,
                                  to->stack, to->stack_size);
 #endif
-  if (from == nullptr) {
-    setcontext(&to->context);
-    SB_CHECK(false && "setcontext returned");
-  }
-  SB_CHECK(swapcontext(&from->context, &to->context) == 0);
+  sb_fiber_switch(from != nullptr ? &from->sp : &dead_sp_, to->sp);
 #if defined(__SANITIZE_ADDRESS__)
   __sanitizer_finish_switch_fiber(from->asan_fake_stack, nullptr, nullptr);
 #endif

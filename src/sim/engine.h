@@ -8,12 +8,11 @@
 //
 // Each vCPU is a fiber on the calling thread running guest (mini-kernel) code against the
 // shared Memory arena, so exactly one vCPU executes at any instant by construction; every
-// vCPU switch is a direct context switch at a memory-access boundary chosen by the installed
-// Scheduler. The result is fully deterministic given (guest code, scheduler decisions).
+// vCPU switch is a direct register switch (fiber_switch_x86_64.S, no system call) at a
+// memory-access boundary chosen by the installed Scheduler. The result is fully
+// deterministic given (guest code, scheduler decisions).
 #ifndef SRC_SIM_ENGINE_H_
 #define SRC_SIM_ENGINE_H_
-
-#include <ucontext.h>
 
 #include <cstddef>
 #include <cstdint>
@@ -132,8 +131,9 @@ class Engine {
   // in the distributed queue owns its own Engine); not reentrant per instance.
   //
   // Every vCPU runs as a fiber on the calling thread. A vCPU's stack is mapped by the first
-  // run that needs it and reused by every later run, so the trial loop maps nothing. Every
-  // guest stack has unwound when this returns.
+  // run that needs it and reused by every later run; after that, neither a run's setup nor
+  // a vCPU switch makes a system call. Each vCPU keeps its own floating-point control
+  // modes, starting from the caller's. Every guest stack has unwound when this returns.
   RunResult Run(const std::vector<GuestFn>& vcpu_fns, const RunOptions& opts);
 
   // Allocation-free variant for the trial hot loop: recycles `result`'s buffers (trace
@@ -157,7 +157,9 @@ class Engine {
 
   // An execution context: a vCPU, or the thread that called RunInto.
   struct Fiber {
-    ucontext_t context{};
+    // While switched out: the stack pointer sb_fiber_switch saved, which addresses its
+    // register frame (fiber_switch_x86_64.S).
+    void* sp = nullptr;
     // The stack: mapped for a vCPU (a PROT_NONE guard page sits below `stack`); for the
     // caller, learned under ASan only.
     const void* stack = nullptr;
@@ -179,10 +181,10 @@ class Engine {
   void FaultCheck(Ctx& ctx, const Access& access);
 
   // --- Fibers. ---
-  // Maps stacks up to `n` vCPUs and points each vCPU's context at a fresh FiberMain.
+  // Maps stacks up to `n` vCPUs and writes on each an entry frame that starts FiberMain.
   void MakeVcpuContexts(int n);
-  // Entry of every vCPU fiber; `engine_hi`:`engine_lo` is the Engine's address.
-  static void FiberMain(uint32_t engine_hi, uint32_t engine_lo);
+  // Entry of every vCPU fiber.
+  static void FiberMain(Engine* engine);
   // Runs the active vCPU's guest function, marks it finished, names its live successor in
   // active_vcpu_ and switches back to the caller for good.
   [[noreturn]] void RunActiveVcpu();
@@ -213,6 +215,7 @@ class Engine {
 
   Fiber caller_;
   std::vector<Fiber> fibers_;  // Grown to the high-water vCPU count, never shrunk.
+  void* dead_sp_ = nullptr;    // Where a finished vCPU's last switch saves; never loaded.
 };
 
 }  // namespace snowboard

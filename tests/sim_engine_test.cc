@@ -1,6 +1,11 @@
 // Engine tests: serialized execution, tracing, scheduling hooks, faults, RMWs, copies.
 #include <gtest/gtest.h>
+#include <xmmintrin.h>
 
+#include <cfenv>
+#include <cstdio>
+#include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -296,6 +301,130 @@ TEST(EngineTest, ConsoleCapturedPerRun) {
   ASSERT_EQ(r2.console.size(), 1u);
   EXPECT_EQ(r1.console[0], "hello");
   EXPECT_EQ(r2.console[0], "world");
+}
+
+// The rounding mode of both the x87 unit and SSE, or -1 when their control words disagree.
+// MXCSR holds the same two rounding bits three places higher than the x87 control word.
+int RoundingMode() {
+  const int x87 = fegetround();
+  const int sse = static_cast<int>((_mm_getcsr() & _MM_ROUND_MASK) >> 3);
+  return x87 == sse ? x87 : -1;
+}
+
+TEST(EngineTest, FloatingPointControlIsPerVcpu) {
+  ASSERT_EQ(RoundingMode(), FE_TONEAREST);
+  Engine engine(1 << 16);
+  GuestAddr cell = Alloc(engine, 8);
+  AlternatingScheduler scheduler;
+  Engine::RunOptions opts;
+  opts.scheduler = &scheduler;
+  int vcpu0_resumed = 0;
+  int vcpu1_started = 0;
+  Engine::RunResult result = engine.Run(
+      {[&](Ctx& ctx) {
+         fesetround(FE_UPWARD);
+         ctx.Store32(cell, 1, SB_SITE());
+         ctx.Store32(cell, 2, SB_SITE());  // Switches first: vCPU 1 runs, then yields back.
+         vcpu0_resumed = RoundingMode();
+       },
+       [&](Ctx& ctx) {
+         vcpu1_started = RoundingMode();
+         fesetround(FE_DOWNWARD);
+         ctx.Store32(cell, 3, SB_SITE());
+         ctx.Store32(cell, 4, SB_SITE());
+       }},
+      opts);
+  const int caller_after = RoundingMode();
+  fesetround(FE_TONEAREST);
+  EXPECT_TRUE(result.completed);
+  EXPECT_EQ(vcpu1_started, FE_TONEAREST);  // A vCPU starts with the caller's modes.
+  EXPECT_EQ(vcpu0_resumed, FE_UPWARD);
+  EXPECT_EQ(caller_after, FE_TONEAREST);
+}
+
+// Recurses `depth` frames; each frame formats `value` with snprintf (a variadic call with a
+// double, whose prologue spills XMM registers with aligned stores) before a switch point,
+// and counts the results that differ from `expected`.
+int CountMisformats(Ctx& ctx, GuestAddr cell, int depth, double value, const char* expected) {
+  char text[32];
+  std::snprintf(text, sizeof(text), "%.17g", value);
+  ctx.Store32(cell, static_cast<uint32_t>(depth), SB_SITE());
+  int wrong = std::strcmp(text, expected) != 0 ? 1 : 0;
+  if (depth > 0) {
+    wrong += CountMisformats(ctx, cell, depth - 1, value, expected);
+  }
+  return wrong;
+}
+
+TEST(EngineTest, VcpuStacksAreAbiAligned) {
+  constexpr int kDepth = 1000;
+  for (int vcpus : {2, 3}) {
+    Engine engine(1 << 16);
+    GuestAddr cell = Alloc(engine, 8);
+    AlternatingScheduler scheduler;
+    Engine::RunOptions opts;
+    opts.scheduler = &scheduler;
+    std::vector<std::string> expected;
+    std::vector<int> misformats(static_cast<size_t>(vcpus), -1);
+    std::vector<Engine::GuestFn> fns;
+    for (int v = 0; v < vcpus; v++) {
+      const double value = 0.1 * (v + 1);
+      char text[32];
+      std::snprintf(text, sizeof(text), "%.17g", value);
+      expected.emplace_back(text);
+      fns.push_back([&, v, value](Ctx& ctx) {
+        misformats[static_cast<size_t>(v)] =
+            CountMisformats(ctx, cell, kDepth, value, expected[static_cast<size_t>(v)].c_str());
+      });
+    }
+    Engine::RunResult result = engine.Run(fns, opts);
+    EXPECT_TRUE(result.completed) << vcpus << " vCPUs";
+    for (int wrong : misformats) {
+      EXPECT_EQ(wrong, 0) << vcpus << " vCPUs";
+    }
+  }
+}
+
+uint64_t XorShift(uint64_t x) {
+  x ^= x << 13;
+  x ^= x >> 7;
+  x ^= x << 17;
+  return x;
+}
+
+TEST(EngineTest, ManySwitchesKeepCalleeSavedState) {
+  constexpr int kStores = 20'000;
+  Engine engine(1 << 16);
+  GuestAddr cells = Alloc(engine, 16);
+  AlternatingScheduler scheduler;
+  Engine::RunOptions opts;
+  opts.scheduler = &scheduler;
+  uint64_t final_state[2] = {0, 0};
+  auto worker = [&](int v) {
+    return [&, v](Ctx& ctx) {
+      // `state` and `i` live across every Store64, so they sit in callee-saved registers.
+      uint64_t state = 0x9E3779B97F4A7C15ull * static_cast<uint64_t>(v + 1);
+      for (int i = 0; i < kStores; i++) {
+        state = XorShift(state);
+        ctx.Store64(cells + 8 * static_cast<uint32_t>(v), state, SB_SITE());
+      }
+      final_state[v] = state;
+    };
+  };
+  Engine::RunResult result = engine.Run({worker(0), worker(1)}, opts);
+  EXPECT_TRUE(result.completed);
+  for (int v = 0; v < 2; v++) {
+    uint64_t state = 0x9E3779B97F4A7C15ull * static_cast<uint64_t>(v + 1);
+    for (int i = 0; i < kStores; i++) {
+      state = XorShift(state);
+    }
+    EXPECT_EQ(final_state[v], state) << "vCPU " << v;
+  }
+  size_t accesses = 0;
+  for (const Event& e : result.trace) {
+    accesses += e.kind == EventKind::kAccess ? 1 : 0;
+  }
+  EXPECT_EQ(accesses, 2u * kStores);
 }
 
 }  // namespace

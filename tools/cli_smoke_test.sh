@@ -58,6 +58,17 @@ check_exit "unknown strategy exits 2" 2 $?
 bad_corpus="${TMPDIR:-/tmp}/cli_smoke_corpus.$$.txt"
 "$CLI" corpus --out "$bad_corpus" --size abc > /dev/null 2>&1
 check_exit "non-numeric corpus --size exits 2" 2 $?
+# `run` and `corpus` hold their counts to the same floor, before touching any file.
+"$CLI" run --corpus /dev/null --pmcs /dev/null --trials 0 > /dev/null 2>&1
+check_exit "run --trials 0 exits 2" 2 $?
+"$CLI" run --corpus /dev/null --pmcs /dev/null --budget 0 > /dev/null 2>&1
+check_exit "run --budget 0 exits 2" 2 $?
+"$CLI" corpus --out "$bad_corpus" --size 0 > /dev/null 2>&1
+check_exit "corpus --size 0 exits 2" 2 $?
+if [ -e "$bad_corpus" ]; then
+  echo "FAIL: corpus --size 0 wrote $bad_corpus"
+  fails=$((fails + 1))
+fi
 rm -f "$bad_corpus"
 
 # --- replay: usage errors need no corpus. ---

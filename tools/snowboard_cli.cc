@@ -159,6 +159,12 @@ int CmdCorpus(const Args& args) {
       !args.GetInt("iters", 300, &options.max_iterations)) {
     return 2;
   }
+  if (const char* low = options.target_size < 1      ? "--size"
+                        : options.max_iterations < 1 ? "--iters"
+                                                     : nullptr) {
+    std::fprintf(stderr, "corpus: %s must be >= 1\n", low);
+    return 2;
+  }
   KernelVm vm;
   std::vector<Program> corpus = CorpusPrograms(BuildCorpus(vm, options));
   if (!WriteStringToFile(out, SerializeCorpus(corpus))) {
@@ -254,6 +260,13 @@ int CmdRun(const Args& args) {
       !args.GetInt("trials", 24, &options.explorer.num_trials) ||
       !args.GetInt("workers", 4, &options.num_workers) ||
       !ApplyDetectorsFlag(args, "run", &options)) {
+    return 2;
+  }
+  // As the daemon's spec check, except that --workers below 1 means one worker.
+  if (const char* low = options.explorer.num_trials < 1 ? "--trials"
+                        : budget < 1                    ? "--budget"
+                                                        : nullptr) {
+    std::fprintf(stderr, "run: %s must be >= 1\n", low);
     return 2;
   }
   std::optional<std::string> corpus_text = ReadFileToString(corpus_path);
