@@ -68,7 +68,7 @@ KernelGlobals BootKernel(Engine& engine) {
 }
 
 KernelVm::KernelVm() : engine_(1u << 20) {
-  ActiveCounters().vm_boots.fetch_add(1, std::memory_order_relaxed);
+  GlobalPipelineCounters().vm_boots.fetch_add(1, std::memory_order_relaxed);
   globals_ = BootKernel(engine_);
   snapshot_ = engine_.mem().TakeSnapshot();
 }
@@ -80,9 +80,8 @@ void KernelVm::RestoreSnapshot() {
   uint64_t nanos = static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
                                              std::chrono::steady_clock::now() - start)
                                              .count());
-  restore_seconds_ += static_cast<double>(nanos) * 1e-9;
 
-  PipelineCounters& counters = ActiveCounters();
+  PipelineCounters& counters = GlobalPipelineCounters();
   if (stats.full) {
     counters.snapshot_full_restores.fetch_add(1, std::memory_order_relaxed);
   } else {

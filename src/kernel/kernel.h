@@ -86,15 +86,10 @@ class KernelVm {
   // "compiler option") and explore from the patched state.
   void RefreshSnapshot() { snapshot_ = engine_.mem().TakeSnapshot(); }
 
-  // Wall-clock seconds this VM has spent in RestoreSnapshot (diagnostic; the process-wide
-  // aggregate lives in GlobalPipelineCounters().snapshot_restore_nanos).
-  double restore_seconds() const { return restore_seconds_; }
-
  private:
   Engine engine_;
   KernelGlobals globals_;
   Memory::Snapshot snapshot_;
-  double restore_seconds_ = 0;
 };
 
 // Boots the kernel inside `engine` (runs all subsystem init), returning the layout. Used by

@@ -75,7 +75,7 @@ void CheckpointStore::Admit(uint64_t fingerprint, const std::string& strategy, b
   }
   std::optional<std::string> existing = ReadFileContents(guard_path);
   if (resume && existing == guard) {
-    ActiveCounters().checkpoint_loads.fetch_add(1, std::memory_order_relaxed);
+    GlobalPipelineCounters().checkpoint_loads.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   if (resume && existing.has_value()) {
@@ -92,8 +92,8 @@ void CheckpointStore::Admit(uint64_t fingerprint, const std::string& strategy, b
     }
   }
   if (AtomicWriteFile(guard_path, guard, fault_)) {
-    ActiveCounters().checkpoint_writes.fetch_add(1, std::memory_order_relaxed);
-    ActiveCounters().checkpoint_bytes.fetch_add(guard.size(), std::memory_order_relaxed);
+    GlobalPipelineCounters().checkpoint_writes.fetch_add(1, std::memory_order_relaxed);
+    GlobalPipelineCounters().checkpoint_bytes.fetch_add(guard.size(), std::memory_order_relaxed);
   }
 }
 
@@ -135,7 +135,7 @@ bool CheckpointStore::FlushJournalLocked(const std::string& name) const {
         std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() -
                                                              start)
             .count());
-    PipelineCounters& counters = ActiveCounters();
+    PipelineCounters& counters = GlobalPipelineCounters();
     counters.journal_batch_flushes.fetch_add(1, std::memory_order_relaxed);
     counters.journal_batch_records.fetch_add(lines.size(), std::memory_order_relaxed);
     counters.journal_flush_nanos.fetch_add(nanos, std::memory_order_relaxed);

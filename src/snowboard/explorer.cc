@@ -298,7 +298,7 @@ ExploreOutcome RunTrialLoop(KernelVm& vm, const std::vector<const Program*>& pro
       discarded_switches += scheduler.switch_decisions() - attempt_base;
       attempt++;
       outcome.trials_retried++;
-      ActiveCounters().trials_retried.fetch_add(1, std::memory_order_relaxed);
+      GlobalPipelineCounters().trials_retried.fetch_add(1, std::memory_order_relaxed);
       TRACE_INSTANT("explore.trial_retry", static_cast<uint64_t>(trial));
     }
     TRACE_COUNTER("explore.scheduler_switches", scheduler.switch_decisions());

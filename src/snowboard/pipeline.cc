@@ -311,18 +311,13 @@ class CampaignEngine {
   void WorkerLoop(PoolWorker& worker) {
     std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
-      if (crashed_.load(std::memory_order_acquire) || AllDoneLocked()) {
-        return;
-      }
-      if (explore_only_) {
-        // Every remaining item is an explore: stop taking mu_ per claim and drain the
-        // test list with an atomic cursor instead.
-        lock.unlock();
-        DrainExplore(worker);
+      if (crashed_ || AllDoneLocked()) {
         return;
       }
       Item item = ClaimLocked();
       if (item.kind == Kind::kNone) {
+        // Nothing is claimable until another worker resolves a stage, finishes the last
+        // explore item or crashes out; each of those calls notify_all.
         cv_.wait(lock);
         continue;
       }
@@ -344,30 +339,12 @@ class CampaignEngine {
         CrashOut();
         return;
       }
-      // Item boundary: drain this worker's counter shard so the cross-stage restore-time
-      // marks (RestoreNanos reads the global block mid-job) stay item-accurate.
-      FlushCounterShard();
       lock.lock();
-    }
-  }
-
-  // The steady-state explore loop, entered once explore_only_ holds: claim by atomic
-  // fetch_add, no mutex anywhere on the per-test path. Overshooting cursors are harmless —
-  // every claim is bounds-checked, and an index past the list just ends the worker's loop.
-  void DrainExplore(PoolWorker& worker) {
-    for (;;) {
-      if (crashed_.load(std::memory_order_acquire)) {
-        return;
+      if (item.kind == Kind::kExplore && ++explores_done_ == tests_.size()) {
+        // Workers with nothing left to claim are waiting on cv_; without this wake-up they
+        // would sleep past the end of the campaign.
+        cv_.notify_all();
       }
-      size_t index = explore_next_.fetch_add(1, std::memory_order_relaxed);
-      if (index >= tests_.size()) {
-        return;
-      }
-      if (!ExploreClaimed(worker, index)) {
-        CrashOut();
-        return;
-      }
-      FlushCounterShard();  // Item boundary, as in the locked loop.
     }
   }
 
@@ -387,7 +364,7 @@ class CampaignEngine {
       // Replayed from the journal: no VM involved.
       outcomes_[index] = journaled_[index];
       resumed_[index] = 1;
-      ActiveCounters().tests_resumed.fetch_add(1, std::memory_order_relaxed);
+      GlobalPipelineCounters().tests_resumed.fetch_add(1, std::memory_order_relaxed);
     } else {
       std::optional<OutcomeRecord> record = RunOneExploreTest(PoolWorkerVm(worker), index);
       if (!record.has_value()) {
@@ -395,9 +372,6 @@ class CampaignEngine {
       }
       outcomes_[index] = std::move(*record);
     }
-    // No wake-up needed: explore_only_ (set, with a notify, before the last explore can
-    // finish) keeps every worker out of cv_.wait, and each re-checks AllDone on its own.
-    explores_done_.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
 
@@ -446,7 +420,7 @@ class CampaignEngine {
         return std::nullopt;
       }
     }
-    ActiveCounters().concurrent_tests_run.fetch_add(1, std::memory_order_relaxed);
+    GlobalPipelineCounters().concurrent_tests_run.fetch_add(1, std::memory_order_relaxed);
     return record;
   }
 
@@ -477,8 +451,8 @@ class CampaignEngine {
       size_t index = decoded->test_index;
       journaled[index] = std::move(*decoded);
     }
-    ActiveCounters().journal_records_dropped.fetch_add(undecodable + out_of_range,
-                                                       std::memory_order_relaxed);
+    GlobalPipelineCounters().journal_records_dropped.fetch_add(undecodable + out_of_range,
+                                                               std::memory_order_relaxed);
     if (undecodable > 0) {
       SB_LOG(kWarn) << "checkpoint: dropped " << undecodable << " journal record(s) of "
                     << journal_name_ << " that do not decode (written by another record "
@@ -494,7 +468,7 @@ class CampaignEngine {
 
   void CrashOut() {
     std::lock_guard<std::mutex> lock(mu_);
-    crashed_.store(true, std::memory_order_release);
+    crashed_ = true;
     cv_.notify_all();
   }
 
@@ -504,16 +478,6 @@ class CampaignEngine {
       return prepared;
     }
     return prepared && tests_ready_ && explores_done_ == tests_.size();
-  }
-
-  // Caller holds mu_. Once every pre-explore stage has resolved, ClaimLocked can only ever
-  // hand out kExplore items — flag it so workers switch to the lock-free drain. The
-  // notify_all wakes workers parked in cv_.wait so none sleeps through the transition.
-  void UpdateExploreOnlyLocked() {
-    if (!explore_only_ && corpus_done_ && profiles_complete_ && pmcs_done_ && tests_ready_) {
-      explore_only_ = true;
-      cv_.notify_all();
-    }
   }
 
   // Work-claiming priority: cheap unblocking transitions first, then the long-running VM
@@ -550,14 +514,8 @@ class CampaignEngine {
     if (corpus_done_ && profile_next_ < corpus_.size()) {
       return {Kind::kProfile, profile_next_++};
     }
-    if (tests_ready_) {
-      // fetch_add (not load-then-store) because lock-free drainers may be bumping the
-      // cursor concurrently with this locked path during the handover window. A claim past
-      // the end is not an item; the cursor only ever moves forward, so overshoot is safe.
-      size_t index = explore_next_.fetch_add(1, std::memory_order_relaxed);
-      if (index < tests_.size()) {
-        return {Kind::kExplore, index};
-      }
+    if (tests_ready_ && explore_next_ < tests_.size()) {
+      return {Kind::kExplore, explore_next_++};
     }
     return {Kind::kNone, 0};
   }
@@ -602,7 +560,6 @@ class CampaignEngine {
     t_corpus_ = std::chrono::steady_clock::now();
     restore_mark_corpus_ = RestoreNanos();
     TRACE_COUNTER("funnel.corpus_programs", corpus_.size());
-    UpdateExploreOnlyLocked();
     cv_.notify_all();
   }
 
@@ -655,7 +612,6 @@ class CampaignEngine {
     num_partitions_ = num_partitions;
     t_profiles_ = std::chrono::steady_clock::now();
     restore_mark_profiles_ = RestoreNanos();
-    UpdateExploreOnlyLocked();
     cv_.notify_all();
   }
 
@@ -672,7 +628,6 @@ class CampaignEngine {
     t_pmcs_ = std::chrono::steady_clock::now();
     TRACE_COUNTER("funnel.pmcs_identified", pmcs_.size());
     MaybeTestsReadyLocked();
-    UpdateExploreOnlyLocked();
     cv_.notify_all();
   }
 
@@ -696,7 +651,6 @@ class CampaignEngine {
       TRACE_COUNTER("funnel.tests_generated", tests_.size());
     }
     MaybeTestsReadyLocked();
-    UpdateExploreOnlyLocked();
     cv_.notify_all();
   }
 
@@ -730,9 +684,7 @@ class CampaignEngine {
 
   std::mutex mu_;
   std::condition_variable cv_;
-  // Atomic (not mu_-guarded) so the lock-free explore drain can observe a crash raised by
-  // another worker without touching the mutex.
-  std::atomic<bool> crashed_{false};
+  bool crashed_ = false;  // Guarded by mu_, like every claim cursor and done flag below.
 
   // Corpus.
   bool corpus_claimed_ = false;
@@ -770,17 +722,10 @@ class CampaignEngine {
   const PmcMatcher* matcher_ = nullptr;
   std::vector<std::optional<OutcomeRecord>> journaled_;
 
-  // Explore. The claim cursor and done count are atomics so that the steady-state explore
-  // loop — the campaign's hot path once every pre-explore stage has resolved — hands out
-  // work with one uncontended fetch_add instead of a mutex round trip (see DrainExplore).
-  // Each claimed index owns its outcomes_/resumed_ slot exclusively, and the final fold
-  // reads them only after the pool job joins.
-  std::atomic<size_t> explore_next_{0};
-  std::atomic<size_t> explores_done_{0};
-  // True once corpus, profiles, PMCs, and the test list have all resolved: from then on
-  // kExplore items are the only claimable work, so workers leave the locked claim loop for
-  // the lock-free drain. Guarded by mu_; monotonic (never unset).
-  bool explore_only_ = false;
+  // Explore. A claimed index owns its outcomes_/resumed_ slot exclusively, and the final
+  // fold reads the slots only after the pool job joins.
+  size_t explore_next_ = 0;
+  size_t explores_done_ = 0;
   std::vector<std::optional<OutcomeRecord>> outcomes_;
   std::vector<uint8_t> resumed_;
 

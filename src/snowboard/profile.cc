@@ -56,11 +56,11 @@ SequentialProfile ProfileTestCached(KernelVm& vm, const Program& program, int te
   TRACE_SPAN("profile.program", static_cast<uint64_t>(test_id));
   SequentialProfile profile;
   if (options.cache != nullptr && options.cache->Lookup(program, test_id, &profile)) {
-    ActiveCounters().profile_cache_hits++;
+    GlobalPipelineCounters().profile_cache_hits.fetch_add(1, std::memory_order_relaxed);
     return profile;
   }
   if (options.cache != nullptr) {
-    ActiveCounters().profile_cache_misses++;
+    GlobalPipelineCounters().profile_cache_misses.fetch_add(1, std::memory_order_relaxed);
   }
   profile = ProfileTest(vm, program, test_id, options);
   if (options.cache != nullptr) {
@@ -138,7 +138,7 @@ SequentialProfile ProfileTest(KernelVm& vm, const Program& program, int test_id,
   profile.test_id = test_id;
   profile.program = program;
 
-  ActiveCounters().vm_profile_runs++;
+  GlobalPipelineCounters().vm_profile_runs.fetch_add(1, std::memory_order_relaxed);
   vm.RestoreSnapshot();
   Engine::RunOptions opts;
   opts.max_instructions = options.max_instructions;

@@ -63,25 +63,6 @@ bool ParseCallLine(std::istringstream& fields, Call* call) {
   return true;
 }
 
-// Reads one "<label> <value>" line: strict label match, a non-negative value, and no
-// trailing junk.
-bool ParseLabeledUint(std::istream& is, const char* label, uint64_t* value) {
-  std::string line;
-  if (!std::getline(is, line)) {
-    return false;
-  }
-  std::istringstream fields(line);
-  std::string tag;
-  int64_t parsed = -1;
-  std::string extra;
-  fields >> tag >> parsed;
-  if (tag != label || fields.fail() || parsed < 0 || (fields >> extra)) {
-    return false;
-  }
-  *value = static_cast<uint64_t>(parsed);
-  return true;
-}
-
 void SerializePmcSide(std::ostream& os, const PmcSide& side) {
   os << side.addr << ' ' << static_cast<uint32_t>(side.len) << ' ' << side.site << ' '
      << side.value;
@@ -412,43 +393,6 @@ std::string SerializeFindings(const FindingsLog& findings) {
   return os.str();
 }
 
-std::optional<FindingsLog> DeserializeFindings(const std::string& text) {
-  std::istringstream is(text);
-  std::string line;
-  if (!std::getline(is, line) || line != kFindingsHeader) {
-    return std::nullopt;
-  }
-  uint64_t total = 0;
-  uint64_t entries = 0;
-  if (!ParseLabeledUint(is, "total", &total) || !ParseLabeledUint(is, "entries", &entries) ||
-      entries > total) {
-    return std::nullopt;
-  }
-  std::map<int, Finding> first_findings;
-  for (uint64_t i = 0; i < entries; i++) {
-    if (!std::getline(is, line)) {
-      return std::nullopt;
-    }
-    std::istringstream fields(line);
-    std::string tag;
-    std::string extra;
-    Finding finding;
-    fields >> tag;
-    if (tag != "f" || !ReadFinding(fields, &finding) || (fields >> extra)) {
-      return std::nullopt;
-    }
-    if (!first_findings.emplace(finding.issue_id, std::move(finding)).second) {
-      return std::nullopt;  // Duplicate issue id: not a valid first-findings map.
-    }
-  }
-  if (!std::getline(is, line) || line != "endfindings") {
-    return std::nullopt;
-  }
-  FindingsLog log;
-  log.Restore(first_findings, total);
-  return log;
-}
-
 std::string SerializePipelineResult(const PipelineResult& result) {
   std::ostringstream os;
   os << kResultHeader << "\n";
@@ -472,80 +416,6 @@ std::string SerializePipelineResult(const PipelineResult& result) {
   os << SerializeFindings(result.findings);
   os << "endresult\n";
   return os.str();
-}
-
-std::optional<PipelineResult> DeserializePipelineResult(const std::string& text) {
-  std::istringstream is(text);
-  std::string line;
-  if (!std::getline(is, line) || line != kResultHeader) {
-    return std::nullopt;
-  }
-  PipelineResult result;
-  uint64_t value = 0;
-  if (!ParseLabeledUint(is, "corpus_size", &value)) return std::nullopt;
-  result.corpus_size = value;
-  if (!ParseLabeledUint(is, "profiled_ok", &value)) return std::nullopt;
-  result.profiled_ok = value;
-  if (!ParseLabeledUint(is, "shared_accesses", &value)) return std::nullopt;
-  result.shared_accesses = value;
-  if (!ParseLabeledUint(is, "pmc_count", &value)) return std::nullopt;
-  result.pmc_count = value;
-  if (!ParseLabeledUint(is, "total_pmc_pairs", &value)) return std::nullopt;
-  result.total_pmc_pairs = value;
-  if (!ParseLabeledUint(is, "cluster_count", &value)) return std::nullopt;
-  result.cluster_count = value;
-  if (!ParseLabeledUint(is, "tests_generated", &value)) return std::nullopt;
-  result.tests_generated = value;
-  if (!ParseLabeledUint(is, "tests_executed", &value)) return std::nullopt;
-  result.tests_executed = value;
-  if (!ParseLabeledUint(is, "tests_with_bug", &value)) return std::nullopt;
-  result.tests_with_bug = value;
-  if (!ParseLabeledUint(is, "channel_exercised", &value)) return std::nullopt;
-  result.channel_exercised = value;
-  if (!ParseLabeledUint(is, "total_trials", &value)) return std::nullopt;
-  result.total_trials = value;
-  if (!ParseLabeledUint(is, "trials_pruned", &value)) return std::nullopt;
-  result.trials_pruned = value;
-  if (!ParseLabeledUint(is, "tests_saturated", &value)) return std::nullopt;
-  result.tests_saturated = value;
-  if (!ParseLabeledUint(is, "switch_decisions", &value)) return std::nullopt;
-  result.switch_decisions = value;
-  if (!ParseLabeledUint(is, "schedule_switches_orig", &value)) return std::nullopt;
-  result.schedule_switches_orig = value;
-  if (!ParseLabeledUint(is, "schedule_switches_min", &value)) return std::nullopt;
-  result.schedule_switches_min = value;
-  {
-    if (!std::getline(is, line)) {
-      return std::nullopt;
-    }
-    std::istringstream fields(line);
-    std::string tag;
-    std::string hex;
-    std::string extra;
-    fields >> tag >> hex;
-    if (fields.fail() || tag != "pmc_digest" ||
-        !ParseHex16(hex, &result.pmc_table_digest) || (fields >> extra)) {
-      return std::nullopt;
-    }
-  }
-  std::ostringstream findings_text;
-  bool terminated = false;
-  while (std::getline(is, line)) {
-    if (line == "endresult") {
-      terminated = true;
-      break;
-    }
-    findings_text << line << "\n";
-  }
-  if (!terminated) {
-    return std::nullopt;
-  }
-  std::optional<FindingsLog> findings = DeserializeFindings(findings_text.str());
-  if (!findings.has_value()) {
-    return std::nullopt;
-  }
-  result.findings = std::move(*findings);
-  return result;
 }
 
 std::string FormatReplayToken(const ReplayToken& token) {

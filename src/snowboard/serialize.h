@@ -5,9 +5,9 @@
 // "stored on disk and sorted by frequency" — feeds the test workers). These helpers give
 // the same staged workflow (snowboard_cli corpus/identify/run): corpora and PMC sets
 // round-trip through a line-oriented text format that is stable, diffable, and versioned.
-// So do the per-test execute-journal records a crash-safe campaign checkpoints, the final
-// pipeline result (with its findings log) that the fleet daemon commits as a campaign's
-// `done` marker, and the replay tokens findings carry.
+// So do the per-test execute-journal records a crash-safe campaign checkpoints and the
+// replay tokens findings carry. The final pipeline result (with its findings log) is only
+// written: the goldens and the crash sweeps compare its text.
 //
 // Robustness contract shared by every Deserialize*: a wrong or flipped version header,
 // truncation at ANY line boundary, or junk bytes yield nullopt — never a crash, and never
@@ -81,17 +81,15 @@ std::optional<OutcomeRecord> DecodeOutcomeRecord(const std::string& record);
 // --- Findings logs. ---
 
 std::string SerializeFindings(const FindingsLog& findings);
-std::optional<FindingsLog> DeserializeFindings(const std::string& text);
 
 // --- Pipeline results. ---
 // Deterministic campaign outputs only — stage statistics, the PMC-table digest, and the
 // full findings log. Wall-clock timings and resume bookkeeping (tests_resumed,
 // trials_retried) are excluded on purpose: an uninterrupted campaign and one resumed from
 // any crash point must serialize to byte-identical text, and the crash-sweep harness
-// asserts equality on exactly this string.
+// asserts equality on exactly this string. Nothing parses it back.
 
 std::string SerializePipelineResult(const PipelineResult& result);
-std::optional<PipelineResult> DeserializePipelineResult(const std::string& text);
 
 // --- Replay tokens (single-line shippable reproducers; see replay.h). ---
 // Format: "sb-replay-v1 <issue_id> <write_test> <read_test> <trial_seed>

@@ -6,7 +6,6 @@
 
 #include "src/snowboard/checkpoint.h"
 #include "src/snowboard/report_html.h"
-#include "src/snowboard/serialize.h"
 #include "src/util/fs.h"
 #include "src/util/log.h"
 #include "src/util/strings.h"
@@ -19,6 +18,7 @@ constexpr const char* kSpecHeader = "snowboard-campaign-spec-v2";
 // v1 specs carried a `streaming 0|1` engine switch. They stay readable so a fleet root
 // written before v2 re-adopts its campaigns; the key is accepted there and dropped.
 constexpr const char* kSpecHeaderV1 = "snowboard-campaign-spec-v1";
+constexpr const char* kDoneTag = "sb-done-v1";
 
 }  // namespace
 
@@ -160,6 +160,29 @@ const char* CampaignStateName(CampaignState state) {
   return "<unknown>";
 }
 
+std::string FormatDoneMarker(const DoneMarker& marker) {
+  return std::string(kDoneTag) + " " + std::to_string(marker.tests_executed) + " " +
+         std::to_string(marker.findings) + "\n";
+}
+
+std::optional<DoneMarker> ParseDoneMarker(const std::string& text) {
+  // The trailing newline is required, so a cut inside the last count cannot parse as a
+  // smaller one.
+  if (text.empty() || text.back() != '\n') {
+    return std::nullopt;
+  }
+  std::string line = text.substr(0, text.size() - 1);
+  size_t first = line.find(' ');
+  size_t second = first == std::string::npos ? first : line.find(' ', first + 1);
+  DoneMarker marker;
+  if (second == std::string::npos || line.substr(0, first) != kDoneTag ||
+      !ParseU64(line.substr(first + 1, second - first - 1), &marker.tests_executed) ||
+      !ParseU64(line.substr(second + 1), &marker.findings)) {
+    return std::nullopt;
+  }
+  return marker;
+}
+
 // The idle condition variable lives out-of-line so the header needs no <condition_variable>
 // include; one per process is fine because waits re-check per-server predicates.
 namespace {
@@ -228,18 +251,19 @@ void FleetServer::AdoptExisting() {
         campaign->state = CampaignState::kCancelled;
       } else {
         std::optional<std::string> done = ReadFileContents(DirFor(name) + "/done");
-        std::optional<PipelineResult> result;
+        std::optional<DoneMarker> marker;
         if (done.has_value()) {
-          result = DeserializePipelineResult(*done);
+          marker = ParseDoneMarker(*done);
         }
-        if (result.has_value()) {
+        if (marker.has_value()) {
           campaign->state = CampaignState::kDone;
-          campaign->tests_executed = result->tests_executed;
-          campaign->findings = result->findings.first_findings().size();
+          campaign->tests_executed = marker->tests_executed;
+          campaign->findings = marker->findings;
         } else {
-          // Queued, or mid-flight when the previous daemon died: either way the
-          // checkpoint directory holds everything durable and the campaign re-runs with
-          // resume, re-executing only what was never journaled.
+          // Queued, or mid-flight when the previous daemon died, or completed under a
+          // marker that does not parse: the checkpoint directory holds everything durable
+          // and the campaign re-runs with resume, re-executing only what was never
+          // journaled.
           campaign->state = CampaignState::kQueued;
         }
       }
@@ -341,13 +365,14 @@ void FleetServer::OnCampaignFinished(Campaign* campaign,
     // that re-runs (cheaply, fully journaled) and rewrites the same bytes.
     std::string dir = DirFor(campaign->spec.name);
     CampaignReport report = BuildCampaignReport(run_options, result);
+    DoneMarker marker{result.tests_executed, result.findings.first_findings().size()};
     bool committed =
         AtomicWriteFile(dir + "/report.json", RenderReportJson(report), options_.fault) &&
         AtomicWriteFile(dir + "/report.html", RenderReportHtml(report), options_.fault) &&
-        AtomicWriteFile(dir + "/done", SerializePipelineResult(result), options_.fault);
+        AtomicWriteFile(dir + "/done", FormatDoneMarker(marker), options_.fault);
     if (committed) {
-      campaign->tests_executed = result.tests_executed;
-      campaign->findings = result.findings.first_findings().size();
+      campaign->tests_executed = marker.tests_executed;
+      campaign->findings = marker.findings;
       campaign->state = CampaignState::kDone;
     } else if (CheckDeadLocked()) {
       campaign->state = CampaignState::kQueued;  // The next daemon re-adopts and re-runs.
@@ -355,19 +380,21 @@ void FleetServer::OnCampaignFinished(Campaign* campaign,
       campaign->state = CampaignState::kFailed;
       campaign->error = "cannot write campaign report";
     }
-  } else if (CheckDeadLocked() || draining_) {
-    // Daemon death or drain: the campaign goes back to "queued on disk" — in-memory state
-    // says so too, so a status probe during shutdown reports the truth.
+  } else if (CheckDeadLocked()) {
+    // Daemon death: the campaign goes back to "queued on disk" — in-memory state says so
+    // too, so a status probe during shutdown reports the truth.
     campaign->state = CampaignState::kQueued;
   } else if (campaign->cancel_requested) {
-    // Cooperative cancel completed. The marker makes the decision durable; its checkpoint
-    // stays valid and resumable (minus at most one unflushed journal batch, exactly as a
-    // crash would lose).
+    // Cooperative cancel completed, even when a drain landed after it: the cancel was
+    // acknowledged, so the marker makes it durable. The checkpoint stays valid and
+    // resumable (minus at most one unflushed journal batch, exactly as a crash would lose).
     if (!AtomicWriteFile(DirFor(campaign->spec.name) + "/cancelled", "cancelled\n",
                          options_.fault)) {
       CheckDeadLocked();  // Marker write can only fail here by injected daemon death.
     }
     campaign->state = CampaignState::kCancelled;
+  } else if (draining_) {
+    campaign->state = CampaignState::kQueued;  // The next daemon re-adopts and resumes it.
   } else {
     // The stopper crashed without cancel/drain/death: a campaign-level injected fault
     // (not used by the daemon itself, but reachable through custom specs in tests).

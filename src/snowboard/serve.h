@@ -88,6 +88,17 @@ PipelineOptions CampaignPipelineOptions(const CampaignSpec& spec,
                                         int granted_workers,
                                         int journal_flush_records = 8);
 
+// A completed campaign's `done` marker, committed after its report.json: the two totals a
+// re-adopted campaign reports, as the one line "sb-done-v1 <tests_executed> <findings>\n".
+// The parser accepts exactly that line with decimal counts that fit in 64 bits; any other
+// text re-adopts the campaign as queued, as a missing marker does.
+struct DoneMarker {
+  uint64_t tests_executed = 0;
+  uint64_t findings = 0;  // Distinct issues.
+};
+std::string FormatDoneMarker(const DoneMarker& marker);
+std::optional<DoneMarker> ParseDoneMarker(const std::string& text);
+
 // Campaign lifecycle: kQueued -> kRunning -> {kDone, kCancelled} (+ kFailed for specs
 // whose directory cannot be created). Cancel of a queued campaign and drain of a running
 // one re-enter earlier states; see FleetServer.
@@ -133,9 +144,10 @@ struct CampaignStatus {
 class FleetServer {
  public:
   // Opens the root, re-adopts every campaign directory already in it (spec.txt present):
-  // completed ones load their result, cancelled ones keep their marker, everything else —
-  // including campaigns that were mid-flight when the previous daemon died — re-enters the
-  // queue and resumes from its checkpoint. Then starts as many as the budget allows.
+  // completed ones read their totals from the done marker, cancelled ones keep their
+  // marker, everything else — including campaigns that were mid-flight when the previous
+  // daemon died — re-enters the queue and resumes from its checkpoint. Then starts as many
+  // as the budget allows.
   explicit FleetServer(const FleetOptions& options);
   // Drains (below) if the caller has not already.
   ~FleetServer();
@@ -201,8 +213,8 @@ class FleetServer {
     // daemon injector; Kill()ed for cancel/drain/daemon-death.
     FaultInjector stopper;
     std::thread runner;
-    // The completed result's totals (valid when state == kDone); the result itself lives
-    // on disk, in the done marker.
+    // The completed result's totals (valid when state == kDone), as the done marker holds
+    // them; report.json holds the rest of the result.
     size_t tests_executed = 0;
     size_t findings = 0;  // Distinct issues.
     std::string error;

@@ -6,15 +6,8 @@
 // center (40 machine-hours in the paper) and snapshot restore is the Algorithm 2 line-8
 // inner-loop cost, so both are accounted here.
 //
-// Sharded accumulation: the per-trial hot path (one snapshot restore + several counter
-// bumps per trial, on every worker) used to contend on this one global cache line block.
-// Hot sites therefore report through ActiveCounters(): a thread running inside a
-// CounterShardScope accumulates into a thread-local PipelineCounters shard (uncontended —
-// the atomics live on a cache line only that thread touches) which is drained into the
-// global block with plain additions. Addition is commutative, so totals are independent of
-// worker count and flush order — the reason sharding cannot perturb any determinism
-// assertion stated over counter totals. Threads outside any scope (tests, tools, the
-// coordinator) write the global block directly, as before.
+// Workers add into this one block with relaxed atomics, and every total is a sum, so
+// totals depend on neither the worker count nor the order of the adds.
 #ifndef SRC_UTIL_COUNTERS_H_
 #define SRC_UTIL_COUNTERS_H_
 
@@ -71,41 +64,6 @@ struct PipelineCounters {
 
 PipelineCounters& GlobalPipelineCounters();
 void ResetPipelineCounters();  // Zeroes all counters (test/bench isolation).
-
-// The current thread's counter sink: its installed shard, or the global block. Hot paths
-// (restore accounting, per-trial and per-test bumps) report here so that pool workers never
-// touch shared cache lines mid-trial.
-PipelineCounters& ActiveCounters();
-
-// Installs a zeroed thread-local PipelineCounters shard as this thread's ActiveCounters()
-// sink for the scope's lifetime; the destructor drains it into GlobalPipelineCounters().
-// Scopes nest (the inner shard drains into the outer one's view of ActiveCounters — i.e.
-// still the global block, since draining targets the global directly; nesting is allowed
-// but pointless and the inner scope simply shadows the outer). WorkerPool installs one per
-// job instance, so flushed totals are globally visible before WorkerPool::Run returns —
-// every existing read-after-join of the global block keeps observing exact totals.
-class CounterShardScope {
- public:
-  CounterShardScope();
-  ~CounterShardScope();
-
-  CounterShardScope(const CounterShardScope&) = delete;
-  CounterShardScope& operator=(const CounterShardScope&) = delete;
-
-  // Drains the shard's accumulated deltas into the global block mid-scope (zeroing the
-  // shard). The campaign engine calls this at work-item boundaries so cross-stage
-  // diagnostics that read the global block mid-job (restore-time stage attribution) stay
-  // item-accurate.
-  void Flush();
-
- private:
-  PipelineCounters local_;
-  CounterShardScope* previous_;  // Restored on destruction (scopes may nest).
-};
-
-// Flush() on this thread's installed shard; no-op when the thread has none (in which case
-// its counter writes already landed in the global block).
-void FlushCounterShard();
 
 }  // namespace snowboard
 

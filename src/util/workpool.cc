@@ -1,7 +1,6 @@
 #include "src/util/workpool.h"
 
 #include "src/util/assert.h"
-#include "src/util/counters.h"
 
 namespace snowboard {
 
@@ -62,14 +61,7 @@ void WorkerPool::ThreadMain(PoolThread* self) {
     // worker outside the lock, and only while it owns the instance.
     self->worker.index_ = self->assigned_instance;
     lock.unlock();
-    {
-      // Per-instance counter shard: hot-path counter bumps inside the job land on a cache
-      // line only this thread touches. The scope drains into the global block before we
-      // re-take the lock and signal done, so every read-after-Run of the global counters
-      // is exact.
-      CounterShardScope shard;
-      (*job->body)(self->worker);
-    }
+    (*job->body)(self->worker);
     lock.lock();
     self->assigned = nullptr;
     if (--job->remaining == 0) {

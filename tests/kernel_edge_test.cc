@@ -61,7 +61,6 @@ TEST_F(KernelEdgeTest, TwoTunnelsCoexist) {
 }
 
 TEST_F(KernelEdgeTest, WriteSizeWrapsAt4096) {
-  const KernelGlobals& g = vm_.globals();
   vm_.engine().RunSequential([&](Ctx& ctx) {
     Enter(ctx);
     int64_t fd = Sys(ctx, kSysOpen, 0, 0);

@@ -86,14 +86,14 @@ TEST(PipelineDeterminismTest, PairingBaselineResultMatchesGolden) {
   }
 }
 
-// Sharded-merge determinism: per-worker counter shards drain into the global block with
-// commutative additions, so work-proportional counter TOTALS — profiles executed,
-// concurrent tests run, snapshot restores performed — must be exactly equal at any worker
-// count, and the masked report.json (whose deterministic portion embeds the funnel those
-// counters feed) must match its golden. Only totals invariant under scheduling are
-// compared: the full/delta restore SPLIT varies with worker count (each worker VM's first
-// restore is a full one), so the sum is asserted, not the parts.
-TEST(PipelineDeterminismTest, ShardedCounterTotalsAndMaskedReportInvariant) {
+// Counter determinism: workers add into one counter block and every total is a sum, so
+// work-proportional counter TOTALS — profiles executed, concurrent tests run, snapshot
+// restores performed — must be exactly equal at any worker count, and the masked
+// report.json (whose deterministic portion embeds the funnel those counters feed) must
+// match its golden. Only totals invariant under scheduling are compared: the full/delta
+// restore SPLIT varies with worker count (each worker VM's first restore is a full one),
+// so the sum is asserted, not the parts.
+TEST(PipelineDeterminismTest, CounterTotalsAndMaskedReportInvariant) {
   struct Totals {
     uint64_t profile_runs = 0;
     uint64_t tests_run = 0;

@@ -7,6 +7,7 @@
 
 #include "src/fuzz/generator.h"
 #include "src/snowboard/pipeline.h"
+#include "src/snowboard/serialize.h"
 
 namespace snowboard {
 namespace {
@@ -43,6 +44,45 @@ TEST(PipelineEdgeTest, NonPositiveWorkerCountRunsLikeOneWorker) {
     EXPECT_EQ(result.total_trials, golden.total_trials);
     EXPECT_EQ(result.pmc_count, golden.pmc_count);
   }
+}
+
+// Fewer tests than workers: the workers with nothing to claim wait on the engine's
+// condition variable, so a campaign ends only if the worker that finishes the last
+// explore item wakes them. Each run must end with the 1-worker result. Tests run enough
+// trials to outlast the idle workers' trip to the wait, or the campaign could end before
+// any of them waits.
+TEST(PipelineEdgeTest, MoreWorkersThanTestsFinishes) {
+  PipelineOptions base;
+  base.corpus.max_iterations = 10;
+  base.corpus.target_size = 8;
+  base.explorer.num_trials = 40;
+  for (size_t budget : {0, 1, 3}) {
+    SCOPED_TRACE(testing::Message() << "budget=" << budget);
+    PipelineOptions options = base;
+    options.max_concurrent_tests = budget;
+    options.num_workers = 1;
+    PipelineResult one = RunSnowboardPipeline(options);
+    EXPECT_EQ(one.tests_executed, budget);
+    options.num_workers = 8;
+    EXPECT_EQ(SerializePipelineResult(RunSnowboardPipeline(options)),
+              SerializePipelineResult(one));
+  }
+
+  PipelineOptions options = base;
+  options.max_concurrent_tests = 2;
+  PreparedCampaign campaign = PrepareCampaign(options);
+  std::vector<ConcurrentTest> tests = GenerateTestsForStrategy(campaign, options, nullptr);
+  ASSERT_EQ(tests.size(), 2u);
+  PmcMatcher matcher(&campaign.pmcs);
+  auto execute = [&](int workers) {
+    PipelineOptions run = options;
+    run.num_workers = workers;
+    PipelineResult result;
+    ExecuteCampaign(tests, /*use_pmc_hints=*/true, &matcher, run, &result);
+    EXPECT_EQ(result.tests_executed, tests.size());
+    return SerializePipelineResult(result);
+  };
+  EXPECT_EQ(execute(8), execute(1));
 }
 
 TEST(PipelineEdgeTest, ZeroBudgetExecutesNothing) {

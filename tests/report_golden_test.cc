@@ -3,7 +3,7 @@
 // whether the campaign ran on 1, 2, or 4 workers — the determinism-harness bar restated
 // over the report artifact, so CI can diff reports across machines and configurations.
 // The bytes themselves are pinned to tests/corpus/reference-report.golden by
-// PipelineDeterminismTest.ShardedCounterTotalsAndMaskedReportInvariant (replay lane).
+// PipelineDeterminismTest.CounterTotalsAndMaskedReportInvariant (replay lane).
 #include <gtest/gtest.h>
 
 #include <string>

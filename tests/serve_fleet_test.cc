@@ -408,6 +408,88 @@ TEST(ServeFleetTest, DrainedFleetIsReAdoptedAndCompletes) {
   std::filesystem::remove_all(options.root);
 }
 
+// A cancel the daemon has acknowledged survives a drain that lands before the runner has
+// unwound: the directory holds the cancelled marker, and a restarted daemon reports the
+// campaign cancelled and starts nothing.
+TEST(ServeFleetTest, CancelThenDrainKeepsTheCancel) {
+  CampaignSpec spec = TinySpec("cancel-drain", 7, Strategy::kSInsPair, /*workers=*/1);
+  spec.budget = 500;  // Far more work than the test waits for.
+
+  FleetOptions options;
+  options.root = FreshDir("cancel_drain");
+  options.total_workers = 1;
+  options.journal_flush_records = 1;
+  {
+    FleetServer server(options);
+    ASSERT_TRUE(server.ok());
+    std::string error;
+    ASSERT_EQ(server.Submit(spec, &error), FleetRc::kOk) << error;
+    WaitForDurableProgress(server, spec.name);
+    ASSERT_EQ(server.Cancel(spec.name, &error), FleetRc::kOk) << error;
+    server.Drain();
+    std::optional<CampaignStatus> status = server.Status(spec.name);
+    ASSERT_TRUE(status.has_value());
+    EXPECT_EQ(status->state, CampaignState::kCancelled);
+  }
+  EXPECT_TRUE(PathExists(options.root + "/" + spec.name + "/cancelled"))
+      << "an acknowledged cancel must be durable across a drain";
+  {
+    FleetServer server(options);
+    ASSERT_TRUE(server.ok());
+    std::optional<CampaignStatus> status = server.Status(spec.name);
+    ASSERT_TRUE(status.has_value());
+    EXPECT_EQ(status->state, CampaignState::kCancelled);
+    EXPECT_EQ(status->start_sequence, 0u) << "a cancelled campaign must not restart";
+    server.Drain();
+  }
+  std::filesystem::remove_all(options.root);
+}
+
+// Upgrade path: a done marker written before the marker held only its two totals (the
+// whole serialized result) does not parse. The campaign re-adopts as queued, replays every
+// test from its journal, executes none, and rewrites its report and marker.
+TEST(ServeFleetTest, PreChangeDoneMarkerReRunsFromJournal) {
+  CampaignSpec spec = TinySpec("old-done", 7, Strategy::kSInsPair);
+  Golden golden = StandaloneGolden(spec, /*workers=*/2);
+
+  FleetOptions options;
+  options.root = FreshDir("old_done");
+  const std::string done_path = options.root + "/" + spec.name + "/done";
+  CampaignStatus first;
+  {
+    FleetServer server(options);
+    ASSERT_TRUE(server.ok());
+    std::string error;
+    ASSERT_EQ(server.Submit(spec, &error), FleetRc::kOk) << error;
+    server.WaitIdle();
+    first = server.Status(spec.name).value();
+    ASSERT_EQ(first.state, CampaignState::kDone) << first.error;
+    server.Drain();
+  }
+  ASSERT_TRUE(AtomicWriteFile(done_path, golden.result_text));
+
+  ResetPipelineCounters();
+  {
+    FleetServer server(options);
+    ASSERT_TRUE(server.ok());
+    server.WaitIdle();
+    std::optional<CampaignStatus> status = server.Status(spec.name);
+    ASSERT_TRUE(status.has_value());
+    EXPECT_EQ(status->state, CampaignState::kDone) << status->error;
+    EXPECT_EQ(status->start_sequence, 1u) << "the campaign must have re-run";
+    EXPECT_EQ(status->tests_executed, first.tests_executed);
+    EXPECT_EQ(status->findings, first.findings);
+    EXPECT_EQ(MaskedFleetReport(options.root, spec.name), golden.masked_report);
+    EXPECT_EQ(GlobalPipelineCounters().tests_resumed.load(), golden.total_tests);
+    EXPECT_EQ(GlobalPipelineCounters().concurrent_tests_run.load(), 0u);
+    server.Drain();
+  }
+  std::optional<std::string> marker = ReadFileContents(done_path);
+  ASSERT_TRUE(marker.has_value());
+  EXPECT_EQ(*marker, FormatDoneMarker(DoneMarker{first.tests_executed, first.findings}));
+  std::filesystem::remove_all(options.root);
+}
+
 // Upgrade path: a fleet root whose spec.txt predates v2 (header v1, `streaming 0`) is
 // re-adopted on restart and runs to the standalone masked report, not marked failed.
 TEST(ServeFleetTest, V1SpecIsReAdoptedAndCompletes) {
@@ -519,8 +601,8 @@ TEST(ServeFleetTest, DaemonCrashSweepReAdoptsWithZeroReExecution) {
     size_t expected_replayable = 0;
     size_t expected_live = 0;
     for (const CampaignSpec& spec : specs) {
-      std::optional<std::string> done = ReadFileContents(root + "/" + spec.name + "/done");
-      if (done.has_value() && DeserializePipelineResult(*done).has_value()) {
+      // The marker is written atomically, so existing means committed.
+      if (PathExists(root + "/" + spec.name + "/done")) {
         continue;  // Fully committed before the kill: re-adopted as done, never re-run.
       }
       size_t journaled = JournaledTests(root, spec, goldens[spec.name].total_tests);

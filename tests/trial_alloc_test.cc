@@ -23,7 +23,6 @@
 #include "src/fuzz/generator.h"
 #include "src/snowboard/equiv.h"
 #include "src/snowboard/pipeline.h"
-#include "src/util/counters.h"
 #include "src/util/trace.h"
 
 namespace {
@@ -183,21 +182,6 @@ TEST(TrialAllocTest, SteadyStateTrialLoopIsAllocationFree) {
   Tracer::Global().Stop();
   EXPECT_EQ(after - before, 0u)
       << (after - before) << " heap allocations in a traced steady-state trial cycle";
-
-  // The per-worker counter shard the pool installs around every job must not cost heap
-  // either: CounterShardScope is a stack object over a plain counter block, and flushing it
-  // is a loop of atomic adds. This is the aggregation path the multi-core explore loop runs
-  // once per trial batch — prove it rides along allocation-free.
-  {
-    CounterShardScope shard;
-    run_cycle(false);  // Warm-up inside the scope (nothing shard-related should grow anyway).
-    before = AllocationCount();
-    run_cycle(false);
-    FlushCounterShard();
-    after = AllocationCount();
-    EXPECT_EQ(after - before, 0u)
-        << (after - before) << " heap allocations in a sharded-counter trial cycle";
-  }
 
   // Schedule-equivalence pruning rides the same loop: fingerprint every trace, probe the
   // seen-set, record edge sites in the adaptive table the scheduler consults. Once the

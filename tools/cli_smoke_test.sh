@@ -8,7 +8,7 @@
 # optionally pass the replay-token corpus directory (tests/corpus) as $2 to exercise
 # `replay` end to end (success, divergence exit 3), and the snowboard_serve binary as $3
 # for a daemon submit/status/cancel round-trip over a unix socket (drain via POST /drain,
-# daemon exit 0).
+# daemon exit 0), then a second daemon on the same root that must re-adopt both campaigns.
 set -u
 
 CLI="${1:?usage: cli_smoke_test.sh /path/to/snowboard_cli [corpus-dir] [serve-binary]}"
@@ -24,6 +24,11 @@ check_exit() {
   else
     echo "ok: $desc (exit $got)"
   fi
+}
+
+# The totals lines of a campaign status document.
+status_totals() {
+  printf '%s\n' "$1" | grep -E '"(tests_executed|findings)":'
 }
 
 help_out=$("$CLI" --help 2>&1); check_exit "--help exits 0" 0 $?
@@ -173,13 +178,19 @@ if [ -n "$SERVE" ] && [ -x "$SERVE" ]; then
   work="${TMPDIR:-/tmp}/cli_smoke_serve.$$"
   sock="$work/sb.sock"
   mkdir -p "$work/root"
-  "$SERVE" serve --socket "$sock" --root "$work/root" --workers 2 > /dev/null 2>&1 &
-  daemon=$!
-  i=0
-  while [ ! -S "$sock" ] && [ "$i" -lt 100 ]; do i=$((i + 1)); sleep 0.1; done
-  if [ ! -S "$sock" ]; then
-    echo "FAIL: daemon never bound $sock"; fails=$((fails + 1)); kill "$daemon" 2>/dev/null
-  else
+  # Starts a daemon on the fleet root and waits for its socket; false if it never binds.
+  start_daemon() {
+    rm -f "$sock"  # A leftover socket would pass the readiness check before the bind.
+    "$SERVE" serve --socket "$sock" --root "$work/root" --workers 2 > /dev/null 2>&1 &
+    daemon=$!
+    i=0
+    while [ ! -S "$sock" ] && [ "$i" -lt 100 ]; do i=$((i + 1)); sleep 0.1; done
+    if [ ! -S "$sock" ]; then
+      echo "FAIL: daemon never bound $sock"; fails=$((fails + 1)); kill "$daemon" 2>/dev/null
+      return 1
+    fi
+  }
+  if start_daemon; then
     "$SERVE" request --socket "$sock" --path /healthz > /dev/null 2>&1
     check_exit "GET /healthz exits 0" 0 $?
 
@@ -210,6 +221,7 @@ SPEC
       *'"state": "done"'*) echo "ok: smoke-a reached done" ;;
       *) echo "FAIL: smoke-a never reached done"; fails=$((fails + 1)) ;;
     esac
+    a_totals=$(status_totals "$state")
     "$SERVE" request --socket "$sock" --path /campaigns/smoke-a/report 2>/dev/null \
         | grep -q '"schema": "snowboard-report-v1"'
     check_exit "GET report.json exits 0 and is a report" 0 $?
@@ -230,6 +242,31 @@ SPEC
     check_exit "POST /drain exits 0 (202)" 0 $?
     wait "$daemon"
     check_exit "drained daemon exits 0" 0 $?
+
+    # A second daemon on the same root re-adopts both campaigns from their markers:
+    # smoke-a is done with the totals it reported before the drain, and smoke-b stays
+    # cancelled although the drain landed a few milliseconds after its cancel.
+    if start_daemon; then
+      state=$("$SERVE" request --socket "$sock" --path /campaigns/smoke-a 2>/dev/null)
+      case "$state" in
+        *'"state": "done"'*) echo "ok: restarted daemon re-adopts smoke-a as done" ;;
+        *) echo "FAIL: restarted daemon reports smoke-a not done"; fails=$((fails + 1)) ;;
+      esac
+      if [ -z "$a_totals" ] || [ "$(status_totals "$state")" != "$a_totals" ]; then
+        echo "FAIL: smoke-a totals changed across the restart: '$a_totals' then" \
+            "'$(status_totals "$state")'"
+        fails=$((fails + 1))
+      fi
+      state=$("$SERVE" request --socket "$sock" --path /campaigns/smoke-b 2>/dev/null)
+      case "$state" in
+        *'"state": "cancelled"'*) echo "ok: restarted daemon keeps smoke-b cancelled" ;;
+        *) echo "FAIL: restarted daemon reports smoke-b not cancelled"; fails=$((fails + 1)) ;;
+      esac
+      "$SERVE" request --socket "$sock" --method POST --path /drain > /dev/null 2>&1
+      check_exit "POST /drain to the restarted daemon exits 0 (202)" 0 $?
+      wait "$daemon"
+      check_exit "restarted daemon exits 0" 0 $?
+    fi
   fi
   rm -rf "$work"
 else
