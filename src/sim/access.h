@@ -33,10 +33,6 @@ struct Access {
   // paper's ESP-mask stack filter (§4.1.1).
   GuestAddr esp = 0;
 
-  // [addr, addr+len) overlap test.
-  bool Overlaps(const Access& other) const {
-    return addr < other.addr + other.len && other.addr < addr + len;
-  }
   GuestAddr end() const { return addr + len; }
 };
 

@@ -134,8 +134,6 @@ void Ctx::Copy(GuestAddr dst, GuestAddr src, uint32_t len, SiteId read_site,
   }
 }
 
-void Ctx::ExplicitYield() { engine_->Yield(vcpu_, /*record_event=*/true); }
-
 void Ctx::Pause() {
   Engine& e = *engine_;
   e.liveness_.OnPause(vcpu_);
@@ -221,13 +219,11 @@ void Engine::RunInto(const std::vector<GuestFn>& vcpu_fns, const RunOptions& opt
 
   // Each vCPU comes back here once, when it has returned or unwound; resume its successor
   // until none is left.
-  scheduler_->OnTrialStart(n);
   active_vcpu_ = 0;
   while (active_vcpu_ != kInvalidVcpu) {
     SwitchFiber(&caller_, &fibers_[static_cast<size_t>(active_vcpu_)]);
   }
   run_fns_ = nullptr;
-  scheduler_->OnTrialEnd();
 
   result->completed = !abort_;
   result->hang = hang_;
@@ -392,7 +388,6 @@ void Engine::CheckBudgetAndLiveness(Ctx& ctx) {
     AbortTrial(v, /*panic=*/false, "hang: instruction budget exhausted");
   }
   if (!liveness_.IsLive(v)) {
-    scheduler_->OnNotLive(v);
     VcpuId next = NextLiveVcpu(v);
     if (next == kInvalidVcpu) {
       AbortTrial(v, /*panic=*/false, "hang: not live with no runnable partner");
@@ -409,14 +404,9 @@ void Engine::OnAccess(Ctx& ctx, Access& access) {
   VcpuId v = ctx.vcpu_;
   VcpuState& state = vcpus_[static_cast<size_t>(v)];
 
-  // A switch armed by the previous instruction (Algorithm 2: `if switch then yield()`), or a
-  // scheduler decision to preempt before this instruction executes.
-  bool do_switch = state.pending_switch;
-  state.pending_switch = false;
-  if (scheduler_->BeforeAccess(v, access)) {
-    do_switch = true;
-  }
-  if (do_switch) {
+  // A switch armed by the previous instruction (Algorithm 2: `if switch then yield()`).
+  if (state.pending_switch) {
+    state.pending_switch = false;
     Yield(v, /*record_event=*/true);
   }
 
@@ -442,12 +432,8 @@ void Engine::OnRmw(Ctx& ctx, Access& read, const std::function<bool(uint64_t)>& 
   VcpuId v = ctx.vcpu_;
   VcpuState& state = vcpus_[static_cast<size_t>(v)];
 
-  bool do_switch = state.pending_switch;
-  state.pending_switch = false;
-  if (scheduler_->BeforeAccess(v, read)) {
-    do_switch = true;
-  }
-  if (do_switch) {
+  if (state.pending_switch) {
+    state.pending_switch = false;
     Yield(v, /*record_event=*/true);
   }
 

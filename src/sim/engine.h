@@ -73,8 +73,7 @@ class Ctx {
   void Copy(GuestAddr dst, GuestAddr src, uint32_t len, SiteId read_site, SiteId write_site);
 
   // --- Scheduling and events. ---
-  void ExplicitYield();  // Voluntary yield (guest spin loops); records a kYield event.
-  void Pause();          // PAUSE-instruction analog: liveness hint + yield.
+  void Pause();  // PAUSE-instruction analog: liveness hint + yield.
   // `site` (optional) is stored in the event's access.site slot so detectors can name the
   // caller in witnesses (lock-order cycles, missed notifies) instead of the primitive.
   void LockEvent(EventKind kind, GuestAddr lock_addr, SiteId site = kInvalidSite);

@@ -59,9 +59,6 @@ class Memory {
   // before the snapshot is taken.
   GuestAddr StaticAlloc(uint32_t len, uint32_t align = 8);
 
-  // Remaining bytes available to StaticAlloc (diagnostic).
-  uint32_t StaticBytesLeft() const { return size() - static_brk_; }
-
   struct Snapshot {
     std::vector<uint8_t> bytes;
     uint32_t static_brk = 0;

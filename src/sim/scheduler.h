@@ -1,13 +1,11 @@
-// Scheduler interface: the hook surface the engine exposes at every guest memory access.
+// Scheduler interface: the hook the engine consults after every guest memory access.
 //
-// This is the hypervisor-side half of Algorithm 2. The engine serializes vCPUs and consults
-// the installed Scheduler at two points around every access:
-//   - BeforeAccess: the access is about to execute; returning true switches vCPUs *first*
-//     (this is where a pending `switch` from the previous instruction, or SKI's
-//     yield-on-instruction policy, takes effect).
-//   - AfterAccess: the access has executed and been recorded; returning true arms a pending
-//     switch before the current vCPU's next instruction (Algorithm 2's `switch = random()`
-//     after `pmc_access_coming` / `performed_pmc_access`).
+// This is the hypervisor-side half of Algorithm 2. The engine serializes vCPUs and, once an
+// access has executed and been recorded, asks the installed Scheduler's AfterAccess whether
+// to switch. Returning true arms a pending switch that the engine takes before the current
+// vCPU's next instruction (Algorithm 2's `switch = random()` after `pmc_access_coming` /
+// `performed_pmc_access`, then `if switch then yield()`). Every scheduler decides here:
+// Snowboard's PmcScheduler, the random baseline and both SKI schedulers.
 #ifndef SRC_SIM_SCHEDULER_H_
 #define SRC_SIM_SCHEDULER_H_
 
@@ -64,17 +62,8 @@ class Scheduler {
  public:
   virtual ~Scheduler() = default;
 
-  // Trial lifecycle.
-  virtual void OnTrialStart(int num_vcpus) {}
-  virtual void OnTrialEnd() {}
-
-  // Scheduling hooks (see file comment). Default: never switch — sequential execution.
-  virtual bool BeforeAccess(VcpuId vcpu, const Access& access) { return false; }
+  // The scheduling hook (see file comment). Default: never switch — sequential execution.
   virtual bool AfterAccess(VcpuId vcpu, const Access& access) { return false; }
-
-  // The liveness monitor declared `vcpu` not live (§4.4.1 is_live); the engine forces a
-  // switch on its own — this hook is informational.
-  virtual void OnNotLive(VcpuId vcpu) {}
 };
 
 // Runs each vCPU to completion in order, never preempting: used for boot and for sequential

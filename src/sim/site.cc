@@ -65,10 +65,4 @@ std::string SiteName(SiteId id) {
   return os.str();
 }
 
-size_t RegisteredSiteCount() {
-  SiteRegistry& reg = Registry();
-  std::lock_guard<std::mutex> lock(reg.mutex);
-  return reg.table.size();
-}
-
 }  // namespace snowboard

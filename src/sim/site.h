@@ -29,9 +29,6 @@ SiteInfo LookupSite(SiteId id);
 // "function (file:line)" for reports; "<site 0xNN>" if unregistered.
 std::string SiteName(SiteId id);
 
-// Number of registered sites (diagnostic).
-size_t RegisteredSiteCount();
-
 }  // namespace snowboard
 
 // Yields the stable SiteId of this source location. The static local caches the registration

@@ -9,7 +9,6 @@
 #include "src/snowboard/profile.h"
 #include "src/snowboard/replay.h"
 #include "src/snowboard/report.h"
-#include "src/util/counters.h"
 #include "src/util/fault.h"
 #include "src/util/flatmap.h"
 #include "src/util/hash.h"
@@ -134,13 +133,6 @@ void PmcScheduler::AddPmc(const PmcKey& pmc) {
   addr_filter_.Add(pmc.read.addr);
 }
 
-void PmcScheduler::RollbackAttempt() {
-  for (uint64_t flag : flag_journal_) {
-    flags_.Erase(flag);
-  }
-  flag_journal_.clear();
-}
-
 bool PmcScheduler::PerformedPmcAccess(const Access& access) const {
   return pmc_feature_hashes_.Contains(AccessHash(access));
 }
@@ -163,7 +155,6 @@ bool PmcScheduler::AfterAccess(VcpuId vcpu, const Access& access) {
   // are bit-for-bit unchanged. Algorithm 2 line 22 must still run.
   if (!addr_filter_.MayContain(access.addr)) {
     last_access_[vcpu] = access;
-    switch_decisions_ += do_switch ? 1 : 0;
     return do_switch;
   }
 
@@ -177,10 +168,7 @@ bool PmcScheduler::AfterAccess(VcpuId vcpu, const Access& access) {
   if (PerformedPmcAccess(access)) {
     const std::optional<Access>& previous = last_access_[vcpu];
     if (flags_enabled_ && previous.has_value()) {
-      uint64_t flag = AccessHash(*previous);
-      if (flags_.Insert(flag)) {
-        flag_journal_.push_back(flag);
-      }
+      flags_.Insert(AccessHash(*previous));
       addr_filter_.Add(previous->addr);
     }
     if (rng_.Coin()) {
@@ -189,7 +177,6 @@ bool PmcScheduler::AfterAccess(VcpuId vcpu, const Access& access) {
   }
   // Line 22: last_access[current_thread] = access.
   last_access_[vcpu] = access;
-  switch_decisions_ += do_switch ? 1 : 0;
   return do_switch;
 }
 
@@ -236,8 +223,10 @@ ExploreOutcome RunTrialLoop(KernelVm& vm, const std::vector<const Program*>& pro
     vcpu_fns.push_back(MakeProgramRunner(vm.globals(), *programs[i], static_cast<int>(i)));
   }
   // Every trial runs through a recorder so a first-seen finding can be captured with the
-  // exact decision sequence that produced it. The recording buffer keeps its capacity
-  // across trials (SeedTrial clears, not reallocates), preserving the no-alloc steady state.
+  // exact decision sequence that produced it; its switch count is the one count of the
+  // trial's decisions, whichever scheduler it wraps. The recording buffer keeps its
+  // capacity across trials (SeedTrial clears, not reallocates), preserving the no-alloc
+  // steady state.
   RecordingScheduler recorder(&scheduler);
   Engine::RunOptions run_opts;
   run_opts.scheduler = &recorder;
@@ -259,10 +248,6 @@ ExploreOutcome RunTrialLoop(KernelVm& vm, const std::vector<const Program*>& pro
   if (prune) {
     scheduler.set_adaptive_sites(&site_table);
   }
-  const uint64_t switch_base = scheduler.switch_decisions();
-  // Decisions made during discarded hung attempts: subtracted from the outcome so a
-  // retry that succeeds is byte-identical to the attempt never having hung.
-  uint64_t discarded_switches = 0;
   // The trial budget counts EXECUTIONS, exactly as with pruning off — a duplicate trial
   // still spends its slot (it already ran; only its analysis is skipped). The savings come
   // from saturation: K consecutive duplicates end the test early, forfeiting the rest of
@@ -277,31 +262,13 @@ ExploreOutcome RunTrialLoop(KernelVm& vm, const std::vector<const Program*>& pro
     TRACE_SPAN("explore.trial", static_cast<uint64_t>(trial));
     outcome.trials_run++;
 
-    // A hung attempt (real, or injected by the crash-sweep harness) is discarded before
-    // the detectors see it and re-run from the same restored snapshot with the same seed,
-    // so a retry that succeeds is byte-identical to the attempt never having hung: its
-    // switch decisions are subtracted from the outcome and the scheduler un-learns the
-    // flags the attempt recorded (flags feed later decisions in the same run, so a
-    // pre-learned flag would shift the retry's RNG stream off the no-hang baseline).
-    int attempt = 0;
-    for (;;) {
-      const uint64_t attempt_base = scheduler.switch_decisions();
-      scheduler.BeginAttempt();
-      recorder.SeedTrial(options.seed + static_cast<uint64_t>(trial));
-      vm.RestoreSnapshot();
-      vm.engine().RunInto(vcpu_fns, run_opts, &result);
-      bool injected_hang = options.fault != nullptr && options.fault->HangTrial();
-      if ((!result.hang && !injected_hang) || attempt >= options.max_trial_retries) {
-        break;
-      }
-      scheduler.RollbackAttempt();
-      discarded_switches += scheduler.switch_decisions() - attempt_base;
-      attempt++;
-      outcome.trials_retried++;
-      GlobalPipelineCounters().trials_retried.fetch_add(1, std::memory_order_relaxed);
-      TRACE_INSTANT("explore.trial_retry", static_cast<uint64_t>(trial));
-    }
-    TRACE_COUNTER("explore.scheduler_switches", scheduler.switch_decisions());
+    // A trial runs once: the engine is deterministic given the seeded decisions, so a hung
+    // trial would hang again on any re-run, and it goes to the detectors like any other.
+    recorder.SeedTrial(options.seed + static_cast<uint64_t>(trial));
+    vm.RestoreSnapshot();
+    vm.engine().RunInto(vcpu_fns, run_opts, &result);
+    outcome.switch_decisions += recorder.switches();
+    TRACE_COUNTER("explore.scheduler_switches", outcome.switch_decisions);
 
     if (result.hang) {
       outcome.any_hang = true;
@@ -356,7 +323,7 @@ ExploreOutcome RunTrialLoop(KernelVm& vm, const std::vector<const Program*>& pro
       record.trial = trial;
       record.fingerprint = *fingerprint;
       record.schedule = recorder.schedule().ToString();
-      record.orig_switches = static_cast<uint32_t>(recorder.schedule().SwitchCount());
+      record.orig_switches = recorder.switches();
       record.min_switches = record.orig_switches;
       // A classification is a function of the dedup key, so the first trial that reports
       // the target issue is the trial that records it.
@@ -387,7 +354,6 @@ ExploreOutcome RunTrialLoop(KernelVm& vm, const std::vector<const Program*>& pro
     }
   }
 
-  outcome.switch_decisions = scheduler.switch_decisions() - switch_base - discarded_switches;
   if (prune) {
     scheduler.set_adaptive_sites(nullptr);  // The table dies with this test.
   }
@@ -401,11 +367,11 @@ ExploreOutcome RunTrialLoop(KernelVm& vm, const std::vector<const Program*>& pro
       [](const FindingRecord& a, const FindingRecord& b) { return a.kind < b.kind; });
 
   // Shrink each recorded schedule toward the 2-preemption ideal. This runs after the trial
-  // loop so it adds no fault points or hang ordinals (the crash-sweep's point count stays a
-  // function of the campaign shape alone); under an injected crash the partial outcome is
-  // discarded anyway, so the replays are skipped. Each probe is a deterministic replay, so
-  // the minimized schedules — and everything serialized from them — are identical on any
-  // worker count or engine configuration.
+  // loop so it adds no fault points (the crash-sweep's point count stays a function of the
+  // campaign shape alone); under an injected crash the partial outcome is discarded anyway,
+  // so the replays are skipped. Each probe is a deterministic replay, so the minimized
+  // schedules — and everything serialized from them — are identical on any worker count or
+  // engine configuration.
   if (options.minimize_schedules && !outcome.findings.empty() &&
       !(options.fault != nullptr && options.fault->crashed())) {
     // A replay is a pure function of the schedule string (same programs, same snapshot), so

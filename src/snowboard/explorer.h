@@ -9,7 +9,7 @@
 //     thread's PREVIOUS access into `flags` and flips a coin to switch.
 //   * pmc_access_coming — the access matches a `flags` entry, i.e. the PMC access is about
 //     to be performed; coin-flip switch.
-//   * is_live — handled by the engine's liveness monitor (the scheduler is notified).
+//   * is_live — handled by the engine's liveness monitor, which forces the switch itself.
 // At the end of each trial, a different PMC whose read AND write both appeared in the trial
 // may be adopted into current_pmcs (incidental-PMC exploration).
 #ifndef SRC_SNOWBOARD_EXPLORER_H_
@@ -101,21 +101,6 @@ class TrialScheduler : public Scheduler {
  public:
   virtual void SeedTrial(uint64_t seed) {}
 
-  // Trial-attempt transaction. Cross-trial state a scheduler learns DURING a run
-  // (PmcScheduler's flags) must not survive an attempt that gets discarded — a hung
-  // attempt's retry has to be bit-identical to the attempt never having executed, or
-  // retries leak into later trials' decision streams. BeginAttempt opens the journal;
-  // RollbackAttempt un-learns everything the attempt recorded. Stateless-across-trials
-  // schedulers need neither.
-  virtual void BeginAttempt() {}
-  virtual void RollbackAttempt() {}
-
-  // Switch decisions taken since construction (cumulative telemetry — the explorer emits
-  // it as a per-trial trace counter AND records the per-test delta in
-  // ExploreOutcome::switch_decisions, so reports show how actively the scheduler steered).
-  // Derived AfterAccess implementations account into it.
-  uint64_t switch_decisions() const { return switch_decisions_; }
-
   // Adaptive preemption: when a non-null, non-empty table is installed, derived schedulers
   // boost switch probability at sites learned to participate in communication edges (and
   // the random baseline suppresses it elsewhere). Null (the default) leaves every decision
@@ -135,7 +120,6 @@ class TrialScheduler : public Scheduler {
     return adaptive_sites_ != nullptr && !adaptive_sites_->empty();
   }
 
-  uint64_t switch_decisions_ = 0;
   const AdaptiveSiteTable* adaptive_sites_ = nullptr;
 };
 
@@ -154,9 +138,7 @@ class RandomPreemptScheduler : public TrialScheduler {
       period = AdaptiveHot(access.site) ? std::max<uint32_t>(1, period_ / kAdaptiveBoost)
                                         : period_ * kAdaptiveBoost;
     }
-    bool do_switch = rng_.Chance(1, period);
-    switch_decisions_ += do_switch ? 1 : 0;
-    return do_switch;
+    return rng_.Chance(1, period);
   }
 
  private:
@@ -172,8 +154,6 @@ class PmcScheduler : public TrialScheduler {
   void ResetForTest(const PmcKey& initial_pmc);  // current_pmcs = {pmc}; flags = ∅.
   void SeedTrial(uint64_t seed) override;  // random.seed(SEED + trial); last_access = None.
   void AddPmc(const PmcKey& pmc);                // Incidental adoption.
-  void BeginAttempt() override { flag_journal_.clear(); }
-  void RollbackAttempt() override;  // Erase the attempt's journaled flags.
   const std::vector<PmcKey>& current_pmcs() const { return current_pmcs_; }
   size_t flag_count() const { return flags_.size(); }
 
@@ -194,12 +174,6 @@ class PmcScheduler : public TrialScheduler {
   // access address provably belongs to neither PMC sides nor flags (the overwhelmingly
   // common case), skipping the feature hash and both set probes.
   AccessAddrFilter addr_filter_;
-  // Flags newly learned by the current attempt, for RollbackAttempt. Only genuinely new
-  // insertions are journaled, so an erase restores flags_ to the pre-attempt set exactly.
-  // The stale addr_filter_ bit a rollback leaves behind is harmless: the filter is a
-  // conservative prefilter, and a spurious hit falls through to the exact flags_ probe
-  // without touching the RNG stream. Capacity is kept across trials (no-alloc steady state).
-  std::vector<uint64_t> flag_journal_;
   std::optional<Access> last_access_[kMaxTestVcpus];  // One slot per schedulable thread.
   bool flags_enabled_ = true;
   Rng rng_;
@@ -221,14 +195,8 @@ struct ExplorerOptions {
   // keeps exploring (an early ubiquitous finding, the #13 allocator race, would mask rarer
   // bugs in the same test).
   int target_issue = 0;
-  // Hung-trial policy: a trial attempt that trips the liveness monitor (or an injected
-  // hang) is discarded — before detectors see it — and re-run up to this many times, with
-  // the same seed from the same restored snapshot. Retries are counted in
-  // ExploreOutcome::trials_retried; a deterministic real hang exhausts the retries and is
-  // then accepted as before, so results are unchanged — only accounted.
-  int max_trial_retries = 0;
-  // Crash/hang fault-injection hook (crash-sweep harness); nullptr = off. A crash makes
-  // the trial loop unwind immediately with a partial outcome the caller must discard.
+  // Crash fault-injection hook (crash-sweep harness); nullptr = off. A crash makes the
+  // trial loop unwind immediately with a partial outcome the caller must discard.
   FaultInjector* fault = nullptr;
   // Shrink the recorded schedule of every first-seen finding with the delta-debugging
   // minimizer (minimize.h; MinimizeOptions sets the per-finding replay budget) after the
@@ -266,7 +234,6 @@ struct FindingRecord {
 
 struct ExploreOutcome {
   int trials_run = 0;
-  int trials_retried = 0;          // Hung attempts discarded and re-run.
   int trials_pruned = 0;           // Duplicate-fingerprint trials skipped by pruning.
   bool saturated = false;          // Ended early: K consecutive duplicate fingerprints.
   uint64_t switch_decisions = 0;   // Scheduler switch decisions across this test's trials.

@@ -45,9 +45,9 @@ uint64_t OptionsFingerprint(const PipelineOptions& o) {
                  o.corpus.use_seeds, o.pmc.max_keys_per_address, o.pmc.max_pmcs,
                  static_cast<uint64_t>(o.strategy), o.max_concurrent_tests,
                  o.explorer.num_trials, o.explorer.seed, o.explorer.max_instructions,
-                 o.explorer.target_issue, o.explorer.max_trial_retries,
-                 o.explorer.minimize_schedules, o.explorer.detectors,
-                 o.explorer.prune.enabled, o.explorer.prune.saturation_window);
+                 o.explorer.target_issue, o.explorer.minimize_schedules,
+                 o.explorer.detectors, o.explorer.prune.enabled,
+                 o.explorer.prune.saturation_window);
 }
 
 // Opens the campaign's checkpoint store and admits the campaign to it, or returns null
@@ -124,7 +124,6 @@ void FoldExploreOutcomes(const std::vector<std::optional<OutcomeRecord>>& outcom
     const OutcomeRecord& record = *outcomes[i];
     result->tests_executed++;
     result->total_trials += static_cast<uint64_t>(record.trials_run);
-    result->trials_retried += static_cast<uint64_t>(record.trials_retried);
     result->trials_pruned += static_cast<uint64_t>(record.trials_pruned);
     result->switch_decisions += record.switch_decisions;
     if (record.saturated) {
@@ -402,7 +401,6 @@ class CampaignEngine {
     OutcomeRecord record;
     record.test_index = index;
     record.trials_run = outcome.trials_run;
-    record.trials_retried = outcome.trials_retried;
     record.trials_pruned = outcome.trials_pruned;
     record.saturated = outcome.saturated;
     record.switch_decisions = outcome.switch_decisions;

@@ -55,7 +55,7 @@ struct PipelineOptions {
   // resume of a completed campaign replays every test. Without it, the journal is deleted
   // first. Meaningless when checkpoint_dir is empty.
   bool resume = false;
-  // Crash/hang fault-injection hook (crash-sweep harness); nullptr = off. When an injected
+  // Crash fault-injection hook (crash-sweep harness); nullptr = off. When an injected
   // crash fires, the pipeline unwinds at the next fault point of every worker and returns
   // a partial result — only the on-disk checkpoint state is meaningful afterwards.
   FaultInjector* fault = nullptr;
@@ -99,7 +99,9 @@ struct PipelineResult {
   FindingsLog findings;
   // Resume bookkeeping (run-shape dependent; excluded from SerializePipelineResult).
   size_t tests_resumed = 0;      // Outcomes replayed from the execution journal.
-  uint64_t trials_retried = 0;   // Hung-trial retries across all tests.
+  // Always 0: a trial runs once, so nothing retries. Kept because report.json's schema and
+  // the benchmark's `explorer.trials_retried` metric still print it.
+  uint64_t trials_retried = 0;
   // Wall-clock per stage (seconds).
   double corpus_seconds = 0;
   double profile_seconds = 0;

@@ -218,11 +218,6 @@ uint64_t ProjectValue(GuestAddr addr, uint32_t len, uint64_t value, GuestAddr ov
   return shifted & mask;
 }
 
-bool AccessMatchesSide(const SharedAccess& access, const PmcSide& side) {
-  return access.addr == side.addr && access.len == side.len && access.site == side.site &&
-         access.value == side.value;
-}
-
 std::vector<Pmc> IdentifyPmcs(const std::vector<SequentialProfile>& profiles,
                               const PmcIdentifyOptions& options) {
   PmcAccumulator accumulator(options);

@@ -121,9 +121,6 @@ class PmcAccumulator {
 uint64_t ProjectValue(GuestAddr addr, uint32_t len, uint64_t value, GuestAddr ov_start,
                       uint32_t ov_len);
 
-// True if `access` matches `side` exactly on (type-independent) range, site, and value.
-bool AccessMatchesSide(const SharedAccess& access, const PmcSide& side);
-
 }  // namespace snowboard
 
 #endif  // SRC_SNOWBOARD_PMC_H_

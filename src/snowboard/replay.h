@@ -41,30 +41,31 @@ struct RecordedSchedule {
   bool operator==(const RecordedSchedule&) const = default;
 };
 
-// Wraps an inner scheduler, forwarding its decisions while recording them.
+// Wraps an inner scheduler, forwarding its decisions while recording and counting them.
 class RecordingScheduler : public TrialScheduler {
  public:
   explicit RecordingScheduler(TrialScheduler* inner) : inner_(inner) {}
 
   void SeedTrial(uint64_t seed) override {
     schedule_.switch_after.clear();
+    switches_ = 0;
     inner_->SeedTrial(seed);
-  }
-  bool BeforeAccess(VcpuId vcpu, const Access& access) override {
-    return inner_->BeforeAccess(vcpu, access);
   }
   bool AfterAccess(VcpuId vcpu, const Access& access) override {
     bool do_switch = inner_->AfterAccess(vcpu, access);
     schedule_.switch_after.push_back(do_switch);
+    switches_ += do_switch ? 1 : 0;
     return do_switch;
   }
-  void OnNotLive(VcpuId vcpu) override { inner_->OnNotLive(vcpu); }
 
   const RecordedSchedule& schedule() const { return schedule_; }
+  // Switches recorded since the last SeedTrial: schedule().SwitchCount(), kept as it grows.
+  uint32_t switches() const { return switches_; }
 
  private:
   TrialScheduler* inner_;
   RecordedSchedule schedule_;
+  uint32_t switches_ = 0;
 };
 
 // Replays a recorded decision sequence. Past the end of the recording it never switches

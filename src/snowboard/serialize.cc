@@ -19,7 +19,7 @@ constexpr const char* kResultHeader = "snowboard-result-v3";     // v3: prune fu
 constexpr const char* kReplayTokenHeader = "sb-replay-v1";
 // v5: the flat per-test record. Earlier journal records began with a bare test index, so
 // they fail on this first field.
-constexpr const char* kOutcomeRecordTag = "sb-outcome-v5";
+constexpr const char* kOutcomeRecordTag = "sb-outcome-v6";
 
 // Tokens embed a schedule plus two hex programs; anything past this is not a token.
 constexpr size_t kMaxReplayTokenLength = (1 << 20) + 65536;
@@ -314,9 +314,9 @@ std::optional<std::vector<Pmc>> DeserializePmcs(const std::string& text) {
 std::string EncodeOutcomeRecord(const OutcomeRecord& record) {
   std::ostringstream os;
   os << kOutcomeRecordTag << ' ' << record.test_index << ' ' << record.trials_run << ' '
-     << record.trials_retried << ' ' << record.trials_pruned << ' '
-     << (record.saturated ? 1 : 0) << ' ' << record.switch_decisions << ' '
-     << (record.bug_found ? 1 : 0) << ' ' << (record.channel_exercised ? 1 : 0) << ' '
+     << record.trials_pruned << ' ' << (record.saturated ? 1 : 0) << ' '
+     << record.switch_decisions << ' ' << (record.bug_found ? 1 : 0) << ' '
+     << (record.channel_exercised ? 1 : 0) << ' '
      << record.schedule_switches_orig << ' ' << record.schedule_switches_min << ' '
      << record.findings.total_findings() << ' ' << record.findings.first_findings().size();
   for (const auto& [issue_id, finding] : record.findings.first_findings()) {
@@ -348,7 +348,6 @@ std::optional<OutcomeRecord> DecodeOutcomeRecord(const std::string& record) {
   OutcomeRecord out;
   out.test_index = static_cast<size_t>(read(kAny));
   out.trials_run = static_cast<int>(read(kInt));
-  out.trials_retried = static_cast<int>(read(kInt));
   out.trials_pruned = static_cast<int>(read(kInt));
   out.saturated = read(1) == 1;
   out.switch_decisions = static_cast<uint64_t>(read(kAny));

@@ -55,16 +55,15 @@ std::optional<std::vector<Pmc>> DeserializePmcs(const std::string& text);
 // re-executes — so the record stores the classified findings and replay never
 // re-classifies. Everything else the explorer returns (raw reports, captures) dies with
 // the test.
-// Format, one line: "sb-outcome-v5 <test_index> <trials_run> <trials_retried>
-// <trials_pruned> <saturated> <switch_decisions> <bug_found> <channel_exercised>
-// <schedule_switches_orig> <schedule_switches_min> <total> <entries>" then `entries`
-// findings, each "<issue_id> <test_index> <trial> <duplicate> <kind> <evidence-hex|->
-// <token-hex|->" (SerializeFindings' fields), then "end". Each finding's test index must
-// be the record's, and issue ids must be distinct.
+// Format, one line: "sb-outcome-v6 <test_index> <trials_run> <trials_pruned> <saturated>
+// <switch_decisions> <bug_found> <channel_exercised> <schedule_switches_orig>
+// <schedule_switches_min> <total> <entries>" then `entries` findings, each "<issue_id>
+// <test_index> <trial> <duplicate> <kind> <evidence-hex|-> <token-hex|->"
+// (SerializeFindings' fields), then "end". Each finding's test index must be the
+// record's, and issue ids must be distinct.
 struct OutcomeRecord {
   size_t test_index = 0;
   int trials_run = 0;
-  int trials_retried = 0;
   int trials_pruned = 0;
   bool saturated = false;
   uint64_t switch_decisions = 0;

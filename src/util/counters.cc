@@ -22,7 +22,6 @@ void ResetPipelineCounters() {
   counters.concurrent_tests_run = 0;
   counters.tests_resumed = 0;
   counters.journal_records_dropped = 0;
-  counters.trials_retried = 0;
   counters.checkpoint_writes = 0;
   counters.checkpoint_bytes = 0;
   counters.checkpoint_loads = 0;

@@ -50,7 +50,6 @@ struct PipelineCounters {
   // live — but silently dropping them hides real corruption, so they are counted and
   // warned about.
   std::atomic<uint64_t> journal_records_dropped{0};
-  std::atomic<uint64_t> trials_retried{0};        // Hung-trial retries in the explorer.
   std::atomic<uint64_t> checkpoint_writes{0};  // Campaign guards written by admission.
   // Bytes committed to checkpoint directories: each guard, and each journal group commit
   // (lines with their checksum prefix and newline).

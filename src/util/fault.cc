@@ -34,16 +34,6 @@ bool FaultInjector::At(const char* site) {
   return crashed();
 }
 
-bool FaultInjector::HangTrial() {
-  uint64_t ordinal = next_hang_point_.fetch_add(1, std::memory_order_acq_rel);
-  bool hit = static_cast<int64_t>(ordinal) == plan_.hang_at ||
-             SeededChance(plan_.seed, ordinal, /*salt=*/0x2417, plan_.hang_chance);
-  if (hit) {
-    hangs_injected_.fetch_add(1, std::memory_order_acq_rel);
-  }
-  return hit;
-}
-
 void FaultInjector::Kill(const char* site) {
   if (!crashed_.exchange(true, std::memory_order_acq_rel)) {
     // The crash point is wherever the ordinal counter stood when the kill landed — good

@@ -35,10 +35,6 @@ class FaultInjector {
     // Random mode: 1-in-`crash_chance` crash per fault point (0 = off), derived from
     // (seed, ordinal) so a given seed always dies at the same ordinal.
     uint32_t crash_chance = 0;
-    // Hung-trial injection: report the `hang_at`-th trial attempt (separate ordinal
-    // space) as hung (-1 = never), or 1-in-`hang_chance` per attempt.
-    int64_t hang_at = -1;
-    uint32_t hang_chance = 0;
   };
 
   FaultInjector() = default;
@@ -48,9 +44,6 @@ class FaultInjector {
   // work and unwind — either this point was chosen as the crash, or the crash already
   // happened on another thread (a dead process runs nothing anywhere).
   bool At(const char* site);
-
-  // Marks one trial attempt; true = treat the attempt as hung (discard and retry).
-  bool HangTrial();
 
   // Kills the "process" NOW, independent of the plan: every later (and concurrent) At()
   // returns true, so all workers unwind at their next fault point exactly as an injected
@@ -75,14 +68,11 @@ class FaultInjector {
   std::string crash_site() const;
   int64_t crash_point() const { return crash_point_.load(std::memory_order_acquire); }
   uint64_t points_seen() const { return next_point_.load(std::memory_order_acquire); }
-  uint64_t hangs_injected() const { return hangs_injected_.load(std::memory_order_acquire); }
 
  private:
   Plan plan_;
   FaultInjector* parent_ = nullptr;
   std::atomic<uint64_t> next_point_{0};
-  std::atomic<uint64_t> next_hang_point_{0};
-  std::atomic<uint64_t> hangs_injected_{0};
   std::atomic<bool> crashed_{false};
   std::atomic<int64_t> crash_point_{-1};
   mutable std::mutex site_mutex_;

@@ -145,7 +145,6 @@ class FlatSet {
  public:
   bool Insert(Key key) { return map_.Insert(key); }
   bool Contains(Key key) const { return map_.Contains(key); }
-  void Erase(Key key) { map_.Erase(key); }
   size_t size() const { return map_.size(); }
   void Clear() { map_.Clear(); }
 

@@ -38,9 +38,6 @@ class Rng {
   // True with probability 1/2 — the `random()` coin flip in Algorithm 2.
   bool Coin() { return (Next() & 1) != 0; }
 
-  // Uniform double in [0, 1).
-  double NextDouble() { return static_cast<double>(Next() >> 11) * (1.0 / 9007199254740992.0); }
-
  private:
   uint64_t state_;
 };

@@ -9,7 +9,6 @@
 // https://ui.perfetto.dev) plus the flat metrics snapshot in snowboard/metrics.h.
 //
 // Cost model (the zero-allocation trial hot path must not notice tracing):
-//   * Compiled out: with -DSB_TRACE_COMPILED=0 every TRACE_* macro expands to nothing.
 //   * Runtime off (the default): one relaxed atomic load + branch per TRACE_* site.
 //   * Runtime on: one fixed-size record pushed into a preallocated per-thread buffer —
 //     no locks, no allocation (the buffer is sized at thread registration, which the
@@ -31,12 +30,6 @@
 #include <mutex>
 #include <string>
 #include <vector>
-
-// Compile-time master switch: 0 compiles every TRACE_* macro (and their argument
-// evaluation) out of the binary entirely.
-#ifndef SB_TRACE_COMPILED
-#define SB_TRACE_COMPILED 1
-#endif
 
 namespace snowboard {
 
@@ -138,7 +131,7 @@ class Tracer {
 class TraceSpan {
  public:
   explicit TraceSpan(const char* name, uint64_t id = 0) {
-    if (SB_TRACE_COMPILED && Tracer::Active()) {
+    if (Tracer::Active()) {
       Open(name, id);
     }
   }
@@ -167,8 +160,6 @@ void TraceEmitInstant(const char* name, uint64_t id);
 
 }  // namespace snowboard
 
-#if SB_TRACE_COMPILED
-
 #define SB_TRACE_CONCAT_INNER(a, b) a##b
 #define SB_TRACE_CONCAT(a, b) SB_TRACE_CONCAT_INNER(a, b)
 
@@ -192,13 +183,5 @@ void TraceEmitInstant(const char* name, uint64_t id);
       ::snowboard::TraceEmitInstant((name), (id));       \
     }                                                    \
   } while (0)
-
-#else  // !SB_TRACE_COMPILED
-
-#define TRACE_SPAN(...) do {} while (0)
-#define TRACE_COUNTER(name, value) do {} while (0)
-#define TRACE_INSTANT(name, id) do {} while (0)
-
-#endif  // SB_TRACE_COMPILED
 
 #endif  // SRC_UTIL_TRACE_H_

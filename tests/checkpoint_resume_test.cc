@@ -497,26 +497,5 @@ TEST(CheckpointResumeTest, JournalBatchFlushAccountingReconciles) {
   std::filesystem::remove_all(options.checkpoint_dir);
 }
 
-TEST(CheckpointResumeTest, InjectedHangsRetryWithoutChangingResults) {
-  PipelineOptions base_options = TinyOptions(1);
-  std::string golden_text = SerializePipelineResult(RunSnowboardPipeline(base_options));
-
-  PipelineOptions retry_options = TinyOptions(1);
-  retry_options.explorer.max_trial_retries = 2;
-  FaultInjector::Plan plan;
-  plan.seed = 3;
-  plan.hang_chance = 4;  // Roughly every fourth trial attempt reports as hung.
-  FaultInjector fault(plan);
-  retry_options.fault = &fault;
-  ResetPipelineCounters();
-  PipelineResult result = RunSnowboardPipeline(retry_options);
-
-  EXPECT_GT(fault.hangs_injected(), 0u) << "the plan should have injected hangs";
-  EXPECT_GT(result.trials_retried, 0u);
-  EXPECT_EQ(GlobalPipelineCounters().trials_retried.load(), result.trials_retried);
-  EXPECT_EQ(SerializePipelineResult(result), golden_text)
-      << "hung-trial retries must be invisible in deterministic outputs";
-}
-
 }  // namespace
 }  // namespace snowboard

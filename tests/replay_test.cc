@@ -38,6 +38,16 @@ TEST(RecordingSchedulerTest, RecordsInnerDecisions) {
   }
   EXPECT_EQ(recorded, switches);
   EXPECT_GT(switches, 10);  // Period 2: roughly half.
+  // The recorder's count is the switches it returned, and the next trial starts from zero.
+  EXPECT_EQ(recorder.switches(), static_cast<uint32_t>(switches));
+  recorder.SeedTrial(4);
+  EXPECT_EQ(recorder.switches(), 0u);
+  EXPECT_TRUE(recorder.schedule().switch_after.empty());
+  int next_switches = 0;
+  for (int i = 0; i < 10; i++) {
+    next_switches += recorder.AfterAccess(1, access) ? 1 : 0;
+  }
+  EXPECT_EQ(recorder.switches(), static_cast<uint32_t>(next_switches));
 }
 
 TEST(RecordedScheduleTest, FromStringRejectsJunk) {

@@ -84,7 +84,6 @@ OutcomeRecord MakeRecord() {
   OutcomeRecord record;
   record.test_index = 41;
   record.trials_run = 6;
-  record.trials_retried = 2;
   record.trials_pruned = 3;
   record.saturated = true;
   record.switch_decisions = 17;
@@ -192,7 +191,6 @@ TEST(SerializeRobustnessTest, OutcomeRecordRoundTrip) {
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->test_index, 41u);
   EXPECT_EQ(loaded->trials_run, 6);
-  EXPECT_EQ(loaded->trials_retried, 2);
   EXPECT_EQ(loaded->trials_pruned, 3);
   EXPECT_TRUE(loaded->saturated);
   EXPECT_EQ(loaded->switch_decisions, 17u);
@@ -260,36 +258,39 @@ TEST(SerializeRobustnessTest, OutcomeRecordAdversarial) {
   EXPECT_FALSE(decodes(line + " junk")) << "trailing junk";
   EXPECT_FALSE(decodes(line + " end")) << "a second terminator";
   EXPECT_FALSE(decodes(line.substr(line.find(' ') + 1))) << "missing tag";
-  EXPECT_FALSE(decodes(WithField(line, 0, "sb-outcome-v4"))) << "wrong tag";
+  EXPECT_FALSE(decodes(WithField(line, 0, "sb-outcome-v5"))) << "wrong tag";
+  // A record written before the format dropped trials_retried: v5's tag and seven counters.
+  EXPECT_FALSE(decodes(WithField(WithField(line, 0, "sb-outcome-v5"), 2, "6 0")))
+      << "an sb-outcome-v5 record";
   EXPECT_FALSE(decodes("41 " + HexEncode("snowboard-outcome-v4\n") + " 0"))
       << "an earlier-format record fails on its first field";
   EXPECT_FALSE(decodes("complete garbage, not a record"));
 
-  // Fields: 0 tag, 1 test index, 2-4 trials run/retried/pruned, 5 saturated, 6 switch
-  // decisions, 7 bug found, 8 channel exercised, 9-10 schedule switches, 11 total,
-  // 12 entries; then seven per finding (issue ids 0, 1, 11 in map order): issue id,
-  // test index, trial, duplicate, kind, evidence, token; then "end".
+  // Fields: 0 tag, 1 test index, 2-3 trials run/pruned, 4 saturated, 5 switch decisions,
+  // 6 bug found, 7 channel exercised, 8-9 schedule switches, 10 total, 11 entries; then
+  // seven per finding (issue ids 0, 1, 11 in map order): issue id, test index, trial,
+  // duplicate, kind, evidence, token; then "end".
   struct Case {
     size_t field;
     const char* value;
     const char* what;
   };
   for (const Case& c : std::vector<Case>{
-           {12, "4", "inflated finding count"},
-           {11, "2", "more entries than the total"},
-           {11, "-1", "negative total"},
+           {11, "4", "inflated finding count"},
+           {10, "2", "more entries than the total"},
+           {10, "-1", "negative total"},
            {2, "-1", "negative trial count"},
            {2, "4294967296", "trial count past int"},
-           {5, "2", "saturated flag outside {0,1}"},
-           {7, "2", "bug flag outside {0,1}"},
-           {8, "-1", "channel flag outside {0,1}"},
-           {20, "0", "duplicate issue id"},
-           {21, "40", "a finding of another test"},
-           {16, "2", "duplicate-input flag outside {0,1}"},
-           {17, "6", "kind above 5"},
-           {17, "-1", "negative kind"},
-           {25, "abc", "odd-length evidence hex"},
-           {26, "ZZ", "non-hex token"},
+           {4, "2", "saturated flag outside {0,1}"},
+           {6, "2", "bug flag outside {0,1}"},
+           {7, "-1", "channel flag outside {0,1}"},
+           {19, "0", "duplicate issue id"},
+           {20, "40", "a finding of another test"},
+           {15, "2", "duplicate-input flag outside {0,1}"},
+           {16, "6", "kind above 5"},
+           {16, "-1", "negative kind"},
+           {24, "abc", "odd-length evidence hex"},
+           {25, "ZZ", "non-hex token"},
        }) {
     EXPECT_FALSE(decodes(WithField(line, c.field, c.value))) << c.what;
   }

@@ -67,6 +67,29 @@ TEST(SkiPctSchedulerTest, DifferentSeedsDifferentSchedules) {
   EXPECT_NE(decisions_a, decisions_b);
 }
 
+TEST(SkiPctSchedulerTest, ExploreCountsItsSwitches) {
+  // The explorer counts a test's switch decisions whichever scheduler makes them, so a SKI
+  // run's total covers at least the switches recorded by each of its findings' trials.
+  KernelVm vm;
+  std::vector<Program> seeds = SeedPrograms();
+  ConcurrentTest test;
+  test.writer = seeds[0];
+  test.reader = seeds[1];
+  test.write_test = 0;
+  test.read_test = 1;
+  ExplorerOptions options;
+  options.num_trials = 8;
+  SkiPctScheduler scheduler(3, 64);
+  ExploreOutcome outcome =
+      ExploreWithScheduler(vm, test, scheduler, /*check_channel=*/false, options);
+  EXPECT_EQ(outcome.trials_run, 8);
+  EXPECT_GT(outcome.switch_decisions, 0u);
+  ASSERT_FALSE(outcome.findings.empty());
+  for (const FindingRecord& record : outcome.findings) {
+    EXPECT_GE(outcome.switch_decisions, record.orig_switches) << record.evidence;
+  }
+}
+
 TEST(SkiComparisonTest, SnowboardExposesL2tpFasterThanSki) {
   // The §5.4 headline: PMC hints need far fewer interleavings than SKI's unguided search.
   KernelVm vm;

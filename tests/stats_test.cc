@@ -93,14 +93,12 @@ TEST(StatsTest, ResetZeroesResumeAndCheckpointCounters) {
   PipelineCounters& counters = GlobalPipelineCounters();
   counters.concurrent_tests_run.fetch_add(3);
   counters.tests_resumed.fetch_add(2);
-  counters.trials_retried.fetch_add(5);
   counters.checkpoint_writes.fetch_add(1);
   counters.checkpoint_bytes.fetch_add(128);
   counters.checkpoint_loads.fetch_add(4);
   ResetPipelineCounters();
   EXPECT_EQ(counters.concurrent_tests_run.load(), 0u);
   EXPECT_EQ(counters.tests_resumed.load(), 0u);
-  EXPECT_EQ(counters.trials_retried.load(), 0u);
   EXPECT_EQ(counters.checkpoint_writes.load(), 0u);
   EXPECT_EQ(counters.checkpoint_bytes.load(), 0u);
   EXPECT_EQ(counters.checkpoint_loads.load(), 0u);
@@ -127,7 +125,6 @@ TEST(StatsTest, CheckpointedPipelineReportsCountersAndResultFields) {
   EXPECT_EQ(counters.concurrent_tests_run.load(), result.tests_executed);
   EXPECT_EQ(counters.tests_resumed.load(), 0u);
   EXPECT_EQ(result.tests_resumed, 0u);
-  EXPECT_EQ(result.trials_retried, counters.trials_retried.load());
   EXPECT_GT(counters.checkpoint_writes.load(), 0u);
   // Every committed byte counts: the guard and each journal group commit.
   uintmax_t on_disk = 0;

@@ -3,14 +3,14 @@
 // This binary replaces the global operator new/delete with counting forwarders (which is
 // why it is built as its own test executable, separate from sb_tests) and asserts that the
 // distilled Algorithm 2 trial loop — restore snapshot, run both guest programs under the
-// PMC scheduler, run the detectors, walk their findings through the per-kind first-seen
-// sets, search for incidental PMCs and adopt one — performs ZERO heap allocations once
-// warmed up.
+// PMC scheduler wrapped in the schedule recorder, run the detectors, walk their findings
+// through the per-kind first-seen sets, search for incidental PMCs and adopt one —
+// performs ZERO heap allocations once warmed up.
 //
 // Warm-up cycles the exact seed set that is later measured: identical seeds produce
 // identical traces, so every recycled buffer (trace storage, detector scratch, engine
-// per-run state, scheduler PMC and flag sets, search stamps) reaches its high-water
-// capacity during warm-up and the measured cycle has nothing left to grow.
+// per-run state, scheduler PMC and flag sets, recorded schedule, search stamps) reaches
+// its high-water capacity during warm-up and the measured cycle has nothing left to grow.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -23,6 +23,7 @@
 #include "src/fuzz/generator.h"
 #include "src/snowboard/equiv.h"
 #include "src/snowboard/pipeline.h"
+#include "src/snowboard/replay.h"
 #include "src/util/trace.h"
 
 namespace {
@@ -69,7 +70,9 @@ TEST(TrialAllocTest, SteadyStateTrialLoopIsAllocationFree) {
   std::array<FlatSet<uint64_t>, kFindingKindCount> seen_findings;
   size_t findings_walked = 0;
   PmcScheduler scheduler;
-  opts.scheduler = &scheduler;
+  // Every trial runs through a recorder, as in RunTrialLoop: it logs every access.
+  RecordingScheduler recorder(&scheduler);
+  opts.scheduler = &recorder;
   std::vector<Engine::GuestFn> fns;
 
   // Incidental-PMC adoption state, as RunTrialLoop holds it for one test: the matcher is
@@ -89,8 +92,8 @@ TEST(TrialAllocTest, SteadyStateTrialLoopIsAllocationFree) {
   AdaptiveSiteTable site_table;
 
   // One test's trial loop, distilled from RunTrialLoop: reset the scheduler to the test's
-  // PMC, then per trial open the attempt's flag journal, restore, run, (fingerprint and
-  // skip a duplicate,) detect, probe each finding's first-seen set, search for incidental
+  // PMC, then per trial seed the recorder, restore, run, (fingerprint and skip a
+  // duplicate,) detect, probe each finding's first-seen set, search for incidental
   // PMCs and adopt one. Returns true when every trial ran clean.
   auto run_cycle = [&](bool prune) {
     scheduler.ResetForTest(pmcs[0].key);
@@ -105,8 +108,7 @@ TEST(TrialAllocTest, SteadyStateTrialLoopIsAllocationFree) {
     }
     bool clean = true;
     for (uint64_t s = 0; s < kTrialSeeds; s++) {
-      scheduler.BeginAttempt();
-      scheduler.SeedTrial(2021 + s);
+      recorder.SeedTrial(2021 + s);
       vm.RestoreSnapshot();
       vm.engine().RunInto(fns, opts, &result);
       if (prune) {
