@@ -41,9 +41,8 @@ struct Program {
   bool operator==(const Program&) const = default;
 
   // Stable content hash over the full call list (length-seeded, so a program and its
-  // extension never share an intermediate state). Used for corpus dedup, deterministic ids,
-  // and as the ProfileCache key — cache consumers must still compare with operator== since
-  // 64 bits cannot guarantee injectivity.
+  // extension never share an intermediate state). Used for corpus dedup and deterministic
+  // ids; 64 bits cannot guarantee injectivity, so equality still needs operator==.
   uint64_t Hash() const;
   // Syzkaller-style rendering: "r0 = socket(0x2, 0x1)\nconnect(r0, 0x3)".
   std::string Format() const;

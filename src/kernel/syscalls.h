@@ -48,7 +48,7 @@ enum Syscall : uint32_t {
 };
 
 // The generator's draw vocabulary, frozen at the pre-port/mount table size so every seeded
-// corpus, profile cache entry, and checked-in replay token stays byte-identical. Grow this
+// corpus, profile, and checked-in replay token stays byte-identical. Grow this
 // only with a deliberate corpus regeneration.
 inline constexpr uint32_t kNumFuzzSyscalls = 24;
 static_assert(kNumFuzzSyscalls <= kNumSyscalls);

@@ -61,8 +61,9 @@ MetricsSnapshot CollectCampaignMetrics(const PipelineOptions& options,
   add("run.execute_restore_seconds", result.execute_restore_seconds);
   add("run.tests_resumed", static_cast<double>(result.tests_resumed));
   add("run.vm_profile_runs", counter(counters.vm_profile_runs));
-  add("run.profile_cache_hits", counter(counters.profile_cache_hits));
-  add("run.profile_cache_misses", counter(counters.profile_cache_misses));
+  // Always 0: nothing caches profiles. Kept because snowboard-report-v1 prints them.
+  add("run.profile_cache_hits", 0);
+  add("run.profile_cache_misses", 0);
   add("run.snapshot_full_restores", counter(counters.snapshot_full_restores));
   add("run.snapshot_delta_restores", counter(counters.snapshot_delta_restores));
   add("run.snapshot_restored_bytes", counter(counters.snapshot_restored_bytes));

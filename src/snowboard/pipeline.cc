@@ -42,8 +42,7 @@ bool Dead(const PipelineOptions& options) {
 // and must be discarded.
 uint64_t OptionsFingerprint(const PipelineOptions& o) {
   return HashAll(o.seed, o.corpus.seed, o.corpus.max_iterations, o.corpus.target_size,
-                 o.corpus.use_seeds, o.pmc.max_keys_per_address, o.pmc.max_pmcs,
-                 static_cast<uint64_t>(o.strategy), o.max_concurrent_tests,
+                 o.corpus.use_seeds, static_cast<uint64_t>(o.strategy), o.max_concurrent_tests,
                  o.explorer.num_trials, o.explorer.seed, o.explorer.max_instructions,
                  o.explorer.target_issue, o.explorer.minimize_schedules,
                  o.explorer.detectors, o.explorer.prune.enabled,
@@ -149,16 +148,14 @@ void FoldExploreOutcomes(const std::vector<std::optional<OutcomeRecord>>& outcom
 // Runs a campaign as one pool job over a dependency DAG of work items instead of a
 // sequence of stage barriers:
 //
-//   corpus ──► profile[i] ──► fold (in corpus order) ──► finish ──► scan[p] ──► merge
-//      │                                                                         │
-//      └────────────► generate (baselines)            generate (PMC) ◄───────────┘
-//                          │                                │
-//                          └──────────► explore[t] ◄────────┘
+//   corpus ──► profile[i] ──► identify ──► generate (PMC) ─────┐
+//      │                                                       ├──► explore[t]
+//      └──────────────────────────────► generate (baselines) ──┘
 //
-// Workers claim whatever is runnable; completed profiles fold into the PmcAccumulator
-// while the profile tail is still executing, and exploration starts the moment the test
-// list (and, for PMC strategies, the matcher) resolves — for the pairing baselines that
-// genuinely overlaps the profile tail.
+// Workers claim whatever is runnable. Identification runs once, over every profile, when
+// the last profile lands; exploration starts the moment the test list (and, for PMC
+// strategies, the matcher) resolves — for the pairing baselines that genuinely overlaps
+// the profile tail.
 //
 // Two entries share the one DAG. From the corpus: RunSnowboardPipeline runs it through
 // exploration and PrepareCampaign stops once the PMC table resolves. From the explore
@@ -168,18 +165,18 @@ void FoldExploreOutcomes(const std::vector<std::optional<OutcomeRecord>>& outcom
 // executed test appends its outcome to the journal, and a resume replays the journaled
 // outcomes instead of re-executing their tests.
 //
-// Determinism comes from pinned fold orders, not from the schedule: profiles fold strictly
-// in corpus-index order (single folder at a time, advancing over the completed prefix),
-// partition scans write partition-exclusive slices merged in partition order, and explore
-// outcomes land in per-test slots folded in index order. The scheduling freedom the DAG
-// adds therefore never reaches a deterministic output, which the checked-in goldens under
-// tests/corpus/ lock in at 1/2/4/8 workers.
+// Determinism comes from slots, not from the schedule: profile i and explore outcome t
+// land in their own slots, identification reads the profile slots in corpus order, and the
+// outcomes fold in index order. The scheduling freedom the DAG adds therefore never
+// reaches a deterministic output, which the checked-in goldens under tests/corpus/ lock in
+// at 1/2/4/8 workers.
 //
 // Fault injection: claiming a pre-explore item passes the "pool.claim" fault point,
 // executing an explore item passes "execute.claim" (once per executed test, never per
-// claim attempt), and explorer trials pass their own sites inside the explorer.
-// An injected crash flips `crashed_`; every worker unwinds at its next claim, exactly as a
-// SIGKILL would.
+// claim attempt), and explorer trials pass their own sites inside the explorer. Every
+// item is claimed exactly once, so a campaign's fault-point total is the same at every
+// worker count. An injected crash flips `crashed_`; every worker unwinds at its next
+// claim, exactly as a SIGKILL would.
 class CampaignEngine {
  public:
   // How far Run() takes the DAG.
@@ -195,8 +192,7 @@ class CampaignEngine {
         store_(store),
         goal_(goal),
         use_pmc_(StrategyUsesPmcs(options.strategy)),
-        journal_name_(std::string("execute.") + StrategyName(options.strategy)),
-        accumulator_(options.pmc) {
+        journal_name_(std::string("execute.") + StrategyName(options.strategy)) {
     t_start_ = std::chrono::steady_clock::now();
     t_corpus_ = t_profiles_ = t_pmcs_ = t_tests_ = t_start_;
     restore_mark_corpus_ = restore_mark_profiles_ = restore_mark_tests_ = RestoreNanos();
@@ -210,7 +206,7 @@ class CampaignEngine {
     start_at_explore_ = true;
     use_pmc_ = use_pmc_hints;
     matcher_ = matcher;
-    corpus_done_ = profiles_complete_ = pmcs_done_ = true;
+    corpus_done_ = identify_claimed_ = pmcs_done_ = true;
     TestsResolvedLocked(GeneratedTests{tests, 0});
   }
 
@@ -285,14 +281,11 @@ class CampaignEngine {
  private:
   enum class Kind {
     kNone,
-    kCorpus,          // Build the corpus.
-    kProfile,         // Profile corpus[arg].
-    kFold,            // Fold completed profiles into the accumulator, in corpus order.
-    kFinishProfiles,  // Seal + partition the access index.
-    kScan,            // Overlap-scan partition arg.
-    kMergePmcs,       // Merge partition slices into the PMC table.
-    kGenerate,        // Cluster/select (or pair) the test list, build replay table.
-    kExplore,         // Execute (or replay) test arg.
+    kCorpus,    // Build the corpus.
+    kProfile,   // Profile corpus[arg].
+    kIdentify,  // Identify the PMC table over every profile.
+    kGenerate,  // Cluster/select (or pair) the test list, build replay table.
+    kExplore,   // Execute (or replay) test arg.
   };
   struct Item {
     Kind kind = Kind::kNone;
@@ -321,16 +314,10 @@ class CampaignEngine {
         continue;
       }
       lock.unlock();
-      // Claiming real pre-explore work is a "pool.claim" kill point. The coordination
-      // items (fold / finish / merge) are deliberately NOT fault points: how many times
-      // they are claimed depends on thread timing, and the crash-sweep harness needs the
-      // campaign's total fault-point count to be deterministic. Like every pre-explore
-      // item they commit nothing, so a crash inside one leaves the same disk state as a
-      // crash at the next counted point.
+      // Claiming a pre-explore item is a "pool.claim" kill point (an explore item passes
+      // "execute.claim" in ExploreClaimed instead).
       FaultInjector* fault = options_.fault;
-      bool countable_claim = item.kind == Kind::kCorpus || item.kind == Kind::kProfile ||
-                             item.kind == Kind::kScan || item.kind == Kind::kGenerate;
-      if (fault != nullptr && countable_claim && fault->At("pool.claim")) {
+      if (fault != nullptr && item.kind != Kind::kExplore && fault->At("pool.claim")) {
         CrashOut();
         return;
       }
@@ -471,7 +458,7 @@ class CampaignEngine {
   }
 
   bool AllDoneLocked() const {
-    bool prepared = corpus_done_ && profiles_complete_ && pmcs_done_;
+    bool prepared = corpus_done_ && pmcs_done_;
     if (goal_ == Goal::kPmcs) {
       return prepared;
     }
@@ -486,28 +473,14 @@ class CampaignEngine {
       corpus_claimed_ = true;
       return {Kind::kCorpus, 0};
     }
-    if (corpus_done_ && !profiles_complete_) {
-      if (!folding_ && fold_next_ < profiles_.size() && profile_done_[fold_next_]) {
-        folding_ = true;
-        return {Kind::kFold, 0};
-      }
-      if (!finish_profiles_claimed_ && !folding_ && fold_next_ == profiles_.size()) {
-        finish_profiles_claimed_ = true;
-        return {Kind::kFinishProfiles, 0};
-      }
-    }
-    if (profiles_complete_ && !pmcs_done_ && !merge_claimed_ &&
-        scans_done_ == num_partitions_) {
-      merge_claimed_ = true;
-      return {Kind::kMergePmcs, 0};
+    if (corpus_done_ && !identify_claimed_ && profiles_done_ == profiles_.size()) {
+      identify_claimed_ = true;
+      return {Kind::kIdentify, 0};
     }
     if (goal_ == Goal::kExplore && !tests_resolved_ && !generate_claimed_ && corpus_done_ &&
         (!use_pmc_ || pmcs_done_)) {
       generate_claimed_ = true;
       return {Kind::kGenerate, 0};
-    }
-    if (profiles_complete_ && scan_next_ < num_partitions_) {
-      return {Kind::kScan, scan_next_++};
     }
     if (corpus_done_ && profile_next_ < corpus_.size()) {
       return {Kind::kProfile, profile_next_++};
@@ -527,17 +500,8 @@ class CampaignEngine {
       case Kind::kProfile:
         ExecuteProfile(worker, item.arg);
         break;
-      case Kind::kFold:
-        ExecuteFold();
-        break;
-      case Kind::kFinishProfiles:
-        ExecuteFinishProfiles();
-        break;
-      case Kind::kScan:
-        ExecuteScan(item.arg);
-        break;
-      case Kind::kMergePmcs:
-        ExecuteMergePmcs();
+      case Kind::kIdentify:
+        ExecuteIdentify();
         break;
       case Kind::kGenerate:
         ExecuteGenerate();
@@ -554,7 +518,6 @@ class CampaignEngine {
   void CorpusResolvedLocked() {
     corpus_done_ = true;
     profiles_.resize(corpus_.size());
-    profile_done_.assign(corpus_.size(), 0);
     t_corpus_ = std::chrono::steady_clock::now();
     restore_mark_corpus_ = RestoreNanos();
     TRACE_COUNTER("funnel.corpus_programs", corpus_.size());
@@ -569,55 +532,24 @@ class CampaignEngine {
   }
 
   void ExecuteProfile(PoolWorker& worker, size_t index) {
-    ProfileOptions profile_options;
-    profile_options.cache = options_.profile_cache;
     SequentialProfile profile =
-        ProfileTestCached(PoolWorkerVm(worker), corpus_[index], static_cast<int>(index),
-                          profile_options);
+        ProfileTest(PoolWorkerVm(worker), corpus_[index], static_cast<int>(index));
     std::lock_guard<std::mutex> lock(mu_);
     profiles_[index] = std::move(profile);
-    profile_done_[index] = 1;
-    cv_.notify_all();  // A folder (or the finish item) may now be claimable.
-  }
-
-  // Folds the completed prefix of profiles into the accumulator, strictly in corpus-index
-  // order — the exact AddProfile order the batch IdentifyPmcs uses, which is what keeps
-  // the incremental side tables byte-identical. `folding_` makes this a single-consumer
-  // loop; the fold itself runs outside the lock.
-  void ExecuteFold() {
-    for (;;) {
-      size_t index;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (fold_next_ >= profiles_.size() || !profile_done_[fold_next_]) {
-          folding_ = false;
-          cv_.notify_all();  // kFinishProfiles may now be claimable.
-          return;
-        }
-        index = fold_next_;
-      }
-      accumulator_.AddProfile(profiles_[index]);
-      std::lock_guard<std::mutex> lock(mu_);
-      fold_next_++;
+    if (++profiles_done_ == profiles_.size()) {
+      cv_.notify_all();  // The identify item is now claimable.
     }
   }
 
-  void ExecuteFinishProfiles() {
-    accumulator_.Seal();
-    size_t num_partitions = accumulator_.PlanPartitions(options_.ResolvedWorkers());
-    std::lock_guard<std::mutex> lock(mu_);
-    profiles_complete_ = true;
-    num_partitions_ = num_partitions;
+  // Stamps the profiles event, then runs Algorithm 1 over every profile outside the lock:
+  // once the last profile has landed, nothing writes profiles_ again.
+  void ExecuteIdentify() {
     t_profiles_ = std::chrono::steady_clock::now();
     restore_mark_profiles_ = RestoreNanos();
-    cv_.notify_all();
-  }
-
-  void ExecuteScan(size_t partition) {
-    accumulator_.ScanPartition(partition);
+    std::vector<Pmc> pmcs = IdentifyPmcs(profiles_);
     std::lock_guard<std::mutex> lock(mu_);
-    scans_done_++;
-    cv_.notify_all();  // The merge item becomes claimable after the last scan.
+    pmcs_ = std::move(pmcs);
+    PmcsResolvedLocked();
   }
 
   // Caller holds mu_. Stamps the PMC event and checks whether explore can open.
@@ -627,13 +559,6 @@ class CampaignEngine {
     TRACE_COUNTER("funnel.pmcs_identified", pmcs_.size());
     MaybeTestsReadyLocked();
     cv_.notify_all();
-  }
-
-  void ExecuteMergePmcs() {
-    std::vector<Pmc> pmcs = accumulator_.Merge();
-    std::lock_guard<std::mutex> lock(mu_);
-    pmcs_ = std::move(pmcs);
-    PmcsResolvedLocked();
   }
 
   // Caller holds mu_. Installs the resolved test list and its replay plumbing.
@@ -689,22 +614,14 @@ class CampaignEngine {
   bool corpus_done_ = false;
   std::vector<Program> corpus_;
 
-  // Profiles. `profiles_`/`profile_done_` slots are written by the claiming worker and
-  // read by the folder; the mutex around the done flags orders the handoff.
+  // Profiles. Slot i is written by the worker that claimed profile i and read by the
+  // identify item; the mutex around `profiles_done_` orders the handoff.
   size_t profile_next_ = 0;
+  size_t profiles_done_ = 0;
   std::vector<SequentialProfile> profiles_;
-  std::vector<uint8_t> profile_done_;
-  bool folding_ = false;
-  size_t fold_next_ = 0;
-  bool finish_profiles_claimed_ = false;
-  bool profiles_complete_ = false;
 
   // Identification.
-  PmcAccumulator accumulator_;
-  size_t num_partitions_ = 0;
-  size_t scan_next_ = 0;
-  size_t scans_done_ = 0;
-  bool merge_claimed_ = false;
+  bool identify_claimed_ = false;
   bool pmcs_done_ = false;
   std::vector<Pmc> pmcs_;
 

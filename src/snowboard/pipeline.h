@@ -2,19 +2,20 @@
 // identification → PMC selection (clustering + prioritization) → concurrent test execution.
 //
 // One campaign engine drives the stages: a single pool job runs the campaign as a
-// dependency DAG — completed profiles fold into PMC identification while the profile tail
-// executes, and concurrent tests start exploring as soon as the test list resolves. Its
-// threads come from the process-lifetime WorkerPool (util/workpool.h), whose workers carry
-// lazily-booted KernelVms reused from the corpus stage through profiling into
-// concurrent-test execution — the in-process analog of the paper's Redis-queue-plus-GCP-VMs
-// deployment (§4.4.1), where a fixed fleet streams through all campaign work. The staged
-// API below enters the same engine partway: PrepareCampaign stops once the PMC table
-// resolves, and ExecuteCampaign starts at the explore frontier.
-// Budgets are expressed in test counts rather than wall-clock, shard merges are canonically
-// ordered (profile folds and outcome folds happen in index order regardless of completion
-// order), and per-test exploration seeds derive from the test index, so the pipeline's
-// deterministic outputs (stats, PMC tables, findings) are byte-identical for a fixed seed
-// at ANY worker count — the invariant the checked-in goldens under tests/corpus/ lock in.
+// dependency DAG — PMC identification runs once the last profile lands, and concurrent
+// tests start exploring as soon as the test list resolves. Its threads come from the
+// process-lifetime WorkerPool (util/workpool.h), whose workers carry lazily-booted KernelVms
+// reused from the corpus stage through profiling into concurrent-test execution — the
+// in-process analog of the paper's Redis-queue-plus-GCP-VMs deployment (§4.4.1), where a
+// fixed fleet streams through all campaign work. The staged API below enters the same
+// engine partway: PrepareCampaign stops once the PMC table resolves, and ExecuteCampaign
+// starts at the explore frontier.
+// Budgets are expressed in test counts rather than wall-clock, every parallel output lands
+// in its own slot (identification reads the profiles in corpus order, and test outcomes
+// fold in index order, regardless of completion order), and per-test exploration seeds
+// derive from the test index, so the pipeline's deterministic outputs (stats, PMC tables,
+// findings) are byte-identical for a fixed seed at ANY worker count — the invariant the
+// checked-in goldens under tests/corpus/ lock in.
 #ifndef SRC_SNOWBOARD_PIPELINE_H_
 #define SRC_SNOWBOARD_PIPELINE_H_
 
@@ -34,17 +35,13 @@ class FaultInjector;  // util/fault.h.
 struct PipelineOptions {
   uint64_t seed = 1;
   CorpusOptions corpus;
-  PmcIdentifyOptions pmc;
   Strategy strategy = Strategy::kSInsPair;
   size_t max_concurrent_tests = 300;  // The per-strategy test budget (Table 3's time box).
   ExplorerOptions explorer;
-  // Shared-nothing workers (machine fleet analog) used by profiling, identification, and
-  // execution alike; each is one thread. All deterministic outputs are invariant under it.
-  // <= 0 means "unset" and resolves to 1 (ResolvedWorkers).
+  // Shared-nothing workers (machine fleet analog) that claim every stage's work items;
+  // each is one thread. All deterministic outputs are invariant under it. <= 0 means
+  // "unset" and resolves to 1 (ResolvedWorkers).
   int num_workers = 1;
-  // Optional cross-run profile memo: multi-strategy campaigns (Table 3) share one cache so
-  // each distinct program is profiled on a VM only once.
-  ProfileCache* profile_cache = nullptr;
   // Crash-safe persistence (RunSnowboardPipeline only). When non-empty, a CheckpointStore
   // here holds what a resume cannot recompute: the `campaign` guard, keyed by an options
   // fingerprint (every field that shapes deterministic outputs — NOT num_workers), and the
@@ -66,8 +63,8 @@ struct PipelineOptions {
   // checkpoint fingerprint.
   int journal_flush_records = 8;
 
-  // The single interpretation of num_workers, shared by every stage (profiling, the
-  // identify "inherit" case, execution): non-positive means 1.
+  // The single interpretation of num_workers, the campaign engine's pool width:
+  // non-positive means 1.
   int ResolvedWorkers() const { return num_workers > 0 ? num_workers : 1; }
 };
 

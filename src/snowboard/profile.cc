@@ -9,64 +9,15 @@
 
 namespace snowboard {
 
-bool ProfileCache::Lookup(const Program& program, int test_id, SequentialProfile* out) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = by_hash_.find(program.Hash());
-  if (it == by_hash_.end()) {
-    return false;
-  }
-  for (const SequentialProfile& cached : it->second) {
-    if (cached.program == program) {
-      *out = cached;
-      out->test_id = test_id;
-      return true;
-    }
-  }
-  return false;
-}
+namespace {
 
-void ProfileCache::Insert(const SequentialProfile& profile) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<SequentialProfile>& bucket = by_hash_[profile.program.Hash()];
-  for (const SequentialProfile& cached : bucket) {
-    if (cached.program == profile.program) {
-      return;  // First insertion wins (all insertions carry identical content anyway).
-    }
-  }
-  bucket.push_back(profile);
-}
+// A sequential test that runs longer than this did not complete.
+constexpr uint64_t kProfileMaxInstructions = 1'000'000;
 
-size_t ProfileCache::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  size_t total = 0;
-  for (const auto& [hash, bucket] : by_hash_) {
-    total += bucket.size();
-  }
-  return total;
-}
+}  // namespace
 
 KernelVm& PoolWorkerVm(PoolWorker& worker) {
   return worker.State<KernelVm>([]() { return std::make_unique<KernelVm>(); });
-}
-
-SequentialProfile ProfileTestCached(KernelVm& vm, const Program& program, int test_id,
-                                    const ProfileOptions& options) {
-  // One span per corpus program, covering cache lookup and (on miss) the VM run — the
-  // single site both the serial loop and every parallel worker funnel through.
-  TRACE_SPAN("profile.program", static_cast<uint64_t>(test_id));
-  SequentialProfile profile;
-  if (options.cache != nullptr && options.cache->Lookup(program, test_id, &profile)) {
-    GlobalPipelineCounters().profile_cache_hits.fetch_add(1, std::memory_order_relaxed);
-    return profile;
-  }
-  if (options.cache != nullptr) {
-    GlobalPipelineCounters().profile_cache_misses.fetch_add(1, std::memory_order_relaxed);
-  }
-  profile = ProfileTest(vm, program, test_id, options);
-  if (options.cache != nullptr) {
-    options.cache->Insert(profile);
-  }
-  return profile;
 }
 
 std::vector<SharedAccess> ExtractSharedAccesses(const Trace& trace, VcpuId vcpu) {
@@ -132,8 +83,10 @@ void ComputeDoubleFetchLeaders(std::vector<SharedAccess>* accesses) {
   }
 }
 
-SequentialProfile ProfileTest(KernelVm& vm, const Program& program, int test_id,
-                              const ProfileOptions& options) {
+SequentialProfile ProfileTest(KernelVm& vm, const Program& program, int test_id) {
+  // One span per corpus program: the single site both the serial walk and every engine
+  // worker funnel through.
+  TRACE_SPAN("profile.program", static_cast<uint64_t>(test_id));
   SequentialProfile profile;
   profile.test_id = test_id;
   profile.program = program;
@@ -141,7 +94,7 @@ SequentialProfile ProfileTest(KernelVm& vm, const Program& program, int test_id,
   GlobalPipelineCounters().vm_profile_runs.fetch_add(1, std::memory_order_relaxed);
   vm.RestoreSnapshot();
   Engine::RunOptions opts;
-  opts.max_instructions = options.max_instructions;
+  opts.max_instructions = kProfileMaxInstructions;
   Engine::RunResult result =
       vm.engine().Run({MakeProgramRunner(vm.globals(), program, /*task_index=*/0)}, opts);
   profile.ok = result.completed;
@@ -153,12 +106,11 @@ SequentialProfile ProfileTest(KernelVm& vm, const Program& program, int test_id,
   return profile;
 }
 
-std::vector<SequentialProfile> ProfileCorpus(KernelVm& vm, const std::vector<Program>& corpus,
-                                             const ProfileOptions& options) {
+std::vector<SequentialProfile> ProfileCorpus(KernelVm& vm, const std::vector<Program>& corpus) {
   std::vector<SequentialProfile> profiles;
   profiles.reserve(corpus.size());
   for (size_t i = 0; i < corpus.size(); i++) {
-    profiles.push_back(ProfileTestCached(vm, corpus[i], static_cast<int>(i), options));
+    profiles.push_back(ProfileTest(vm, corpus[i], static_cast<int>(i)));
   }
   return profiles;
 }

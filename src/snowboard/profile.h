@@ -12,8 +12,6 @@
 #ifndef SRC_SNOWBOARD_PROFILE_H_
 #define SRC_SNOWBOARD_PROFILE_H_
 
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "src/fuzz/program.h"
@@ -44,50 +42,16 @@ struct SequentialProfile {
   std::vector<SharedAccess> accesses;
 };
 
-// Thread-safe memo of sequential profiles keyed by program content (Program::Hash, with a
-// full-program equality check against collisions). Profiling is deterministic — the same
-// program from the same boot snapshot always yields the same access list — so a multi-
-// strategy campaign (Table 3 runs every strategy against one corpus) can profile each
-// distinct program once instead of once per strategy. Hits/misses are counted in
-// GlobalPipelineCounters().
-class ProfileCache {
- public:
-  // On hit, copies the cached profile into `out` with test_id rewritten to `test_id` (the
-  // profile content is position-independent; only the corpus index differs between runs).
-  bool Lookup(const Program& program, int test_id, SequentialProfile* out) const;
-  void Insert(const SequentialProfile& profile);
-  size_t size() const;
-
- private:
-  mutable std::mutex mutex_;
-  // Hash buckets hold full entries so colliding programs coexist.
-  std::unordered_map<uint64_t, std::vector<SequentialProfile>> by_hash_;
-};
-
-struct ProfileOptions {
-  uint64_t max_instructions = 1'000'000;
-  ProfileCache* cache = nullptr;  // Optional cross-run memo; nullptr = always execute.
-};
-
 // Profiles one test from the fixed initial state.
-SequentialProfile ProfileTest(KernelVm& vm, const Program& program, int test_id,
-                              const ProfileOptions& options = ProfileOptions{});
-
-// Cache-aware single-test step shared by the serial walk and the campaign engine (which
-// schedules corpus indices itself): consults `options.cache`, executes on a miss, inserts
-// the result.
-SequentialProfile ProfileTestCached(KernelVm& vm, const Program& program, int test_id,
-                                    const ProfileOptions& options);
+SequentialProfile ProfileTest(KernelVm& vm, const Program& program, int test_id);
 
 // The pool worker's lazily-booted KernelVm: boots on the worker's first VM-needing work
 // item and is then reused across stages, campaigns, and strategies for the process
 // lifetime (GlobalPipelineCounters().vm_boots observes the boot-once invariant).
 KernelVm& PoolWorkerVm(PoolWorker& worker);
 
-// Profiles a whole corpus (restoring the snapshot before each test) on one caller-owned VM,
-// consulting `options.cache` if set.
-std::vector<SequentialProfile> ProfileCorpus(KernelVm& vm, const std::vector<Program>& corpus,
-                                             const ProfileOptions& options = ProfileOptions{});
+// Profiles a whole corpus (restoring the snapshot before each test) on one caller-owned VM.
+std::vector<SequentialProfile> ProfileCorpus(KernelVm& vm, const std::vector<Program>& corpus);
 
 // Shared-access extraction from a raw trace (exposed for tests and incidental-PMC search):
 // keeps kAccess events of `vcpu` that are outside the stack range implied by their ESP.

@@ -347,7 +347,9 @@ void FleetHttpServer::HandleConnection(int fd) {
   wire += response.body;
   size_t sent = 0;
   while (sent < wire.size()) {
-    ssize_t n = ::write(fd, wire.data() + sent, wire.size() - sent);
+    // MSG_NOSIGNAL: a client that hung up early gets EPIPE here, not a SIGPIPE that would
+    // kill the daemon.
+    ssize_t n = ::send(fd, wire.data() + sent, wire.size() - sent, MSG_NOSIGNAL);
     if (n <= 0) {
       break;
     }
@@ -382,7 +384,9 @@ std::optional<HttpResponse> UnixHttpRequest(const std::string& socket_path,
   wire += body;
   size_t sent = 0;
   while (sent < wire.size()) {
-    ssize_t n = ::write(fd, wire.data() + sent, wire.size() - sent);
+    // MSG_NOSIGNAL: a server that closed before reading the whole body gets EPIPE, not a
+    // SIGPIPE that would kill the caller.
+    ssize_t n = ::send(fd, wire.data() + sent, wire.size() - sent, MSG_NOSIGNAL);
     if (n <= 0) {
       ::close(fd);
       return std::nullopt;

@@ -11,8 +11,6 @@ void ResetPipelineCounters() {
   PipelineCounters& counters = GlobalPipelineCounters();
   counters.vm_boots = 0;
   counters.vm_profile_runs = 0;
-  counters.profile_cache_hits = 0;
-  counters.profile_cache_misses = 0;
   counters.snapshot_full_restores = 0;
   counters.snapshot_delta_restores = 0;
   counters.snapshot_restored_bytes = 0;

@@ -16,18 +16,16 @@
 
 namespace snowboard {
 
-// Process-wide counters over the expensive preparation and execution work. Cache efficacy
-// is asserted in these terms (a multi-strategy campaign over one corpus must pay
-// `vm_profile_runs == corpus_size` once); restore efficacy likewise (delta restores must
-// copy a small fraction of `full` bytes on the standard campaign workload).
+// Process-wide counters over the expensive preparation and execution work. Profiling cost
+// is asserted in these terms (a campaign pays `vm_profile_runs == corpus_size` at any
+// worker count); restore efficacy likewise (delta restores must copy a small fraction of
+// `full` bytes on the standard campaign workload).
 struct PipelineCounters {
   // KernelVm constructions (full kernel boots). The unified campaign engine parks one VM
   // per pool worker for the process lifetime, so this stays at ~max worker count no matter
   // how many stages or campaigns run — the boot-once invariant workpool_test asserts.
   std::atomic<uint64_t> vm_boots{0};
-  std::atomic<uint64_t> vm_profile_runs{0};     // Sequential tests actually executed on a VM.
-  std::atomic<uint64_t> profile_cache_hits{0};  // Profiles served from a ProfileCache.
-  std::atomic<uint64_t> profile_cache_misses{0};
+  std::atomic<uint64_t> vm_profile_runs{0};  // Sequential tests actually executed on a VM.
 
   // --- Snapshot restore (KernelVm::RestoreSnapshot; Algorithm 2 line 8). ---
   std::atomic<uint64_t> snapshot_full_restores{0};   // Whole-arena memcpy restores.

@@ -22,18 +22,16 @@
 // Determinism contract: the pool adds no scheduling decisions of its own. A job body runs
 // once per participating worker, and `PoolWorker::index()` is the JOB-LOCAL instance index
 // in [0, width) — stable for seeding and slot-keyed outputs no matter which pool thread
-// runs the instance. Work distribution happens inside the body (typically via an
-// IndexClaim, which hands out indices in increasing order). Stages remain responsible for
-// slot-keyed outputs / ordered merges, exactly as before — the determinism tests lock in
-// that pipeline outputs are byte-identical for any worker count, pooled or not, and
-// regardless of what other jobs the pool is running.
+// runs the instance. Work distribution happens inside the body (the campaign engine's
+// workers claim work items under the engine's own lock), and the body keeps its outputs in
+// slots — the determinism tests lock in that pipeline outputs are byte-identical for any
+// worker count, regardless of what other jobs the pool is running.
 //
 // This lives in util (below sim/kernel) and knows nothing about VMs: per-worker state is
 // type-erased, and the kernel-aware layers supply the factories.
 #ifndef SRC_UTIL_WORKPOOL_H_
 #define SRC_UTIL_WORKPOOL_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -158,29 +156,6 @@ class WorkerPool {
   std::vector<std::unique_ptr<PoolThread>> threads_;
   int committed_ = 0;  // Sum of widths of in-flight jobs; growth target.
   bool stopping_ = false;
-};
-
-// Deterministic dynamic work claiming: hands out indices 0..size-1 in increasing order
-// across however many workers pull from it. The claim ORDER is fixed; which worker gets
-// which index is not — so stages write results into slot `i` (or merge in index order)
-// and their outputs are invariant under worker count and scheduling.
-class IndexClaim {
- public:
-  explicit IndexClaim(size_t size) : size_(size) {}
-
-  // Claims the next index; false when the range is exhausted.
-  bool Next(size_t* index) {
-    size_t i = next_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= size_) {
-      return false;
-    }
-    *index = i;
-    return true;
-  }
-
- private:
-  std::atomic<size_t> next_{0};
-  size_t size_;
 };
 
 }  // namespace snowboard

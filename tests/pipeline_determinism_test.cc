@@ -6,6 +6,9 @@
 // al.; O'Callahan et al.), applied to our §4.4.1 fleet analog.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <string>
 
 #include "src/fuzz/generator.h"
@@ -62,9 +65,9 @@ TEST(PipelineDeterminismTest, PreparedCampaignInvariantAcrossWorkerCounts) {
 }
 
 // The serialized result of the reference campaign is pinned to a checked-in golden at
-// every worker count. The engine overlaps stages (profiles fold into identification while
-// the profile tail runs; exploration starts as soon as tests resolve) but pins every
-// ordered computation, so no scheduling freedom may reach these bytes.
+// every worker count. The engine overlaps stages (exploration starts as soon as tests
+// resolve) but keeps every parallel output in its own slot, so no scheduling freedom may
+// reach these bytes.
 TEST(PipelineDeterminismTest, ReferenceResultMatchesGolden) {
   for (int workers : {1, 2, 4, 8}) {
     SCOPED_TRACE(testing::Message() << "workers=" << workers);
@@ -158,10 +161,11 @@ TEST(PipelineDeterminismTest, MaskedReportWithAllDetectorKindsInvariant) {
   }
 }
 
-// One fault-point rule: ExecuteCampaign passes one "execute.claim" point per executed
-// test plus the points inside each test — never one per claim attempt — so an
-// armed-but-silent injector counts the same total at every worker count, with pruning off
-// and on.
+// One fault-point rule: each pre-explore item passes one "pool.claim" point and each
+// executed test one "execute.claim" point plus the points inside it — never one per claim
+// attempt — so an armed-but-silent injector counts the same total at every worker count:
+// for ExecuteCampaign with pruning off and on, and for a whole campaign with and without a
+// checkpoint directory.
 TEST(PipelineDeterminismTest, FaultPointTotalInvariantAcrossWorkerCounts) {
   PipelineOptions options = ReferenceCampaignOptions(1);
   PreparedCampaign campaign = PrepareCampaign(options);
@@ -183,6 +187,31 @@ TEST(PipelineDeterminismTest, FaultPointTotalInvariantAcrossWorkerCounts) {
     };
     const uint64_t base = points_seen(1);
     EXPECT_GT(base, tests.size());
+    for (int workers : {2, 4, 8}) {
+      EXPECT_EQ(points_seen(workers), base) << "workers=" << workers;
+    }
+  }
+  for (bool checkpoint : {false, true}) {
+    SCOPED_TRACE(testing::Message() << "checkpoint=" << checkpoint);
+    auto points_seen = [&](int workers) {
+      FaultInjector fault{FaultInjector::Plan{}};
+      PipelineOptions run = ReferenceCampaignOptions(workers);
+      if (checkpoint) {
+        run.checkpoint_dir = std::string(::testing::TempDir()) + "sb_fault_points_" +
+                             std::to_string(::getpid()) + "_" + std::to_string(workers);
+        std::filesystem::remove_all(run.checkpoint_dir);
+      }
+      run.fault = &fault;
+      PipelineResult result = RunSnowboardPipeline(run);
+      EXPECT_FALSE(fault.crashed());
+      EXPECT_EQ(result.tests_executed, run.max_concurrent_tests);
+      if (checkpoint) {
+        std::filesystem::remove_all(run.checkpoint_dir);
+      }
+      return fault.points_seen();
+    };
+    const uint64_t base = points_seen(1);
+    EXPECT_GT(base, options.max_concurrent_tests);
     for (int workers : {2, 4, 8}) {
       EXPECT_EQ(points_seen(workers), base) << "workers=" << workers;
     }

@@ -1,5 +1,5 @@
 // Edge cases of the pipeline and its options: degenerate budgets, tiny corpora, PMC
-// identification caps, hot-cell pruning, and matcher bounds.
+// identification caps, and matcher bounds.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -121,21 +121,7 @@ TEST(PipelineEdgeTest, MaxPmcCapStopsIdentification) {
   KernelVm vm;
   std::vector<Program> corpus = {SeedPrograms()[0], SeedPrograms()[1]};
   std::vector<SequentialProfile> profiles = ProfileCorpus(vm, corpus);
-  PmcIdentifyOptions options;
-  options.max_pmcs = 5;
-  EXPECT_EQ(IdentifyPmcs(profiles, options).size(), 5u);
-}
-
-TEST(PipelineEdgeTest, HotCellPruningReducesPmcs) {
-  KernelVm vm;
-  std::vector<Program> corpus = CorpusPrograms(BuildCorpus(vm, CorpusOptions{}));
-  std::vector<SequentialProfile> profiles = ProfileCorpus(vm, corpus);
-  std::vector<Pmc> unpruned = IdentifyPmcs(profiles);
-  PmcIdentifyOptions pruned_options;
-  pruned_options.max_keys_per_address = 2;  // Drop hot cells (counters, lock words).
-  std::vector<Pmc> pruned = IdentifyPmcs(profiles, pruned_options);
-  EXPECT_LT(pruned.size(), unpruned.size());
-  EXPECT_GT(pruned.size(), 0u);
+  EXPECT_EQ(IdentifyPmcs(profiles, /*max_pmcs=*/5).size(), 5u);
 }
 
 TEST(PipelineEdgeTest, MatcherIndexBoundRespected) {

@@ -1,15 +1,13 @@
-// Property test for the sharded ordered-nested-index PMC identification (§4.2.1): on
-// randomized synthetic profiles — overlapping ranges, partial-width reads, equal-value
-// non-communications, failed tests, double-fetch flags — the sharded scan must agree with a
+// Property test for the ordered-nested-index PMC identification (§4.2.1): on randomized
+// synthetic profiles — overlapping ranges, partial-width reads, equal-value
+// non-communications, failed tests, double-fetch flags — IdentifyPmcs must agree with a
 // naive O(n²) reference enumerator on the full PMC relation (keys AND test-pair
-// multiplicities), and must be element-for-element identical at every shard count and
-// partition scan order, max_pmcs truncation included.
+// multiplicities), and a capped run must return exactly the prefix of the uncapped table.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
 #include <tuple>
-#include <utility>
 
 #include "src/snowboard/pmc.h"
 #include "src/snowboard/stats.h"
@@ -118,73 +116,37 @@ PmcRelation ToRelation(const std::vector<Pmc>& pmcs) {
   return relation;
 }
 
-// Runs the accumulator protocol the campaign engine drives: partitions planned for
-// `workers`, then scanned in a shuffled order (any interleaving of concurrent scans
-// writes the same partition-exclusive slices), then merged.
-std::vector<Pmc> ShardedIdentify(const std::vector<SequentialProfile>& profiles,
-                                 const PmcIdentifyOptions& options, int workers, Rng& rng) {
-  PmcAccumulator accumulator(options);
-  for (const SequentialProfile& profile : profiles) {
-    accumulator.AddProfile(profile);
-  }
-  accumulator.Seal();
-  std::vector<size_t> order(accumulator.PlanPartitions(workers));
-  for (size_t p = 0; p < order.size(); p++) {
-    order[p] = p;
-  }
-  for (size_t i = order.size(); i > 1; i--) {
-    std::swap(order[i - 1], order[rng.Below(i)]);
-  }
-  for (size_t p : order) {
-    accumulator.ScanPartition(p);
-  }
-  return accumulator.Merge();
-}
+class PmcIdentifyProperty : public ::testing::TestWithParam<uint64_t> {};
 
-class PmcShardProperty : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(PmcShardProperty, ShardedScanMatchesNaiveReference) {
+TEST_P(PmcIdentifyProperty, ScanMatchesNaiveReference) {
   Rng rng(GetParam());
   for (int round = 0; round < 12; round++) {
     std::vector<SequentialProfile> profiles = RandomProfiles(rng);
-    PmcRelation expected = NaiveReference(profiles);
-
-    std::vector<Pmc> sequential = IdentifyPmcs(profiles);
-    ASSERT_EQ(ToRelation(sequential), expected) << "round " << round;
-
-    for (int workers : {2, 3, 8}) {
-      std::vector<Pmc> sharded = ShardedIdentify(profiles, PmcIdentifyOptions(), workers, rng);
-      // Byte-identity with the sequential scan, not just the same relation: order,
-      // multiplicities, and sampled exemplar pairs all survive the shard merge.
-      ASSERT_EQ(sharded.size(), sequential.size())
-          << "round " << round << " workers " << workers;
-      ASSERT_EQ(PmcTableDigest(sharded), PmcTableDigest(sequential))
-          << "round " << round << " workers " << workers;
-    }
+    ASSERT_EQ(ToRelation(IdentifyPmcs(profiles)), NaiveReference(profiles))
+        << "round " << round;
   }
 }
 
-TEST_P(PmcShardProperty, TruncationPointInvariantAcrossShardCounts) {
+TEST_P(PmcIdentifyProperty, CapKeepsPrefixOfUncappedTable) {
   Rng rng(GetParam() ^ 0xbeef);
   std::vector<SequentialProfile> profiles = RandomProfiles(rng);
 
-  size_t full_size = IdentifyPmcs(profiles).size();
-  if (full_size < 2) {
+  std::vector<Pmc> full = IdentifyPmcs(profiles);
+  if (full.size() < 2) {
     GTEST_SKIP() << "profile draw produced too few PMCs to truncate";
   }
-
-  PmcIdentifyOptions capped;
-  capped.max_pmcs = full_size / 2;
-  std::vector<Pmc> sequential = IdentifyPmcs(profiles, capped);
-  ASSERT_EQ(sequential.size(), capped.max_pmcs);
-  for (int workers : {2, 3, 8}) {
-    std::vector<Pmc> sharded = ShardedIdentify(profiles, capped, workers, rng);
-    ASSERT_EQ(sharded.size(), sequential.size()) << "workers " << workers;
-    EXPECT_EQ(PmcTableDigest(sharded), PmcTableDigest(sequential)) << "workers " << workers;
+  for (size_t cap : {size_t{0}, size_t{1}, full.size() / 2, full.size() - 1}) {
+    std::vector<Pmc> capped = IdentifyPmcs(profiles, cap);
+    ASSERT_EQ(capped.size(), cap);
+    // Byte-identity with the prefix, not just the same relation: order, multiplicities,
+    // and sampled exemplar pairs all survive the cap.
+    EXPECT_EQ(PmcTableDigest(capped),
+              PmcTableDigest(std::vector<Pmc>(full.begin(), full.begin() + cap)))
+        << "cap " << cap;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, PmcShardProperty,
+INSTANTIATE_TEST_SUITE_P(Seeds, PmcIdentifyProperty,
                          ::testing::Values(101, 202, 303, 404, 505));
 
 }  // namespace

@@ -148,9 +148,7 @@ TEST(IdentifyPmcsTest, MaxPmcCapRespected) {
   }
   profiles.push_back(MakeProfile(0, writes));
   profiles.push_back(MakeProfile(1, reads));
-  PmcIdentifyOptions options;
-  options.max_pmcs = 50;
-  EXPECT_EQ(IdentifyPmcs(profiles, options).size(), 50u);
+  EXPECT_EQ(IdentifyPmcs(profiles, /*max_pmcs=*/50).size(), 50u);
 }
 
 TEST(IdentifyPmcsTest, EndToEndL2tpChannelIdentified) {

@@ -16,8 +16,11 @@
 // status code) plus one real unix-socket round-trip through FleetHttpServer.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
+#include <cstring>
 #include <filesystem>
 #include <map>
 #include <string>
@@ -52,6 +55,17 @@ CampaignSpec TinySpec(const std::string& name, uint64_t seed, Strategy strategy,
   spec.trials = 3;
   spec.workers = workers;
   spec.priority = priority;
+  return spec;
+}
+
+// A campaign whose remaining work dwarfs a descheduled test thread, for the tests that
+// interrupt a running campaign: 249 tests, where TinySpec's 8-program corpus caps a
+// campaign at 34 tests (about 12 ms end to end), whatever its budget.
+CampaignSpec LongSpec(const std::string& name, uint64_t seed) {
+  CampaignSpec spec = TinySpec(name, seed, Strategy::kSInsPair, /*workers=*/1);
+  spec.corpus_size = 32;
+  spec.corpus_iters = 40;
+  spec.budget = 500;
   return spec;
 }
 
@@ -310,8 +324,7 @@ TEST(ServeFleetTest, StatusOfQueuedCampaignCreatesNothing) {
 // is valid: a standalone resume of the cancelled directory completes byte-identically to
 // an uninterrupted run (replaying, not re-executing, what was journaled).
 TEST(ServeFleetTest, CancelLeavesAValidResumableCheckpoint) {
-  CampaignSpec spec = TinySpec("cancel-a", 7, Strategy::kSInsPair, /*workers=*/1);
-  spec.budget = 12;  // Wide enough that the cancel provably lands mid-execute.
+  CampaignSpec spec = LongSpec("cancel-a", 7);  // The cancel lands mid-execute.
   Golden golden = StandaloneGolden(spec, /*workers=*/2);
 
   FleetOptions options;
@@ -357,8 +370,7 @@ TEST(ServeFleetTest, CancelLeavesAValidResumableCheckpoint) {
 // daemon over the same root re-adopts both kinds and completes them byte-identically,
 // replaying the drained campaign's journal instead of re-executing it.
 TEST(ServeFleetTest, DrainedFleetIsReAdoptedAndCompletes) {
-  CampaignSpec running_spec = TinySpec("drain-a", 7, Strategy::kSInsPair, /*workers=*/1);
-  running_spec.budget = 12;
+  CampaignSpec running_spec = LongSpec("drain-a", 7);  // The drain lands mid-execute.
   CampaignSpec queued_spec = TinySpec("drain-b", 11, Strategy::kSCh, /*workers=*/1);
   Golden running_golden = StandaloneGolden(running_spec, /*workers=*/2);
   Golden queued_golden = StandaloneGolden(queued_spec, /*workers=*/2);
@@ -412,8 +424,7 @@ TEST(ServeFleetTest, DrainedFleetIsReAdoptedAndCompletes) {
 // unwound: the directory holds the cancelled marker, and a restarted daemon reports the
 // campaign cancelled and starts nothing.
 TEST(ServeFleetTest, CancelThenDrainKeepsTheCancel) {
-  CampaignSpec spec = TinySpec("cancel-drain", 7, Strategy::kSInsPair, /*workers=*/1);
-  spec.budget = 500;  // Far more work than the test waits for.
+  CampaignSpec spec = LongSpec("cancel-drain", 7);  // The cancel lands mid-execute.
 
   FleetOptions options;
   options.root = FreshDir("cancel_drain");
@@ -745,6 +756,50 @@ TEST(ServeFleetTest, UnixSocketServesSubmitStatusAndDrain) {
   EXPECT_EQ(response->status, 202);
   accept_loop.join();  // Serve() returns once the drain response is on the wire.
   EXPECT_TRUE(http.drain_requested());
+  server.Drain();
+  std::filesystem::remove_all(options.root);
+}
+
+// A client that hangs up before reading its answer costs the daemon nothing: the
+// response write fails with EPIPE instead of raising SIGPIPE, whose default action would
+// kill the whole process and every campaign in it, and the next client is served.
+TEST(ServeFleetTest, ClientThatHangsUpEarlyLeavesTheDaemonServing) {
+  FleetOptions options;
+  options.root = FreshDir("hangup");
+  options.total_workers = 1;
+  FleetServer server(options);
+  ASSERT_TRUE(server.ok());
+  std::string socket_path = std::string(::testing::TempDir()) + "sb_serve_hangup_" +
+                            std::to_string(::getpid()) + ".sock";
+  FleetHttpServer http(&server, socket_path);
+  ASSERT_TRUE(http.ok());
+  std::thread accept_loop([&]() { http.Serve(); });
+
+  // A raw client shuts its read side, so the daemon's answer cannot be delivered, sends a
+  // request and closes without reading.
+  sockaddr_un addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sun_family = AF_UNIX;
+  ASSERT_LT(socket_path.size(), sizeof(addr.sun_path));
+  std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size() + 1);
+  int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(::shutdown(fd, SHUT_RD), 0);
+  const std::string request = "GET /fleet HTTP/1.0\r\n\r\n";
+  EXPECT_EQ(::send(fd, request.data(), request.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(request.size()));
+  ::close(fd);
+
+  std::optional<HttpResponse> response =
+      UnixHttpRequest(socket_path, "GET", "/healthz", "");
+  ASSERT_TRUE(response.has_value()) << "the daemon stopped serving";
+  EXPECT_EQ(response->status, 200);
+
+  response = UnixHttpRequest(socket_path, "POST", "/drain", "");
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(response->status, 202);
+  accept_loop.join();
   server.Drain();
   std::filesystem::remove_all(options.root);
 }

@@ -1,6 +1,6 @@
-// The shared worker pool (util/workpool.h): SPMD job semantics, deterministic index
-// claiming, per-worker state that survives across jobs (the KernelVm boot-once invariant),
-// and clean unwinding when an injected fault kills a job mid-flight.
+// The shared worker pool (util/workpool.h): SPMD job semantics, per-worker state that
+// survives across jobs (the KernelVm boot-once invariant), and clean unwinding when an
+// injected fault kills a job mid-flight.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -34,51 +34,6 @@ TEST(WorkpoolTest, RunExecutesBodyOncePerWorkerWithDistinctIndices) {
   }
   // The pool grew to the widest job and never shrank.
   EXPECT_EQ(pool.thread_count(), 5);
-}
-
-TEST(WorkpoolTest, IndexClaimHandsOutEachIndexExactlyOnceAtAnyWidth) {
-  WorkerPool pool;
-  constexpr size_t kItems = 1000;
-  for (int width : {1, 2, 4, 8}) {
-    SCOPED_TRACE(testing::Message() << "width=" << width);
-    std::vector<std::atomic<int>> claimed(kItems);
-    for (auto& c : claimed) {
-      c = 0;
-    }
-    IndexClaim claim(kItems);
-    pool.Run(width, [&](PoolWorker&) {
-      size_t i = 0;
-      while (claim.Next(&i)) {
-        claimed[i]++;
-      }
-    });
-    for (size_t i = 0; i < kItems; i++) {
-      ASSERT_EQ(claimed[i].load(), 1) << "index " << i;
-    }
-  }
-}
-
-// Slot-keyed outputs under dynamic claiming are the pool's determinism contract: the same
-// input produces the same output vector at every width because slot i is written only by
-// the claimer of index i.
-TEST(WorkpoolTest, SlotKeyedOutputsInvariantAcrossWidths) {
-  WorkerPool pool;
-  constexpr size_t kItems = 257;
-  auto run = [&](int width) {
-    std::vector<uint64_t> out(kItems, 0);
-    IndexClaim claim(kItems);
-    pool.Run(width, [&](PoolWorker&) {
-      size_t i = 0;
-      while (claim.Next(&i)) {
-        out[i] = i * 2654435761ull + 17;
-      }
-    });
-    return out;
-  };
-  std::vector<uint64_t> base = run(1);
-  for (int width : {2, 4, 8}) {
-    EXPECT_EQ(run(width), base) << "width=" << width;
-  }
 }
 
 TEST(WorkpoolTest, PerWorkerStatePersistsAcrossJobs) {
@@ -130,14 +85,13 @@ TEST(WorkpoolTest, PoolSurvivesFaultInjectedJobAndStaysReusable) {
   FaultInjector fault(plan);
 
   std::atomic<size_t> completed{0};
-  IndexClaim claim(kItems);
+  std::atomic<size_t> next{0};
   pool.Run(4, [&](PoolWorker&) {
-    size_t i = 0;
     for (;;) {
       if (fault.At("pool.claim")) {
         return;  // Unwind exactly as the campaign engine's workers do.
       }
-      if (!claim.Next(&i)) {
+      if (next.fetch_add(1) >= kItems) {
         return;
       }
       completed++;
@@ -148,10 +102,9 @@ TEST(WorkpoolTest, PoolSurvivesFaultInjectedJobAndStaysReusable) {
 
   // Same pool, fresh job: full completion, and per-worker state survived the "crash".
   std::vector<uint8_t> done(kItems, 0);
-  IndexClaim claim2(kItems);
+  std::atomic<size_t> next2{0};
   pool.Run(4, [&](PoolWorker&) {
-    size_t i = 0;
-    while (claim2.Next(&i)) {
+    for (size_t i = next2.fetch_add(1); i < kItems; i = next2.fetch_add(1)) {
       done[i] = 1;
     }
   });
