@@ -2,41 +2,14 @@
 
 namespace snowboard {
 
-namespace {
-
-// FNV-1a primitives, folding a 64-bit word byte by byte (order-sensitive: folding the
-// same words in a different order yields a different hash).
-constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr uint64_t kFnvPrime = 0x100000001b3ull;
-
-uint64_t FnvFold(uint64_t h, uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    h ^= (v >> shift) & 0xffull;
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-// Domain tag so an empty edge list and a single zero-filled edge cannot alias.
-constexpr uint64_t kEdgeTag = 0xe1;
-
-}  // namespace
-
-uint64_t HbFingerprint(const Trace& trace, HbScratch* scratch,
-                       std::vector<HbEdge>* edges_out) {
+void CollectHbEdges(const Trace& trace, HbScratch* scratch) {
   scratch->last_write.Clear();
-  scratch->edge_sites.clear();
-  if (edges_out != nullptr) {
-    edges_out->clear();
-  }
-
-  uint64_t h = kFnvOffset;
+  scratch->edges.clear();
   for (const Event& event : trace) {
     if (event.kind != EventKind::kAccess) {
-      // Yields (and any future non-access events) are deliberately NOT folded: where the
-      // scheduler preempted is schedule identity, and every seeded trial has a distinct
-      // schedule by construction. Folding it would make every fingerprint unique and the
-      // pruning vacuous; see the header comment.
+      // Yields (and any future non-access events) carry no edge: where the scheduler
+      // preempted is schedule identity, and every seeded trial has a distinct schedule by
+      // construction. See the header comment.
       continue;
     }
     const Access& access = event.access;
@@ -46,22 +19,11 @@ uint64_t HbFingerprint(const Trace& trace, HbScratch* scratch,
     } else {
       const HbScratch::LastWrite* writer = scratch->last_write.Find(addr);
       if (writer != nullptr && writer->vcpu != access.vcpu) {
-        // A reads-from edge crossing threads: the happens-before skeleton grows here.
-        SiteId write_site = writer->site;
-        h = FnvFold(h, kEdgeTag);
-        h = FnvFold(h, write_site);
-        h = FnvFold(h, access.site);
-        h = FnvFold(h, addr);
-        h = FnvFold(h, access.value);
-        scratch->edge_sites.push_back(write_site);
-        scratch->edge_sites.push_back(access.site);
-        if (edges_out != nullptr) {
-          edges_out->push_back({write_site, access.site, access.addr, access.value});
-        }
+        // A reads-from edge crossing threads.
+        scratch->edges.push_back({writer->site, access.site, access.addr, access.value});
       }
     }
   }
-  return h;
 }
 
 }  // namespace snowboard

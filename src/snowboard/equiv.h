@@ -1,24 +1,27 @@
-// Schedule-equivalence pruning (ROADMAP item 2, Landslide-style).
+// Schedule-equivalence pruning (Landslide-style).
 //
 // Snowboard prunes the *input* space by PMC clustering; this module prunes the *schedule*
-// space. Two trials of the same concurrent test are detector-equivalent when they realize
-// the same inter-thread communication: the same reads-from edges on shared addresses, in
-// the same order, with the same values observed. The happens-before fingerprint below
-// hashes exactly that — an order-sensitive FNV-1a over the trial's communication-edge
-// sequence. Scheduler switch points are deliberately EXCLUDED: where preemptions landed is
-// schedule identity, every seeded trial's schedule is distinct by construction, and
-// folding it in makes every fingerprint unique (measured on the reference campaign: zero
-// duplicates with switch points folded, duplicate groups of 14-19 trials without). Two
-// trials that differ only in where the scheduler switched, but realize the same edge
-// sequence, feed the detectors the same happens-before skeleton — so the explorer can
-// skip duplicate interleavings early,
-// declare a test *saturated* once fresh trials stop producing new fingerprints, and learn
-// which instruction sites actually participate in communication (the adaptive site table)
-// to steer later trials' preemptions toward them.
+// space. Bugs surface through inter-thread communication, so a trial is worth analyzing
+// only while it adds communication its test has not already shown: a cross-vCPU reads-from
+// edge (write site, read site, address, value) that no earlier trial of the same test
+// realized. A trial whose every edge is already in the test's edge history feeds the
+// detectors nothing new, so the explorer skips it and declares the test *saturated*.
+// Scheduler switch points are deliberately EXCLUDED from an edge: where preemptions landed
+// is schedule identity, and every seeded trial's schedule is distinct by construction.
 //
-// Everything here follows the trial loop's storage discipline: flat tables that keep their
-// backing arrays across Clear(), so fingerprinting a trace performs no heap allocation at
-// steady state (tests/trial_alloc_test.cc proves the combined loop).
+// Edge order does not count either. An earlier rule compared each trial's whole ordered
+// edge sequence, and adaptive steering reorders known edges so readily that repeats were
+// rare: on perfbench's `campaign_pmc` inputs it ran 543 trials per campaign and pruned 28
+// of them. Comparing edge sets runs 152 trials and finds the same issues on every input
+// (EXPERIMENTS.md, "Schedule-equivalence pruning").
+//
+// The edges also feed the adaptive site table: the two sites of each newly seen edge are
+// learned to participate in communication, and later trials' preemptions are steered
+// toward them.
+//
+// Everything here follows the trial loop's storage discipline: flat tables and vectors
+// that keep their backing arrays across Clear(), so collecting a trace's edges performs no
+// heap allocation at steady state (tests/trial_alloc_test.cc proves the combined loop).
 #ifndef SRC_SNOWBOARD_EQUIV_H_
 #define SRC_SNOWBOARD_EQUIV_H_
 
@@ -27,44 +30,39 @@
 
 #include "src/sim/access.h"
 #include "src/util/flatmap.h"
+#include "src/util/hash.h"
 
 namespace snowboard {
 
 // One inter-thread communication edge: a read on `addr` observing `value` that was last
-// written by a DIFFERENT vCPU. `write_site`/`read_site` name the instructions; together
-// with the trace order of edges this is the happens-before skeleton the detectors see.
+// written by a DIFFERENT vCPU. `write_site`/`read_site` name the instructions.
 struct HbEdge {
   SiteId write_site = 0;
   SiteId read_site = 0;
   GuestAddr addr = 0;
   uint64_t value = 0;
 
+  // The edge's identity in a test's edge history.
+  uint64_t Key() const { return HashAll(write_site, read_site, addr, value); }
+
   bool operator==(const HbEdge&) const = default;
 };
 
-// Reusable scratch for HbFingerprint: one last-writer table keyed by address plus the edge
-// sites of the most recent trial (in trace order, duplicates preserved).
-// Clear-keeps-capacity, so one scratch serves a whole test.
+// Reusable scratch for CollectHbEdges: one last-writer table keyed by address plus the
+// edges of the most recent trial. Clear-keeps-capacity, so one scratch serves a whole test.
 struct HbScratch {
   struct LastWrite {
     SiteId site = 0;
     VcpuId vcpu = kInvalidVcpu;
   };
   FlatMap<uint64_t, LastWrite> last_write;  // addr -> the last write's site and vCPU.
-  std::vector<SiteId> edge_sites;           // Both sites of every edge, this trial.
+  std::vector<HbEdge> edges;                // This trial's edges, in trace order.
 };
 
-// The per-trial happens-before fingerprint: order-sensitive FNV-1a over the trial's
-// communication edges (reads-from pairs on shared addresses, with address and observed
-// value). Yield events are invariant — see the file comment for why. Identical
-// fingerprints ⇔ identical edge sequences (tests/equiv_property_test.cc proves both
-// directions on randomized schedules, modulo 64-bit collisions).
-//
-// `scratch` is cleared and refilled; after the call scratch->edge_sites holds the trial's
-// edge-site sequence. `edges_out` (optional, test/diagnostic use — it allocates) receives
-// the decoded edge list.
-uint64_t HbFingerprint(const Trace& trace, HbScratch* scratch,
-                       std::vector<HbEdge>* edges_out = nullptr);
+// Fills scratch->edges with the trace's communication edges (reads-from pairs on shared
+// addresses, with address and observed value), in trace order and with duplicates kept.
+// Yield events carry no edge — see the file comment for why.
+void CollectHbEdges(const Trace& trace, HbScratch* scratch);
 
 // Sites learned to participate in communication edges. One table lives for one test's
 // trial loop and dies with it.
@@ -95,13 +93,12 @@ inline constexpr uint32_t kAdaptiveBoost = 4;
 // options fingerprint.
 struct PruneOptions {
   bool enabled = false;
-  // K consecutive duplicate fingerprints ⇒ the test saturates and ends early. Execution
-  // savings come entirely from saturation (a never-saturating test still runs its full
-  // trial budget), so the window must sit below the budget to save anything. The default
-  // is 1 — saturate at the first duplicate — because adaptive steering already pushes
-  // every subsequent trial toward unexplored communication (measured on the reference
-  // campaign: steering halves the duplicate rate), so the first repeat is a strong signal
-  // the test's interleaving space is exhausted.
+  // K consecutive trials that add no new edge ⇒ the test saturates and ends early.
+  // Execution savings come entirely from saturation (a never-saturating test still runs
+  // its full trial budget), so the window must sit below the budget to save anything. The
+  // default is 1 — saturate at the first such trial — because adaptive steering already
+  // pushes every subsequent trial toward unexplored communication, so a trial that still
+  // shows nothing new is a strong signal the test's communication is exhausted.
   int saturation_window = 1;
 };
 

@@ -237,23 +237,23 @@ ExploreOutcome RunTrialLoop(KernelVm& vm, const std::vector<const Program*>& pro
   std::vector<FindingKey> trial_findings;
   PmcMatcher::Search incidental;
 
-  // Schedule-equivalence pruning state (equiv.h). The fingerprint scratch and seen-set
-  // keep their capacity across trials (no steady-state allocation); the adaptive table is
-  // installed on the scheduler only while this test runs, and only ever learns from this
-  // test's own seeded trials, so schedules remain a function of (test, seed).
+  // Schedule-equivalence pruning state (equiv.h). The edge scratch and the test's edge
+  // history keep their capacity across trials (no steady-state allocation); the adaptive
+  // table is installed on the scheduler only while this test runs, and only ever learns
+  // from this test's own seeded trials, so schedules remain a function of (test, seed).
   const bool prune = options.prune.enabled;
   HbScratch hb_scratch;
-  FlatSet<uint64_t> seen_fingerprints;
+  FlatSet<uint64_t> seen_edges;
   AdaptiveSiteTable site_table;
   if (prune) {
     scheduler.set_adaptive_sites(&site_table);
   }
-  // The trial budget counts EXECUTIONS, exactly as with pruning off — a duplicate trial
-  // still spends its slot (it already ran; only its analysis is skipped). The savings come
-  // from saturation: K consecutive duplicates end the test early, forfeiting the rest of
-  // the budget. Extending the budget for duplicates instead was measured to run MORE
+  // The trial budget counts EXECUTIONS, exactly as with pruning off — a pruned trial still
+  // spends its slot (it already ran; only its analysis is skipped). The savings come from
+  // saturation: K consecutive pruned trials end the test early, forfeiting the rest of the
+  // budget. Extending the budget for pruned trials instead was measured to run MORE
   // executions than the unpruned loop on the reference campaign, inverting the win.
-  int consecutive_duplicates = 0;
+  int consecutive_pruned = 0;
 
   for (int trial = 0; trial < options.num_trials; trial++) {
     if (options.fault != nullptr && options.fault->At("explorer.trial")) {
@@ -274,27 +274,33 @@ ExploreOutcome RunTrialLoop(KernelVm& vm, const std::vector<const Program*>& pro
       outcome.any_hang = true;
     }
 
-    // Schedule-equivalence check: a trial whose happens-before fingerprint was already
-    // explored is detector-equivalent to the earlier trial that produced it (same
-    // communication edges in the same order), so detectors, the channel check, and
-    // incidental adoption are all skipped — they would re-derive already-recorded facts.
-    // K consecutive duplicates saturate the test: fresh seeds have stopped finding new
-    // interleavings, so the remaining budget is forfeit.
+    // Schedule-equivalence check: a trial whose every communication edge already occurred
+    // in an earlier trial of this test shows the detectors nothing new, so detectors, the
+    // channel check, and incidental adoption are all skipped — they would re-derive
+    // already-recorded facts. The first trial is always analyzed, edges or not: with an
+    // empty history, "nothing new" would end the test before any trial was analyzed.
+    // K consecutive pruned trials saturate the test: fresh seeds have stopped finding new
+    // communication, so the remaining budget is forfeit.
     if (prune) {
-      uint64_t hb = HbFingerprint(result.trace, &hb_scratch);
-      if (!seen_fingerprints.Insert(hb)) {
+      CollectHbEdges(result.trace, &hb_scratch);
+      bool new_edge = false;
+      for (const HbEdge& edge : hb_scratch.edges) {
+        if (seen_edges.Insert(edge.Key())) {
+          site_table.Record(edge.write_site);
+          site_table.Record(edge.read_site);
+          new_edge = true;
+        }
+      }
+      if (trial > 0 && !new_edge) {
         outcome.trials_pruned++;
         TRACE_INSTANT("explore.trial_pruned", static_cast<uint64_t>(trial));
-        if (++consecutive_duplicates >= options.prune.saturation_window) {
+        if (++consecutive_pruned >= options.prune.saturation_window) {
           outcome.saturated = true;
           break;
         }
         continue;
       }
-      consecutive_duplicates = 0;
-      for (SiteId site : hb_scratch.edge_sites) {
-        site_table.Record(site);
-      }
+      consecutive_pruned = 0;
     }
 
     for (size_t c = 0; c < channels.size() && !outcome.channel_exercised; c++) {

@@ -234,8 +234,8 @@ struct FindingRecord {
 
 struct ExploreOutcome {
   int trials_run = 0;
-  int trials_pruned = 0;           // Duplicate-fingerprint trials skipped by pruning.
-  bool saturated = false;          // Ended early: K consecutive duplicate fingerprints.
+  int trials_pruned = 0;           // Trials after the first that added no new edge.
+  bool saturated = false;          // Ended early: K consecutive pruned trials.
   uint64_t switch_decisions = 0;   // Scheduler switch decisions across this test's trials.
   bool bug_found = false;
   int first_bug_trial = -1;        // 0-based trial index of the first detector hit.

@@ -35,6 +35,11 @@ bool Dead(const PipelineOptions& options) {
   return options.fault != nullptr && options.fault->crashed();
 }
 
+// Names the stopping rule a prune-on journal answers. 2 is the no-new-edge rule; 1 was
+// the repeated ordered-edge-sequence rule, whose journals must not replay under this one.
+// Prune-off campaigns hash 0, as they always have.
+constexpr uint64_t kPruneRuleTag = 2;
+
 // Hash of every option that shapes the pipeline's deterministic outputs. num_workers,
 // checkpointing, and fault injection are deliberately excluded: a campaign may be resumed
 // with a different worker count (the determinism invariant guarantees identical results),
@@ -45,7 +50,7 @@ uint64_t OptionsFingerprint(const PipelineOptions& o) {
                  o.corpus.use_seeds, static_cast<uint64_t>(o.strategy), o.max_concurrent_tests,
                  o.explorer.num_trials, o.explorer.seed, o.explorer.max_instructions,
                  o.explorer.target_issue, o.explorer.minimize_schedules,
-                 o.explorer.detectors, o.explorer.prune.enabled,
+                 o.explorer.detectors, o.explorer.prune.enabled ? kPruneRuleTag : 0,
                  o.explorer.prune.saturation_window);
 }
 

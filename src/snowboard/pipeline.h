@@ -81,8 +81,8 @@ struct PipelineResult {
   size_t tests_with_bug = 0;
   size_t channel_exercised = 0;  // §5.3.2 numerator.
   uint64_t total_trials = 0;
-  // Schedule-equivalence pruning funnel (equiv.h): trials skipped as duplicate
-  // interleavings, tests that saturated (ended early), and total scheduler switch
+  // Schedule-equivalence pruning funnel (equiv.h): trials skipped for adding no new
+  // communication edge, tests that saturated (ended early), and total scheduler switch
   // decisions across all tests. Deterministic (folded in test-index order), so they
   // serialize with the result and land in report.json.
   uint64_t trials_pruned = 0;

@@ -311,7 +311,8 @@ std::string DescribeFinding(const DetectorResult& result, const FindingKey& find
           StrPrintf("livelock: no progress over %llu events, spinning at",
                     static_cast<unsigned long long>(livelock.window_events));
       for (SiteId site : livelock.spin_sites) {
-        evidence += " " + SiteName(site);
+        evidence += ' ';
+        evidence += SiteName(site);
       }
       return evidence;
     }

@@ -76,9 +76,9 @@ CampaignReport BuildCampaignReport(const PipelineOptions& options,
       row.harmful = info->harmful;
       row.benign = info->benign;
     } else {
-      row.type = "?";
+      row.type = '?';
       row.summary = "unclassified detector report";
-      row.subsystem = "-";
+      row.subsystem = '-';
     }
     row.kind = FindingKindName(finding.kind);
     row.duplicate_input = finding.duplicate_input;

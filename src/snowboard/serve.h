@@ -57,10 +57,10 @@ struct CampaignSpec {
   int priority = 0;              // higher starts first; ties by submission order.
   uint32_t detectors = kDetectorAll;
   // Schedule-equivalence pruning (equiv.h). ON by default for campaigns — unlike the raw
-  // library default — because duplicate-interleaving trials are pure waste at fleet scale;
-  // `prune 0` (CLI --no-prune) restores the unpruned trial loop bit-for-bit.
+  // library default — because trials that show no new communication are pure waste at
+  // fleet scale; `prune 0` (CLI --no-prune) restores the unpruned trial loop bit-for-bit.
   bool prune = true;
-  int prune_saturation = 1;  // Consecutive duplicate trials before a test saturates.
+  int prune_saturation = 1;  // Consecutive trials with no new edge before a test saturates.
 };
 
 // Versioned text round-trip ("snowboard-campaign-spec-v2": one key per line) — the

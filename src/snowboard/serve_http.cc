@@ -385,8 +385,12 @@ std::optional<HttpResponse> UnixHttpRequest(const std::string& socket_path,
   size_t sent = 0;
   while (sent < wire.size()) {
     // MSG_NOSIGNAL: a server that closed before reading the whole body gets EPIPE, not a
-    // SIGPIPE that would kill the caller.
+    // SIGPIPE that would kill the caller. Such a server answered before it closed (the
+    // daemon stops reading an oversized body, answers and closes), so read that answer.
     ssize_t n = ::send(fd, wire.data() + sent, wire.size() - sent, MSG_NOSIGNAL);
+    if (n < 0 && (errno == EPIPE || errno == ECONNRESET)) {
+      break;
+    }
     if (n <= 0) {
       ::close(fd);
       return std::nullopt;
@@ -398,12 +402,12 @@ std::optional<HttpResponse> UnixHttpRequest(const std::string& socket_path,
   char buffer[4096];
   for (;;) {
     ssize_t n = ::read(fd, buffer, sizeof(buffer));
-    if (n < 0) {
+    if (n < 0 && errno != ECONNRESET) {
       ::close(fd);
       return std::nullopt;
     }
-    if (n == 0) {
-      break;
+    if (n <= 0) {
+      break;  // End of the answer; a reset follows it when part of the body went unread.
     }
     response_text.append(buffer, static_cast<size_t>(n));
   }

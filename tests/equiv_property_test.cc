@@ -1,19 +1,21 @@
 // Schedule-equivalence pruning (src/snowboard/equiv.h): property tests for the
-// happens-before fingerprint, units for the adaptive site table, and the
-// prune-on vs prune-off A/B over the reference campaign.
+// communication-edge collection and its keys, units for the adaptive site table and the
+// trial loop's first-trial guard, and the prune-on vs prune-off A/B over the reference
+// campaign.
 //
-// The fingerprint's contract is an iff: two trials hash equal exactly when they realize
-// the same communication-edge sequence (modulo 64-bit collisions, which the seeded sweeps
-// below would surface deterministically). Switch points are invariant by design — see
-// equiv.h. Both directions are checked — random traces against an independently-computed
-// canonical sequence, plus targeted mutations that must (or must not) move the hash.
+// CollectHbEdges must list exactly a trace's cross-vCPU reads-from edges, in trace order:
+// random traces are checked against an independently computed canonical sequence, and
+// targeted mutations must (or must not) add an edge or change its key. Switch points are
+// invariant by design — see equiv.h.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <string>
 #include <vector>
 
+#include "src/fuzz/generator.h"
 #include "src/snowboard/equiv.h"
+#include "src/snowboard/explorer.h"
 #include "src/snowboard/pipeline.h"
 #include "src/snowboard/report_html.h"
 #include "src/util/counters.h"
@@ -24,11 +26,10 @@
 namespace snowboard {
 namespace {
 
-// --- Fingerprint ⇔ canonical-sequence property on random traces. ---
+// --- Edge list ⇔ canonical-sequence property on random traces. ---
 
-// Independent oracle: the canonical communication description of a trace, computed with
-// plain containers and no hashing. Two traces are detector-equivalent for the fingerprint
-// iff their canonical strings are equal.
+// Independent oracle: the canonical communication description of a trace, one line per
+// edge in trace order, computed with plain containers and no hashing.
 std::string CanonicalSequence(const Trace& trace) {
   std::map<uint64_t, std::pair<SiteId, VcpuId>> last_write;  // addr -> (site, vcpu).
   std::string out;
@@ -47,6 +48,18 @@ std::string CanonicalSequence(const Trace& trace) {
                    static_cast<unsigned long long>(access.value));
       }
     }
+  }
+  return out;
+}
+
+std::string EdgeSequence(const std::vector<HbEdge>& edges) {
+  std::string out;
+  for (const HbEdge& edge : edges) {
+    StrAppendf(&out, "E %llu %llu %llu %llu\n",
+               static_cast<unsigned long long>(edge.write_site),
+               static_cast<unsigned long long>(edge.read_site),
+               static_cast<unsigned long long>(edge.addr),
+               static_cast<unsigned long long>(edge.value));
   }
   return out;
 }
@@ -73,7 +86,7 @@ Event YieldEvent(VcpuId vcpu) {
 }
 
 // Small pools everywhere so random traces collide: shared addresses, repeated sites,
-// repeated values — the regime where duplicate communication sequences actually occur.
+// repeated values — the regime where the same edge recurs within and across traces.
 Trace RandomTrace(Rng& rng) {
   Trace trace;
   size_t length = 4 + rng.Below(24);
@@ -93,56 +106,67 @@ Trace RandomTrace(Rng& rng) {
   return trace;
 }
 
+// The keys of a trace's edges, as the trial loop inserts them into a test's history.
+std::vector<uint64_t> EdgeKeys(const Trace& trace, HbScratch* scratch) {
+  CollectHbEdges(trace, scratch);
+  std::vector<uint64_t> keys;
+  for (const HbEdge& edge : scratch->edges) {
+    keys.push_back(edge.Key());
+  }
+  return keys;
+}
+
+// Named for the happens-before fingerprint the edge history replaced; the oracle is the
+// same canonical sequence.
 class HbFingerprintProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(HbFingerprintProperty, EqualityMatchesCanonicalSequence) {
   Rng rng(GetParam());
   HbScratch scratch;
-  std::map<std::string, uint64_t> canonical_to_fp;
-  std::map<uint64_t, std::string> fp_to_canonical;
-  int duplicate_sequences = 0;
+  // Every distinct edge seen across the sweep, by key: equal keys must mean equal edges.
+  std::map<uint64_t, std::string> key_to_edge;
+  int repeated_edges = 0;
   for (int i = 0; i < 400; i++) {
     Trace trace = RandomTrace(rng);
-    uint64_t fp = HbFingerprint(trace, &scratch);
-    std::string canonical = CanonicalSequence(trace);
-
-    auto [fwd, fwd_new] = canonical_to_fp.try_emplace(canonical, fp);
-    if (!fwd_new) {
-      // Same communication sequence must hash identically (completeness).
-      ASSERT_EQ(fwd->second, fp) << "canonical:\n" << canonical;
-      duplicate_sequences++;
-    }
-    auto [rev, rev_new] = fp_to_canonical.try_emplace(fp, canonical);
-    if (!rev_new) {
-      // Same hash must mean the same sequence (soundness / no collision observed).
-      ASSERT_EQ(rev->second, canonical) << "fp=" << fp;
+    CollectHbEdges(trace, &scratch);
+    ASSERT_EQ(EdgeSequence(scratch.edges), CanonicalSequence(trace));
+    for (const HbEdge& edge : scratch.edges) {
+      std::string line = EdgeSequence({edge});
+      auto [it, fresh] = key_to_edge.try_emplace(edge.Key(), line);
+      if (!fresh) {
+        // Same key must mean the same edge (no collision observed).
+        ASSERT_EQ(it->second, line) << "key=" << edge.Key();
+        repeated_edges++;
+      }
     }
   }
-  // The pools are small enough that the sweep genuinely exercises the completeness
-  // direction; if this ever fails, shrink the pools rather than deleting the assert.
-  EXPECT_GT(duplicate_sequences, 0);
+  // The pools are small enough that edges genuinely recur, so the key check above has
+  // something to compare; if this ever fails, shrink the pools rather than deleting it.
+  EXPECT_GT(repeated_edges, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HbFingerprintProperty, ::testing::Values(1, 2, 3, 4, 5));
 
-// --- Targeted invariance: changes invisible to the communication skeleton. ---
+// --- Targeted checks: what is, and what is not, an edge. ---
 
-TEST(HbFingerprintTest, IgnoresNonCommunicatingDetail) {
+TEST(HbEdgeTest, IgnoresNonCommunicatingDetail) {
   Trace base = {
       AccessEvent(0, AccessType::kWrite, 0x1000, 7, 101),
       AccessEvent(1, AccessType::kRead, 0x1000, 7, 202),  // Cross-vCPU edge.
       YieldEvent(1),
   };
   HbScratch scratch;
-  uint64_t fp = HbFingerprint(base, &scratch);
-  ASSERT_EQ(scratch.edge_sites.size(), 2u);
+  CollectHbEdges(base, &scratch);
+  const std::vector<HbEdge> edges = {{101, 202, 0x1000, 7}};
+  ASSERT_EQ(scratch.edges, edges);
 
   // Same-vCPU read-after-write on a fresh address adds no edge.
   Trace same_vcpu = base;
   same_vcpu.insert(same_vcpu.begin(),
                    {AccessEvent(2, AccessType::kWrite, 0x2000, 1, 300),
                     AccessEvent(2, AccessType::kRead, 0x2000, 1, 300)});
-  EXPECT_EQ(HbFingerprint(same_vcpu, &scratch), fp);
+  CollectHbEdges(same_vcpu, &scratch);
+  EXPECT_EQ(scratch.edges, edges);
 
   // Lock events carry no communication either.
   Trace with_lock = base;
@@ -151,54 +175,67 @@ TEST(HbFingerprintTest, IgnoresNonCommunicatingDetail) {
   lock.vcpu = 0;
   lock.lock_addr = 0x3000;
   with_lock.insert(with_lock.begin(), lock);
-  EXPECT_EQ(HbFingerprint(with_lock, &scratch), fp);
+  CollectHbEdges(with_lock, &scratch);
+  EXPECT_EQ(scratch.edges, edges);
 
   // A read with no prior write is not an edge, whatever its value.
   Trace cold_read = base;
   cold_read.insert(cold_read.begin(), AccessEvent(1, AccessType::kRead, 0x4000, 9, 400));
-  EXPECT_EQ(HbFingerprint(cold_read, &scratch), fp);
+  CollectHbEdges(cold_read, &scratch);
+  EXPECT_EQ(scratch.edges, edges);
 
   // Switch points are schedule identity, not communication: adding, removing, or moving
-  // yields never moves the hash (every seeded trial's schedule is unique, so folding
-  // yields in would make pruning vacuous — see equiv.h).
+  // yields never adds an edge (every seeded trial's schedule is unique, so counting yields
+  // would make pruning vacuous — see equiv.h).
   Trace no_yield = {base[0], base[1]};
-  EXPECT_EQ(HbFingerprint(no_yield, &scratch), fp);
+  CollectHbEdges(no_yield, &scratch);
+  EXPECT_EQ(scratch.edges, edges);
   Trace other_yielder = base;
   other_yielder[2].vcpu = 0;
-  EXPECT_EQ(HbFingerprint(other_yielder, &scratch), fp);
+  CollectHbEdges(other_yielder, &scratch);
+  EXPECT_EQ(scratch.edges, edges);
   Trace extra_yields = base;
   extra_yields.insert(extra_yields.begin(), YieldEvent(2));
   extra_yields.push_back(YieldEvent(0));
-  EXPECT_EQ(HbFingerprint(extra_yields, &scratch), fp);
+  CollectHbEdges(extra_yields, &scratch);
+  EXPECT_EQ(scratch.edges, edges);
 }
 
-TEST(HbFingerprintTest, SensitiveToEveryEdgeFeature) {
-  Trace base = {
+TEST(HbEdgeTest, KeySensitiveToEveryEdgeFeature) {
+  const HbEdge base = {101, 202, 0x1000, 7};
+  HbEdge other_value = base;
+  other_value.value = 8;
+  HbEdge other_read_site = base;
+  other_read_site.read_site = 203;
+  HbEdge other_write_site = base;
+  other_write_site.write_site = 102;
+  HbEdge other_addr = base;
+  other_addr.addr = 0x2000;
+  for (const HbEdge& changed : {other_value, other_read_site, other_write_site, other_addr}) {
+    EXPECT_NE(changed.Key(), base.Key());
+  }
+  EXPECT_EQ((HbEdge{101, 202, 0x1000, 7}).Key(), base.Key());
+}
+
+TEST(HbEdgeTest, CollectsEveryEdgeInTraceOrder) {
+  Trace trace = {
       AccessEvent(0, AccessType::kWrite, 0x1000, 7, 101),
       AccessEvent(1, AccessType::kRead, 0x1000, 7, 202),
-      YieldEvent(1),
+      AccessEvent(1, AccessType::kWrite, 0x1000, 3, 203),
+      AccessEvent(0, AccessType::kRead, 0x1000, 3, 104),
+      AccessEvent(0, AccessType::kRead, 0x1000, 3, 104),  // The same edge again.
   };
   HbScratch scratch;
-  uint64_t fp = HbFingerprint(base, &scratch);
+  CollectHbEdges(trace, &scratch);
+  EXPECT_EQ(scratch.edges, (std::vector<HbEdge>{{101, 202, 0x1000, 7},
+                                                 {203, 104, 0x1000, 3},
+                                                 {203, 104, 0x1000, 3}}));
+}
 
-  Trace other_value = base;
-  other_value[1].access.value = 8;
-  EXPECT_NE(HbFingerprint(other_value, &scratch), fp);
-
-  Trace other_read_site = base;
-  other_read_site[1].access.site = 203;
-  EXPECT_NE(HbFingerprint(other_read_site, &scratch), fp);
-
-  Trace other_write_site = base;
-  other_write_site[0].access.site = 102;
-  EXPECT_NE(HbFingerprint(other_write_site, &scratch), fp);
-
-  Trace other_addr = base;
-  other_addr[0].access.addr = 0x2000;
-  other_addr[1].access.addr = 0x2000;
-  EXPECT_NE(HbFingerprint(other_addr, &scratch), fp);
-
-  // Order sensitivity: the same two edges in the opposite order hash differently.
+// Edge order is not communication: the same two edges in the opposite order add no key to
+// the history the first order built. (The ordered-sequence fingerprint this rule replaced
+// counted the second trial as new.)
+TEST(HbEdgeTest, SwappedEdgeOrderAddsNoKey) {
   Trace ab = {
       AccessEvent(0, AccessType::kWrite, 0x1000, 1, 101),
       AccessEvent(1, AccessType::kRead, 0x1000, 1, 201),
@@ -206,24 +243,40 @@ TEST(HbFingerprintTest, SensitiveToEveryEdgeFeature) {
       AccessEvent(1, AccessType::kRead, 0x2000, 2, 202),
   };
   Trace ba = {ab[2], ab[3], ab[0], ab[1]};
-  EXPECT_NE(HbFingerprint(ab, &scratch), HbFingerprint(ba, &scratch));
+  HbScratch scratch;
+  FlatSet<uint64_t> history;
+  for (uint64_t key : EdgeKeys(ab, &scratch)) {
+    EXPECT_TRUE(history.Insert(key));
+  }
+  std::vector<uint64_t> swapped = EdgeKeys(ba, &scratch);
+  ASSERT_EQ(swapped.size(), 2u);
+  for (uint64_t key : swapped) {
+    EXPECT_FALSE(history.Insert(key));
+  }
 }
 
-TEST(HbFingerprintTest, EdgesOutDecodesTheEdgeList) {
-  Trace trace = {
-      AccessEvent(0, AccessType::kWrite, 0x1000, 7, 101),
-      AccessEvent(1, AccessType::kRead, 0x1000, 7, 202),
-      AccessEvent(1, AccessType::kWrite, 0x1000, 3, 203),
-      AccessEvent(0, AccessType::kRead, 0x1000, 3, 104),
+// The observed value is part of the communication: repeating a known edge with a new value
+// adds exactly one key.
+TEST(HbEdgeTest, RepeatedEdgeWithNewValueAddsOneKey) {
+  Trace first = {
+      AccessEvent(0, AccessType::kWrite, 0x1000, 1, 101),
+      AccessEvent(1, AccessType::kRead, 0x1000, 1, 201),
+      AccessEvent(0, AccessType::kWrite, 0x2000, 2, 102),
+      AccessEvent(1, AccessType::kRead, 0x2000, 2, 202),
   };
+  Trace second = first;
+  second[2].access.value = 5;
+  second[3].access.value = 5;
   HbScratch scratch;
-  std::vector<HbEdge> edges;
-  HbFingerprint(trace, &scratch, &edges);
-  ASSERT_EQ(edges.size(), 2u);
-  EXPECT_EQ(edges[0], (HbEdge{101, 202, 0x1000, 7}));
-  EXPECT_EQ(edges[1], (HbEdge{203, 104, 0x1000, 3}));
-  // edge_sites carries both endpoints of each edge, in trace order.
-  EXPECT_EQ(scratch.edge_sites, (std::vector<SiteId>{101, 202, 203, 104}));
+  FlatSet<uint64_t> history;
+  for (uint64_t key : EdgeKeys(first, &scratch)) {
+    history.Insert(key);
+  }
+  int added = 0;
+  for (uint64_t key : EdgeKeys(second, &scratch)) {
+    added += history.Insert(key) ? 1 : 0;
+  }
+  EXPECT_EQ(added, 1);
 }
 
 // --- AdaptiveSiteTable units. ---
@@ -246,6 +299,44 @@ TEST(AdaptiveSiteTableTest, RecordedSitesAreHotUntilClear) {
   table.Record(8);  // A cleared table learns afresh.
   EXPECT_TRUE(table.IsHot(8));
   EXPECT_FALSE(table.IsHot(7));
+}
+
+// --- The trial loop's first trial. ---
+
+// A test whose first trial realizes accesses but no cross-vCPU edge, as random pairing
+// often builds: that trial adds nothing to an empty edge history, yet it must still be
+// analyzed, or the test would end with no trial analyzed.
+TEST(PruneLoopTest, EdgelessFirstTrialIsAnalyzed) {
+  KernelVm vm;
+  const std::vector<Program> seeds = SeedPrograms();
+  ConcurrentTest test;
+  test.writer = seeds[8];
+  test.reader = seeds[27];
+  ExplorerOptions options;
+  options.num_trials = 8;
+  options.prune.enabled = true;
+
+  // The loop's first trial, replayed outside it: the same programs under the same seed.
+  std::vector<Engine::GuestFn> fns = {MakeProgramRunner(vm.globals(), test.writer, 0),
+                                      MakeProgramRunner(vm.globals(), test.reader, 1)};
+  RandomPreemptScheduler scheduler;
+  scheduler.SeedTrial(options.seed);
+  Engine::RunOptions run_options;
+  run_options.scheduler = &scheduler;
+  Engine::RunResult run;
+  vm.RestoreSnapshot();
+  vm.engine().RunInto(fns, run_options, &run);
+  HbScratch scratch;
+  CollectHbEdges(run.trace, &scratch);
+  ASSERT_FALSE(run.trace.empty());
+  ASSERT_TRUE(scratch.edges.empty());
+
+  ExploreOutcome outcome =
+      ExploreWithScheduler(vm, test, scheduler, /*check_channel=*/false, options);
+  // Trial 0 is analyzed; trial 1, edgeless too, is the pruned trial that ends the test.
+  EXPECT_EQ(outcome.trials_run, 2);
+  EXPECT_EQ(outcome.trials_pruned, 1);
+  EXPECT_TRUE(outcome.saturated);
 }
 
 // --- Prune-on vs prune-off A/B over the reference campaign. ---

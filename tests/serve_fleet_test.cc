@@ -804,5 +804,35 @@ TEST(ServeFleetTest, ClientThatHangsUpEarlyLeavesTheDaemonServing) {
   std::filesystem::remove_all(options.root);
 }
 
+// A body past the daemon's 8 MiB read cap gets an answer, not a transport error: the
+// daemon stops reading, answers and closes, so the client's send fails with EPIPE while the
+// answer waits in its receive queue.
+TEST(ServeFleetTest, OversizedBodyGetsTheDaemonsAnswer) {
+  FleetOptions options;
+  options.root = FreshDir("oversized");
+  options.total_workers = 1;
+  FleetServer server(options);
+  ASSERT_TRUE(server.ok());
+  std::string socket_path = std::string(::testing::TempDir()) + "sb_serve_oversized_" +
+                            std::to_string(::getpid()) + ".sock";
+  FleetHttpServer http(&server, socket_path);
+  ASSERT_TRUE(http.ok());
+  std::thread accept_loop([&]() { http.Serve(); });
+
+  std::optional<HttpResponse> response =
+      UnixHttpRequest(socket_path, "POST", "/campaigns", std::string(16u << 20, 'x'));
+  EXPECT_TRUE(response.has_value()) << "the client lost the daemon's answer";
+  if (response.has_value()) {
+    EXPECT_EQ(response->status, 400);
+  }
+
+  response = UnixHttpRequest(socket_path, "POST", "/drain", "");
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(response->status, 202);
+  accept_loop.join();
+  server.Drain();
+  std::filesystem::remove_all(options.root);
+}
+
 }  // namespace
 }  // namespace snowboard

@@ -85,23 +85,23 @@ TEST(TrialAllocTest, SteadyStateTrialLoopIsAllocationFree) {
   Rng adoption_rng;
   size_t adoptions = 0;
 
-  // Schedule-equivalence pruning state: the fingerprint scratch, the seen-set and the
+  // Schedule-equivalence pruning state: the edge scratch, the test's edge history and the
   // adaptive table all clear keeping capacity, as the explorer reuses them across a test.
   HbScratch hb_scratch;
-  FlatSet<uint64_t> seen_fingerprints;
+  FlatSet<uint64_t> seen_edges;
   AdaptiveSiteTable site_table;
 
   // One test's trial loop, distilled from RunTrialLoop: reset the scheduler to the test's
-  // PMC, then per trial seed the recorder, restore, run, (fingerprint and skip a
-  // duplicate,) detect, probe each finding's first-seen set, search for incidental
-  // PMCs and adopt one. Returns true when every trial ran clean.
+  // PMC, then per trial seed the recorder, restore, run, (collect the edges, learn the new
+  // ones and skip a trial with none,) detect, probe each finding's first-seen set, search
+  // for incidental PMCs and adopt one. Returns true when every trial ran clean.
   auto run_cycle = [&](bool prune) {
     scheduler.ResetForTest(pmcs[0].key);
     scheduler.set_adaptive_sites(prune ? &site_table : nullptr);
     current_keys.Clear();
     current_keys.Insert(pmcs[0].key.Hash());
     adoption_rng.Seed(2021);
-    seen_fingerprints.Clear();
+    seen_edges.Clear();
     site_table.Clear();
     for (FlatSet<uint64_t>& seen : seen_findings) {
       seen.Clear();
@@ -112,11 +112,17 @@ TEST(TrialAllocTest, SteadyStateTrialLoopIsAllocationFree) {
       vm.RestoreSnapshot();
       vm.engine().RunInto(fns, opts, &result);
       if (prune) {
-        if (!seen_fingerprints.Insert(HbFingerprint(result.trace, &hb_scratch))) {
-          continue;
+        CollectHbEdges(result.trace, &hb_scratch);
+        bool new_edge = false;
+        for (const HbEdge& edge : hb_scratch.edges) {
+          if (seen_edges.Insert(edge.Key())) {
+            site_table.Record(edge.write_site);
+            site_table.Record(edge.read_site);
+            new_edge = true;
+          }
         }
-        for (SiteId site : hb_scratch.edge_sites) {
-          site_table.Record(site);
+        if (s > 0 && !new_edge) {
+          continue;
         }
       }
       suite.Run(result, &detectors);
@@ -185,16 +191,16 @@ TEST(TrialAllocTest, SteadyStateTrialLoopIsAllocationFree) {
   EXPECT_EQ(after - before, 0u)
       << (after - before) << " heap allocations in a traced steady-state trial cycle";
 
-  // Schedule-equivalence pruning rides the same loop: fingerprint every trace, probe the
-  // seen-set, record edge sites in the adaptive table the scheduler consults. Once the
-  // warm-up cycle reaches the high-water mark the pruned loop is as allocation-free as the
-  // plain one.
+  // Schedule-equivalence pruning rides the same loop: collect every trace's edges, probe
+  // the test's edge history, record new edges' sites in the adaptive table the scheduler
+  // consults. Once the warm-up cycle reaches the high-water mark the pruned loop is as
+  // allocation-free as the plain one.
   run_cycle(true);
   before = AllocationCount();
   run_cycle(true);
   after = AllocationCount();
   EXPECT_EQ(after - before, 0u)
-      << (after - before) << " heap allocations in a fingerprinted trial cycle";
+      << (after - before) << " heap allocations in a pruned trial cycle";
 }
 
 }  // namespace

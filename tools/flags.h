@@ -87,7 +87,7 @@ class Args {
         return false;
       }
       if (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
-        values_[key] = "1";
+        values_[key] = '1';
       } else if (flag->value_name == nullptr) {
         std::fprintf(stderr, "%s: flag --%s takes no value\n", context_.c_str(), key.c_str());
         return false;

@@ -72,8 +72,8 @@ constexpr FlagInfo kCampaignFlags[] = {
     {"trials", "N", "trials per concurrent test (default 24)"},
     {"workers", "N", "worker threads for every parallel stage (default 4)"},
     {"no-prune", nullptr, "disable schedule-equivalence pruning (on by default)"},
-    {"prune-saturation", "K", "consecutive duplicate trials before a test saturates "
-                              "(default 1)"},
+    {"prune-saturation", "K", "consecutive trials with no new edge before a test "
+                              "saturates (default 1)"},
     {"seed", "S", "campaign seed (default 1)"},
     {"corpus-size", "N", "target corpus size (default 80)"},
     {"corpus-iters", "N", "fuzzing iterations (default 300)"},
