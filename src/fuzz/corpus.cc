@@ -2,7 +2,6 @@
 
 #include <unordered_set>
 
-#include "src/kernel/task.h"
 #include "src/util/log.h"
 
 namespace snowboard {
@@ -13,15 +12,7 @@ std::vector<CorpusEntry> BuildCorpus(KernelVm& vm, const CorpusOptions& options)
   std::unordered_set<uint64_t> seen_programs;
   Generator generator(options.seed);
 
-  // Every candidate runs sequentially from the boot snapshot through one guest closure,
-  // which runs whatever `current` points at, into one recycled result.
-  const Program* current = nullptr;
-  const std::vector<Engine::GuestFn> runner = {[&vm, &current](Ctx& ctx) {
-    TaskEnter(ctx, vm.globals().tasks[0]);
-    RunProgram(ctx, vm.globals(), *current);
-  }};
-  Engine::RunOptions run_opts;
-  run_opts.max_instructions = 1'000'000;
+  // Every candidate runs into one recycled result.
   Engine::RunResult run;
 
   auto consider = [&](const Program& program) {
@@ -31,18 +22,18 @@ std::vector<CorpusEntry> BuildCorpus(KernelVm& vm, const CorpusOptions& options)
     if (!seen_programs.insert(program.Hash()).second) {
       return;
     }
-    vm.RestoreSnapshot();
-    current = &program;
-    vm.engine().RunInto(runner, run_opts, &run);
+    RunProgramAlone(vm, program, &run);
     if (!run.completed) {
       return;  // A broken test.
     }
-    EdgeSet edges = CollectEdges(run.trace, /*vcpu=*/0);
-    size_t fresh = coverage.Merge(edges);
+    size_t fresh = coverage.Merge(CollectEdges(run.trace, /*vcpu=*/0));
     if (fresh == 0) {
       return;  // Redundant behavior: "low overlap" filter.
     }
-    corpus.push_back(CorpusEntry{program, std::move(edges), fresh});
+    // Only an admitted program is profiled, from the trace of the run that admitted it.
+    std::vector<SharedAccess> accesses = ExtractSharedAccesses(run.trace, /*vcpu=*/0);
+    ComputeDoubleFetchLeaders(&accesses);
+    corpus.push_back(CorpusEntry{program, std::move(accesses), fresh});
   };
 
   if (options.use_seeds) {

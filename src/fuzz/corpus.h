@@ -9,6 +9,7 @@
 #include "src/fuzz/coverage.h"
 #include "src/fuzz/generator.h"
 #include "src/fuzz/program.h"
+#include "src/fuzz/sequential.h"
 #include "src/kernel/kernel.h"
 
 namespace snowboard {
@@ -22,16 +23,17 @@ struct CorpusOptions {
 
 struct CorpusEntry {
   Program program;
-  EdgeSet edges;          // Edge coverage of the sequential run.
+  // The §4.1 profile (fuzz/sequential.h), taken from the run that admitted the program.
+  std::vector<SharedAccess> accesses;
   size_t fresh_edges = 0;  // New edges this test contributed when admitted.
 };
 
-// Runs the fuzz loop against `vm` (restoring the boot snapshot before every execution) and
+// Runs the fuzz loop against `vm` (each candidate alone, through RunProgramAlone) and
 // returns the admitted tests. A test is admitted iff its sequential execution completes and
 // contributes at least one previously-unseen coverage edge.
 std::vector<CorpusEntry> BuildCorpus(KernelVm& vm, const CorpusOptions& options);
 
-// Strips the coverage bookkeeping.
+// Strips the profiles and the coverage bookkeeping.
 std::vector<Program> CorpusPrograms(const std::vector<CorpusEntry>& corpus);
 
 }  // namespace snowboard

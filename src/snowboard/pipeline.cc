@@ -77,11 +77,12 @@ std::unique_ptr<CheckpointStore> OpenStore(const PipelineOptions& options) {
 // --- Stage computations -----------------------------------------------------------------
 
 // Corpus construction: admission is a serial fold over the shared coverage map (each admit
-// changes what counts as fresh for every later candidate), so it runs on one VM.
-std::vector<Program> ComputeCorpus(KernelVm& vm, const PipelineOptions& options) {
+// changes what counts as fresh for every later candidate), so it runs on one VM. Each
+// entry carries the profile of the run that admitted it.
+std::vector<CorpusEntry> ComputeCorpus(KernelVm& vm, const PipelineOptions& options) {
   CorpusOptions corpus_options = options.corpus;
   corpus_options.seed = corpus_options.seed ^ options.seed;
-  return CorpusPrograms(BuildCorpus(vm, corpus_options));
+  return BuildCorpus(vm, corpus_options);
 }
 
 // A strategy's generated test list and the cluster count it was selected from.
@@ -153,14 +154,15 @@ void FoldExploreOutcomes(const std::vector<std::optional<OutcomeRecord>>& outcom
 // Runs a campaign as one pool job over a dependency DAG of work items instead of a
 // sequence of stage barriers:
 //
-//   corpus ──► profile[i] ──► identify ──► generate (PMC) ─────┐
-//      │                                                       ├──► explore[t]
-//      └──────────────────────────────► generate (baselines) ──┘
+//   corpus ──► identify ──► generate (PMC) ─────┐
+//      │                                        ├──► explore[t]
+//      └───────────────► generate (baselines) ──┘
 //
-// Workers claim whatever is runnable. Identification runs once, over every profile, when
-// the last profile lands; exploration starts the moment the test list (and, for PMC
-// strategies, the matcher) resolves — for the pairing baselines that genuinely overlaps
-// the profile tail.
+// Workers claim whatever is runnable. The corpus item's fuzzer profiles each program in the
+// run that admitted it, so identification runs once, over every profile, as soon as the
+// corpus resolves; exploration starts the moment the test list (and, for PMC strategies,
+// the matcher) resolves — for the pairing baselines that genuinely overlaps
+// identification.
 //
 // Two entries share the one DAG. From the corpus: RunSnowboardPipeline runs it through
 // exploration and PrepareCampaign stops once the PMC table resolves. From the explore
@@ -170,11 +172,11 @@ void FoldExploreOutcomes(const std::vector<std::optional<OutcomeRecord>>& outcom
 // executed test appends its outcome to the journal, and a resume replays the journaled
 // outcomes instead of re-executing their tests.
 //
-// Determinism comes from slots, not from the schedule: profile i and explore outcome t
-// land in their own slots, identification reads the profile slots in corpus order, and the
-// outcomes fold in index order. The scheduling freedom the DAG adds therefore never
-// reaches a deterministic output, which the checked-in goldens under tests/corpus/ lock in
-// at 1/2/4/8 workers.
+// Determinism comes from slots, not from the schedule: the corpus item yields the profiles
+// in corpus order, which is the order identification reads them in, explore outcome t lands
+// in its own slot, and the outcomes fold in index order. The scheduling freedom the DAG
+// adds therefore never reaches a deterministic output, which the checked-in goldens under
+// tests/corpus/ lock in at 1/2/4/8 workers.
 //
 // Fault injection: claiming a pre-explore item passes the "pool.claim" fault point,
 // executing an explore item passes "execute.claim" (once per executed test, never per
@@ -186,7 +188,7 @@ class CampaignEngine {
  public:
   // How far Run() takes the DAG.
   enum class Goal {
-    kPmcs,     // Stop once corpus, profiles, and the PMC table have resolved.
+    kPmcs,     // Stop once the corpus (with its profiles) and the PMC table resolve.
     kExplore,  // Run through exploration.
   };
 
@@ -199,8 +201,8 @@ class CampaignEngine {
         use_pmc_(StrategyUsesPmcs(options.strategy)),
         journal_name_(std::string("execute.") + StrategyName(options.strategy)) {
     t_start_ = std::chrono::steady_clock::now();
-    t_corpus_ = t_profiles_ = t_pmcs_ = t_tests_ = t_start_;
-    restore_mark_corpus_ = restore_mark_profiles_ = restore_mark_tests_ = RestoreNanos();
+    t_corpus_ = t_pmcs_ = t_tests_ = t_start_;
+    restore_mark_tests_ = RestoreNanos();
   }
 
   // Seeds the DAG at the explore frontier: every pre-explore stage counts as resolved and
@@ -251,15 +253,13 @@ class CampaignEngine {
     result->cluster_count = cluster_count_;
     result->tests_generated = tests_.size();
     // Stage timings are event-window attributions: each stage is charged the wall-clock
-    // between its predecessor's completion event and its own. When stages overlap (explore
-    // running during the profile tail) the windows overlap too, so the per-stage columns
-    // no longer sum to the campaign wall-clock — by design. The same windows attribute the
-    // snapshot-restore counter deltas. None of these fields are serialized.
+    // between its predecessor's completion event and its own. When stages overlap (a
+    // baseline exploring during identification) the windows overlap too, so the per-stage
+    // columns no longer sum to the campaign wall-clock — by design. The explore window also
+    // attributes the snapshot-restore counter delta. None of these fields are serialized.
     result->corpus_seconds = SecondsBetween(t_start_, t_corpus_);
-    result->profile_seconds = SecondsBetween(t_corpus_, t_profiles_);
-    result->identify_seconds = SecondsBetween(t_profiles_, t_pmcs_);
+    result->identify_seconds = SecondsBetween(t_corpus_, t_pmcs_);
     result->cluster_seconds = SecondsBetween(t_pmcs_, t_tests_);
-    result->profile_restore_seconds = ProfileRestoreSeconds();
     FoldExplore(result);
   }
 
@@ -277,17 +277,12 @@ class CampaignEngine {
     campaign->corpus = std::move(corpus_);
     campaign->profiles = std::move(profiles_);
     campaign->pmcs = std::move(pmcs_);
-    campaign->corpus_seconds = SecondsBetween(t_start_, t_corpus_);
-    campaign->profile_seconds = SecondsBetween(t_corpus_, t_profiles_);
-    campaign->profile_restore_seconds = ProfileRestoreSeconds();
-    campaign->identify_seconds = SecondsBetween(t_profiles_, t_pmcs_);
   }
 
  private:
   enum class Kind {
     kNone,
-    kCorpus,    // Build the corpus.
-    kProfile,   // Profile corpus[arg].
+    kCorpus,    // Build the corpus and its profiles.
     kIdentify,  // Identify the PMC table over every profile.
     kGenerate,  // Cluster/select (or pair) the test list, build replay table.
     kExplore,   // Execute (or replay) test arg.
@@ -299,10 +294,6 @@ class CampaignEngine {
 
   static uint64_t RestoreNanos() {
     return GlobalPipelineCounters().snapshot_restore_nanos.load(std::memory_order_relaxed);
-  }
-
-  double ProfileRestoreSeconds() const {
-    return static_cast<double>(restore_mark_profiles_ - restore_mark_corpus_) * 1e-9;
   }
 
   void WorkerLoop(PoolWorker& worker) {
@@ -470,15 +461,13 @@ class CampaignEngine {
     return prepared && tests_ready_ && explores_done_ == tests_.size();
   }
 
-  // Work-claiming priority: cheap unblocking transitions first, then the long-running VM
-  // items. Profile items outrank explore items so the profile tail drains at full width;
-  // explore picks up the slack once fewer profiles remain than workers.
+  // Work-claiming priority: the stage items that unblock others first, then explore items.
   Item ClaimLocked() {
     if (!corpus_done_ && !corpus_claimed_) {
       corpus_claimed_ = true;
       return {Kind::kCorpus, 0};
     }
-    if (corpus_done_ && !identify_claimed_ && profiles_done_ == profiles_.size()) {
+    if (corpus_done_ && !identify_claimed_) {
       identify_claimed_ = true;
       return {Kind::kIdentify, 0};
     }
@@ -486,9 +475,6 @@ class CampaignEngine {
         (!use_pmc_ || pmcs_done_)) {
       generate_claimed_ = true;
       return {Kind::kGenerate, 0};
-    }
-    if (corpus_done_ && profile_next_ < corpus_.size()) {
-      return {Kind::kProfile, profile_next_++};
     }
     if (tests_ready_ && explore_next_ < tests_.size()) {
       return {Kind::kExplore, explore_next_++};
@@ -501,9 +487,6 @@ class CampaignEngine {
     switch (item.kind) {
       case Kind::kCorpus:
         ExecuteCorpus(worker);
-        break;
-      case Kind::kProfile:
-        ExecuteProfile(worker, item.arg);
         break;
       case Kind::kIdentify:
         ExecuteIdentify();
@@ -519,38 +502,30 @@ class CampaignEngine {
     return true;
   }
 
-  // Caller holds mu_. Sizes the profile plumbing and stamps the corpus event.
+  // Caller holds mu_. Stamps the corpus event; identify and generate become claimable.
   void CorpusResolvedLocked() {
     corpus_done_ = true;
-    profiles_.resize(corpus_.size());
     t_corpus_ = std::chrono::steady_clock::now();
-    restore_mark_corpus_ = RestoreNanos();
     TRACE_COUNTER("funnel.corpus_programs", corpus_.size());
     cv_.notify_all();
   }
 
   void ExecuteCorpus(PoolWorker& worker) {
-    std::vector<Program> corpus = ComputeCorpus(PoolWorkerVm(worker), options_);
+    std::vector<CorpusEntry> entries = ComputeCorpus(PoolWorkerVm(worker), options_);
     std::lock_guard<std::mutex> lock(mu_);
-    corpus_ = std::move(corpus);
+    for (CorpusEntry& entry : entries) {
+      SequentialProfile& profile = profiles_.emplace_back();
+      profile.test_id = static_cast<int>(corpus_.size());
+      profile.ok = true;  // Admission requires a completed run.
+      profile.accesses = std::move(entry.accesses);
+      corpus_.push_back(std::move(entry.program));
+    }
     CorpusResolvedLocked();
   }
 
-  void ExecuteProfile(PoolWorker& worker, size_t index) {
-    SequentialProfile profile =
-        ProfileTest(PoolWorkerVm(worker), corpus_[index], static_cast<int>(index));
-    std::lock_guard<std::mutex> lock(mu_);
-    profiles_[index] = std::move(profile);
-    if (++profiles_done_ == profiles_.size()) {
-      cv_.notify_all();  // The identify item is now claimable.
-    }
-  }
-
-  // Stamps the profiles event, then runs Algorithm 1 over every profile outside the lock:
-  // once the last profile has landed, nothing writes profiles_ again.
+  // Runs Algorithm 1 over every profile outside the lock: once the corpus has resolved,
+  // nothing writes profiles_ again.
   void ExecuteIdentify() {
-    t_profiles_ = std::chrono::steady_clock::now();
-    restore_mark_profiles_ = RestoreNanos();
     std::vector<Pmc> pmcs = IdentifyPmcs(profiles_);
     std::lock_guard<std::mutex> lock(mu_);
     pmcs_ = std::move(pmcs);
@@ -614,15 +589,11 @@ class CampaignEngine {
   std::condition_variable cv_;
   bool crashed_ = false;  // Guarded by mu_, like every claim cursor and done flag below.
 
-  // Corpus.
+  // Corpus and its profiles. The corpus item writes both under mu_ before it marks the
+  // corpus done; every reader claims its item after that.
   bool corpus_claimed_ = false;
   bool corpus_done_ = false;
   std::vector<Program> corpus_;
-
-  // Profiles. Slot i is written by the worker that claimed profile i and read by the
-  // identify item; the mutex around `profiles_done_` orders the handoff.
-  size_t profile_next_ = 0;
-  size_t profiles_done_ = 0;
   std::vector<SequentialProfile> profiles_;
 
   // Identification.
@@ -650,9 +621,7 @@ class CampaignEngine {
   std::vector<uint8_t> resumed_;
 
   // Event timestamps (stage-attribution windows; see Fill).
-  std::chrono::steady_clock::time_point t_start_, t_corpus_, t_profiles_, t_pmcs_, t_tests_;
-  uint64_t restore_mark_corpus_ = 0;
-  uint64_t restore_mark_profiles_ = 0;
+  std::chrono::steady_clock::time_point t_start_, t_corpus_, t_pmcs_, t_tests_;
   uint64_t restore_mark_tests_ = 0;
 };
 

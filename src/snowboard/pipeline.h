@@ -2,14 +2,14 @@
 // identification → PMC selection (clustering + prioritization) → concurrent test execution.
 //
 // One campaign engine drives the stages: a single pool job runs the campaign as a
-// dependency DAG — PMC identification runs once the last profile lands, and concurrent
-// tests start exploring as soon as the test list resolves. Its threads come from the
-// process-lifetime WorkerPool (util/workpool.h), whose workers carry lazily-booted KernelVms
-// reused from the corpus stage through profiling into concurrent-test execution — the
-// in-process analog of the paper's Redis-queue-plus-GCP-VMs deployment (§4.4.1), where a
-// fixed fleet streams through all campaign work. The staged API below enters the same
-// engine partway: PrepareCampaign stops once the PMC table resolves, and ExecuteCampaign
-// starts at the explore frontier.
+// dependency DAG — the fuzzer profiles each corpus program in the run that admitted it, PMC
+// identification runs once the corpus resolves, and concurrent tests start exploring as
+// soon as the test list resolves. Its threads come from the process-lifetime WorkerPool
+// (util/workpool.h), whose workers carry lazily-booted KernelVms reused from the corpus
+// stage into concurrent-test execution — the in-process analog of the paper's
+// Redis-queue-plus-GCP-VMs deployment (§4.4.1), where a fixed fleet streams through all
+// campaign work. The staged API below enters the same engine partway: PrepareCampaign stops
+// once the PMC table resolves, and ExecuteCampaign starts at the explore frontier.
 // Budgets are expressed in test counts rather than wall-clock, every parallel output lands
 // in its own slot (identification reads the profiles in corpus order, and test outcomes
 // fold in index order, regardless of completion order), and per-test exploration seeds
@@ -101,16 +101,18 @@ struct PipelineResult {
   uint64_t trials_retried = 0;
   // Wall-clock per stage (seconds).
   double corpus_seconds = 0;
-  double profile_seconds = 0;
   double identify_seconds = 0;
   double cluster_seconds = 0;
   double execute_seconds = 0;
-  // Time spent inside VM snapshot restores during the profiling and execution stages
-  // (seconds), derived from GlobalPipelineCounters().snapshot_restore_nanos deltas around
-  // each stage — the share of a stage the dirty-page delta restore attacks. Counter-based,
-  // so concurrent pipelines in one process would attribute each other's restores.
-  double profile_restore_seconds = 0;
+  // Time spent inside VM snapshot restores during the execution stage (seconds), derived
+  // from GlobalPipelineCounters().snapshot_restore_nanos deltas around the stage — the share
+  // of it the dirty-page delta restore attacks. Counter-based, so concurrent pipelines in
+  // one process would attribute each other's restores.
   double execute_restore_seconds = 0;
+  // Always 0: the corpus stage profiles each program in the run that admitted it. Kept
+  // because report.json's schema and the benchmark's `profile.*` metrics still print them.
+  double profile_seconds = 0;
+  double profile_restore_seconds = 0;
 };
 
 // Runs the full campaign for one strategy (including the Random/Duplicate pairing baselines,
@@ -123,16 +125,12 @@ PipelineResult RunSnowboardPipeline(const PipelineOptions& options);
 
 struct PreparedCampaign {
   std::vector<Program> corpus;
-  std::vector<SequentialProfile> profiles;
+  std::vector<SequentialProfile> profiles;  // profiles[i] is corpus[i]'s, from its fuzzer run.
   std::vector<Pmc> pmcs;
-  double corpus_seconds = 0;
-  double profile_seconds = 0;
-  double profile_restore_seconds = 0;  // Snapshot-restore share of profile_seconds.
-  double identify_seconds = 0;
 };
 
-// Stages 1-2 (corpus, profiling, identification); shared across strategies in benches. Runs
-// the engine until the PMC table resolves; checkpoints nothing.
+// Stages 1-2 (corpus with its profiles, identification); shared across strategies in
+// benches. Runs the engine until the PMC table resolves; checkpoints nothing.
 PreparedCampaign PrepareCampaign(const PipelineOptions& options);
 
 // Stage 3: clustering + selection for one strategy (returns generated concurrent tests).

@@ -333,11 +333,7 @@ footer { color: var(--muted); font-size: 12px; margin-top: 28px; }
              report.findings.size());
   StrAppendf(&out,
              "<div class=\"tile\"><div class=\"v\">%llu</div>"
-             "<div class=\"l\">hung trials retried</div></div>\n",
-             static_cast<unsigned long long>(report.trials_retried));
-  StrAppendf(&out,
-             "<div class=\"tile\"><div class=\"v\">%llu</div>"
-             "<div class=\"l\">duplicate trials pruned</div></div>\n",
+             "<div class=\"l\">trials pruned (no new edge)</div></div>\n",
              static_cast<unsigned long long>(report.trials_pruned));
   out += "</div>\n";
 

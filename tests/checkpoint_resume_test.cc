@@ -220,9 +220,9 @@ TEST(CheckpointResumeTest, CrashSweepWithPruningResumesByteIdentical) {
   std::filesystem::remove_all(count_options.checkpoint_dir);
 }
 
-// A completed checkpoint holds no result: its resume recomputes the prep stages —
-// profiling the whole corpus again — and short-circuits every test through its journal
-// record, so nothing re-executes.
+// A completed checkpoint holds no result: its resume recomputes the prep stages — the
+// corpus with its profiles — and short-circuits every test through its journal record, so
+// nothing re-executes.
 TEST(CheckpointResumeTest, ResumeOfCompletedCampaignShortCircuits) {
   PipelineOptions options = TinyOptions(2);
   options.checkpoint_dir = FreshDir("complete");
@@ -240,17 +240,17 @@ TEST(CheckpointResumeTest, ResumeOfCompletedCampaignShortCircuits) {
   EXPECT_EQ(counters.tests_resumed.load(), golden.tests_executed);
   EXPECT_EQ(counters.concurrent_tests_run.load(), 0u)
       << "a completed campaign must not re-execute anything";
-  EXPECT_EQ(counters.vm_profile_runs.load(), golden.corpus_size)
-      << "a resume profiles the whole corpus again";
+  EXPECT_EQ(counters.vm_profile_runs.load(), 0u)
+      << "a campaign's profiles come from its corpus run";
   std::filesystem::remove_all(options.checkpoint_dir);
 }
 
 // The checkpoint holds only the `campaign` guard and the execute journal. Corpus,
 // profiles, PMCs, tests and the result are pure functions of the options and the journal,
-// so a resume re-runs the prep stages — profiling the whole corpus again — and then
-// replays the journal, running only the tests it lacks. Admission deletes what older
-// layouts kept in the directory (a manifest, stage entries, a stored result), by name,
-// and nothing else.
+// so a resume re-runs the prep stages — the fuzzer profiling the whole corpus again, which
+// the result's `profiled_ok` and `shared_accesses` show — and then replays the journal,
+// running only the tests it lacks. Admission deletes what older layouts kept in the
+// directory (a manifest, stage entries, a stored result), by name, and nothing else.
 TEST(CheckpointResumeTest, CheckpointHoldsGuardAndJournalOnlyAndResumeRecomputesPrep) {
   auto batched = [] {
     PipelineOptions options = TinyOptions(1);
@@ -312,8 +312,8 @@ TEST(CheckpointResumeTest, CheckpointHoldsGuardAndJournalOnlyAndResumeRecomputes
   PipelineResult resumed = RunSnowboardPipeline(resume_options);
   EXPECT_EQ(SerializePipelineResult(resumed), SerializePipelineResult(golden));
   PipelineCounters& counters = GlobalPipelineCounters();
-  EXPECT_EQ(counters.vm_profile_runs.load(), golden.corpus_size)
-      << "a resume profiles the whole corpus again";
+  EXPECT_EQ(counters.vm_profile_runs.load(), 0u)
+      << "a campaign's profiles come from its corpus run";
   EXPECT_EQ(counters.tests_resumed.load(), journaled);
   EXPECT_EQ(resumed.tests_resumed, journaled);
   EXPECT_EQ(counters.concurrent_tests_run.load(), golden.tests_generated - journaled);

@@ -13,6 +13,7 @@
 
 #include "src/fuzz/generator.h"
 #include "src/snowboard/pipeline.h"
+#include "src/snowboard/profile.h"
 #include "src/snowboard/report_html.h"
 #include "src/snowboard/serialize.h"
 #include "src/snowboard/stats.h"
@@ -29,7 +30,6 @@ void ExpectSameProfiles(const std::vector<SequentialProfile>& a,
   for (size_t i = 0; i < a.size(); i++) {
     EXPECT_EQ(a[i].test_id, b[i].test_id) << "profile " << i;
     EXPECT_EQ(a[i].ok, b[i].ok) << "profile " << i;
-    EXPECT_EQ(a[i].program, b[i].program) << "profile " << i;
     EXPECT_EQ(a[i].accesses, b[i].accesses) << "profile " << i;
   }
 }
@@ -64,6 +64,26 @@ TEST(PipelineDeterminismTest, PreparedCampaignInvariantAcrossWorkerCounts) {
   }
 }
 
+// A campaign profiles each corpus program in the fuzzer run that admitted it, and ProfileTest
+// profiles a program in a run of its own. Both must yield the same profiles: for the
+// reference campaign and for a random-pairing campaign over a wide corpus.
+TEST(PipelineDeterminismTest, CorpusRunProfilesEqualProfileCorpus) {
+  PipelineOptions wide = ReferenceCampaignOptions(2);
+  wide.strategy = Strategy::kRandomPairing;
+  wide.corpus.target_size = 150;
+  wide.corpus.max_iterations = 600;
+  KernelVm vm;
+  for (const PipelineOptions& options : {ReferenceCampaignOptions(2), wide}) {
+    SCOPED_TRACE(testing::Message() << StrategyName(options.strategy));
+    ResetPipelineCounters();
+    PreparedCampaign campaign = PrepareCampaign(options);
+    EXPECT_EQ(GlobalPipelineCounters().vm_profile_runs.load(), 0u)
+        << "a campaign's profiles come from its corpus run";
+    ASSERT_GT(campaign.corpus.size(), 10u);
+    ExpectSameProfiles(campaign.profiles, ProfileCorpus(vm, campaign.corpus));
+  }
+}
+
 // The serialized result of the reference campaign is pinned to a checked-in golden at
 // every worker count. The engine overlaps stages (exploration starts as soon as tests
 // resolve) but keeps every parallel output in its own slot, so no scheduling freedom may
@@ -90,12 +110,12 @@ TEST(PipelineDeterminismTest, PairingBaselineResultMatchesGolden) {
 }
 
 // Counter determinism: workers add into one counter block and every total is a sum, so
-// work-proportional counter TOTALS — profiles executed, concurrent tests run, snapshot
-// restores performed — must be exactly equal at any worker count, and the masked
-// report.json (whose deterministic portion embeds the funnel those counters feed) must
-// match its golden. Only totals invariant under scheduling are compared: the full/delta
-// restore SPLIT varies with worker count (each worker VM's first restore is a full one),
-// so the sum is asserted, not the parts.
+// work-proportional counter TOTALS — profiles executed (none: a campaign's profiles come
+// from its corpus run), concurrent tests run, snapshot restores performed — must be exactly
+// equal at any worker count, and the masked report.json (whose deterministic portion embeds
+// the funnel those counters feed) must match its golden. Only totals invariant under
+// scheduling are compared: the full/delta restore SPLIT varies with worker count (each
+// worker VM's first restore is a full one), so the sum is asserted, not the parts.
 TEST(PipelineDeterminismTest, CounterTotalsAndMaskedReportInvariant) {
   struct Totals {
     uint64_t profile_runs = 0;
@@ -120,7 +140,7 @@ TEST(PipelineDeterminismTest, CounterTotalsAndMaskedReportInvariant) {
 
   Totals base = run(1);
   ASSERT_GT(base.tests_run, 0u);
-  ASSERT_GT(base.profile_runs, 0u);
+  EXPECT_EQ(base.profile_runs, 0u) << "a campaign's profiles come from its corpus run";
   ASSERT_GT(base.restores, base.tests_run);  // At least one restore per trial.
   for (int workers : {2, 4, 8}) {
     SCOPED_TRACE(testing::Message() << "workers=" << workers);

@@ -100,6 +100,10 @@ TEST(ReportGoldenTest, HtmlIsSelfContainedAndCarriesFindings) {
   for (const ReportFinding& finding : report.findings) {
     EXPECT_NE(html.find(HtmlText(finding.summary)), std::string::npos) << finding.summary;
   }
+  // A pruned trial adds no new edge; it need not duplicate an earlier one. Nothing retries.
+  EXPECT_NE(html.find("trials pruned (no new edge)"), std::string::npos);
+  EXPECT_EQ(html.find("duplicate trials pruned"), std::string::npos);
+  EXPECT_EQ(html.find("hung trials retried"), std::string::npos);
 }
 
 }  // namespace

@@ -721,6 +721,26 @@ TEST(ServeFleetTest, HttpDispatchCoversEveryRouteAndStatusCode) {
   std::filesystem::remove_all(options.root);
 }
 
+// Stops and joins an accept loop that is still running when its test returns early (a
+// failed ASSERT_*). Destroying a joinable std::thread calls std::terminate, which would end
+// the whole test binary instead of reporting one failed test.
+class AcceptLoopGuard {
+ public:
+  AcceptLoopGuard(FleetHttpServer& http, std::thread& loop) : http_(http), loop_(loop) {}
+  AcceptLoopGuard(const AcceptLoopGuard&) = delete;
+  AcceptLoopGuard& operator=(const AcceptLoopGuard&) = delete;
+  ~AcceptLoopGuard() {
+    if (loop_.joinable()) {
+      http_.Stop();
+      loop_.join();
+    }
+  }
+
+ private:
+  FleetHttpServer& http_;
+  std::thread& loop_;
+};
+
 // One real unix-socket round-trip: submit over the wire, watch it finish, drain — the
 // same path `snowboard_serve request` and curl --unix-socket use.
 TEST(ServeFleetTest, UnixSocketServesSubmitStatusAndDrain) {
@@ -734,6 +754,7 @@ TEST(ServeFleetTest, UnixSocketServesSubmitStatusAndDrain) {
   FleetHttpServer http(&server, socket_path);
   ASSERT_TRUE(http.ok());
   std::thread accept_loop([&]() { http.Serve(); });
+  AcceptLoopGuard guard(http, accept_loop);
 
   std::optional<HttpResponse> response =
       UnixHttpRequest(socket_path, "GET", "/healthz", "");
@@ -774,6 +795,7 @@ TEST(ServeFleetTest, ClientThatHangsUpEarlyLeavesTheDaemonServing) {
   FleetHttpServer http(&server, socket_path);
   ASSERT_TRUE(http.ok());
   std::thread accept_loop([&]() { http.Serve(); });
+  AcceptLoopGuard guard(http, accept_loop);
 
   // A raw client shuts its read side, so the daemon's answer cannot be delivered, sends a
   // request and closes without reading.
@@ -818,6 +840,7 @@ TEST(ServeFleetTest, OversizedBodyGetsTheDaemonsAnswer) {
   FleetHttpServer http(&server, socket_path);
   ASSERT_TRUE(http.ok());
   std::thread accept_loop([&]() { http.Serve(); });
+  AcceptLoopGuard guard(http, accept_loop);
 
   std::optional<HttpResponse> response =
       UnixHttpRequest(socket_path, "POST", "/campaigns", std::string(16u << 20, 'x'));

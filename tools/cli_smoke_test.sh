@@ -125,7 +125,7 @@ campaign="$campaign --corpus-iters 40"
 # $campaign stays unquoted: it is a word list.
 "$CLI" $campaign --report-dir "$work/A" > "$work/a.txt" 2>&1
 check_exit "uninterrupted campaign exits 0" 0 $?
-"$CLI" $campaign --checkpoint-dir "$work/D" --inject-faults 100 --fault-seed 1 \
+"$CLI" $campaign --checkpoint-dir "$work/D" --inject-faults 65 --fault-seed 1 \
     > /dev/null 2>&1
 check_exit "campaign with injected faults exits 42" 42 $?
 "$CLI" $campaign --checkpoint-dir "$work/D" --resume --workers 4 --report-dir "$work/B" \
@@ -136,6 +136,14 @@ run_output() {
   grep -v -e '^resumed [0-9]* of [0-9]* ' -e '^report written to ' -e '^==[0-9]*==' "$1"
 }
 metric() { grep -o "\"$2\": [0-9]*" "$1/report.json" | grep -o '[0-9]*$'; }
+# The campaign prunes by default; a pruned trial adds no new edge.
+if grep -q '^pruning: [0-9]* trials pruned (no new edge); [0-9]* tests saturated$' \
+    "$work/a.txt"; then
+  echo "ok: campaign prints its pruning line"
+else
+  echo "FAIL: campaign printed no 'pruning: N trials pruned (no new edge)' line"
+  fails=$((fails + 1))
+fi
 if [ "$(findings_block "$work/a.txt" | wc -l)" -lt 2 ]; then
   echo "FAIL: uninterrupted campaign printed no findings"; fails=$((fails + 1))
 elif [ "$(run_output "$work/a.txt")" != "$(run_output "$work/b.txt")" ]; then

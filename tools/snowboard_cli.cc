@@ -233,7 +233,7 @@ void PrintResult(const PipelineResult& result) {
               result.tests_executed, static_cast<unsigned long long>(result.total_trials),
               result.tests_with_bug, result.channel_exercised);
   if (result.trials_pruned > 0 || result.tests_saturated > 0) {
-    std::printf("pruning: %llu duplicate trials pruned; %zu tests saturated\n",
+    std::printf("pruning: %llu trials pruned (no new edge); %zu tests saturated\n",
                 static_cast<unsigned long long>(result.trials_pruned),
                 result.tests_saturated);
   }
